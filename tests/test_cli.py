@@ -190,6 +190,42 @@ def test_flow_underflow_exits_3(capsys):
     assert "underflow" in err
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+def test_flow_bad_time_exits_2(capsys, t):
+    code, out, err = run_cli(capsys, "flow", "--field", "builtin:example2",
+                             "--z0", "(i, 0.5)", "--t", t)
+    assert code == 2
+    assert out == ""
+    assert "time" in err
+
+
+def test_flow_nan_tol_exits_2(capsys):
+    code, out, err = run_cli(capsys, "flow", "--field", "builtin:example2",
+                             "--z0", "(i, 0.5)", "--t", "1", "--tol", "nan")
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("spec", ["flownan:builtin:example2",
+                                  "flowinf:builtin:example2"])
+def test_iterate_nonfinite_flow_time_exits_2(capsys, spec):
+    code, out, _ = run_cli(capsys, "iterate", "--map", spec,
+                           "--z0", "(i,0.5)", "--n", "5")
+    assert code == 2
+    assert out == ""
+
+
+def test_json_output_is_strict(capsys):
+    from siegelflow.cli import _print_json
+
+    with pytest.raises(ValueError):
+        _print_json({"t": float("nan")})
+    with pytest.raises(ValueError):
+        _print_json([float("inf")])
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # member / iterate / verify
 # ---------------------------------------------------------------------------

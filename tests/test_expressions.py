@@ -8,7 +8,17 @@ from siegelflow.errors import (
     ExpressionSyntaxError,
     UnknownIdentifierError,
 )
-from siegelflow.expressions import field_to_text, parse_components
+from siegelflow.expressions import (
+    BinOp,
+    Func,
+    Neg,
+    Num,
+    Pow,
+    Var,
+    compile_expression,
+    field_to_text,
+    parse_components,
+)
 from siegelflow.fields import parse_field
 
 
@@ -93,3 +103,36 @@ def test_canonical_text_round_trips_values(rng):
     pts = rng.normal(size=(50, 2)) + 1j * (1.0 + rng.random((50, 2)))
     np.testing.assert_allclose(field_a(pts), field_b(pts), rtol=1e-15)
     assert field_to_text(tree) == field_to_text(canon)
+
+
+def _walk(expr, points):
+    """Reference tree walk: the evaluation order compiled closures must keep."""
+    if isinstance(expr, Num):
+        return np.asarray(expr.value)
+    if isinstance(expr, Var):
+        return points[..., expr.index]
+    if isinstance(expr, Neg):
+        return -_walk(expr.operand, points)
+    if isinstance(expr, BinOp):
+        left, right = _walk(expr.left, points), _walk(expr.right, points)
+        return {"+": np.add, "-": np.subtract, "*": np.multiply,
+                "/": np.divide}[expr.op](left, right)
+    if isinstance(expr, Pow):
+        return _walk(expr.base, points) ** expr.exponent
+    assert isinstance(expr, Func)
+    return {"exp": np.exp, "sqrt": np.sqrt, "log": np.log}[expr.name](
+        _walk(expr.arg, points))
+
+
+def test_compiled_expressions_match_a_tree_walk_bit_for_bit(rng):
+    text = ("-1/z1 + exp(z2)*sqrt(z1) - log(z1 - 2*i)^3; "
+            "z2/(2*z1^2) - -z2^(-2); 0.5 + i")
+    points = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    points[0] = 0.0  # singular row: non-finite values must match too
+    with np.errstate(all="ignore"):
+        for expr in parse_components(text, 3):
+            program = compile_expression(expr)
+            expected = _walk(expr, points)
+            assert np.array_equal(program(points), expected, equal_nan=True)
+            assert np.array_equal(program(points[:1]), _walk(expr, points[:1]),
+                                  equal_nan=True)

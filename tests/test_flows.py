@@ -14,6 +14,7 @@ from siegelflow.domains import (
 )
 from siegelflow.errors import CoverageGap, StepSizeUnderflow
 from siegelflow.fields import builtin, parse_field
+from siegelflow.grids import siegel_grid_small
 from siegelflow.flows import (
     DEFAULT_TOL,
     HerglotzField,
@@ -178,7 +179,58 @@ def test_flow_map_lockstep_matches_single_runs():
             siegel_point(*pts[k]),
             0.5,
         ).final_state
-        np.testing.assert_allclose(batch[k], single, rtol=0, atol=1e-9)
+        assert np.array_equal(batch[k], single)
+
+
+def test_flow_map_batch_is_bit_identical_to_each_point_alone():
+    # Low points (Im z1 = 0.1) take far more steps than high ones; each keeps
+    # its own step control, so batching changes no bit of any endpoint.
+    grid = siegel_grid_small(2)
+    assert np.isclose(grid[:, 0].imag, 0.1).any() and grid[:, 0].imag.max() >= 100
+    t = 1.0
+    step = flow_map(builtin("example2"), t)
+    batch = step(grid)
+    alone = np.array([step(point[None, :])[0] for point in grid])
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(step(grid[::-1])[::-1], batch)
+
+    z1, z2 = grid[:, 0], grid[:, 1]
+    z1t = np.sqrt(z1 * z1 - 2.0 * t)
+    z1t = np.where(z1t.imag < 0, -z1t, z1t)
+    exact = np.stack([z1t, z2 * np.sqrt(z1 / z1t)], axis=1)
+    assert np.max(np.abs(batch - exact)) <= 10 * DEFAULT_TOL * t
+
+
+def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
+    # Constant downward drift: only the point at height 1 exits before t = 2.
+    step = flow_map(parse_field("-i", 1), 2.0)
+    assert np.allclose(step(np.array([[5j], [3j]])), [[3j], [1j]])
+    with pytest.raises(StepSizeUnderflow):
+        step(np.array([[5j], [1j], [3j]]))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_bad_times_are_rejected(t):
+    z0 = siegel_point(1j, 0.5)
+    with pytest.raises(ValueError):
+        flow_map(builtin("example2"), t)
+    with pytest.raises(ValueError):
+        integrate_autonomous(builtin("example2"), z0, t)
+    with pytest.raises(ValueError):
+        integrate_loewner(((0.0, 5.0, builtin("example2")),), z0, t)
+    with pytest.raises(ValueError):
+        integrate_fixed_steps(builtin("example2"), z0, t, 8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_bad_tolerances_are_rejected(tol):
+    z0 = siegel_point(1j, 0.5)
+    with pytest.raises(ValueError):
+        flow_map(builtin("example2"), 1.0, tol=tol)
+    with pytest.raises(ValueError):
+        integrate_autonomous(builtin("example2"), z0, 1.0, tol=tol)
+    with pytest.raises(ValueError):
+        integrate_loewner(((0.0, 1.0, builtin("example2")),), z0, 1.0, tol=tol)
 
 
 def test_semigroup_law_residuals():
