@@ -14,7 +14,6 @@ from siegelflow.domains import (
 )
 from siegelflow.errors import CoverageGap, StepSizeUnderflow
 from siegelflow.fields import builtin, parse_field
-from siegelflow.grids import siegel_grid_small
 from siegelflow.flows import (
     DEFAULT_TOL,
     HerglotzField,
@@ -31,6 +30,7 @@ from siegelflow.flows import (
     julia_monotonicity,
     semigroup_check,
 )
+from siegelflow.grids import halfplane_grid, siegel_grid_small
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +182,28 @@ def test_flow_map_lockstep_matches_single_runs():
         assert np.array_equal(batch[k], single)
 
 
-def test_flow_map_batch_is_bit_identical_to_each_point_alone():
-    # Low points (Im z1 = 0.1) take far more steps than high ones; each keeps
+@pytest.mark.parametrize("name, grid", [
+    ("example2", siegel_grid_small(2)),
+    ("reciprocal", halfplane_grid()[::37]),
+])
+def test_flow_map_batch_is_bit_identical_to_each_point_alone(name, grid):
+    # Low points (Im z1 <= 0.1) take far more steps than high ones; each keeps
     # its own step control, so batching changes no bit of any endpoint.
-    grid = siegel_grid_small(2)
-    assert np.isclose(grid[:, 0].imag, 0.1).any() and grid[:, 0].imag.max() >= 100
+    assert grid[:, 0].imag.min() <= 0.1 and grid[:, 0].imag.max() >= 100
     t = 1.0
-    step = flow_map(builtin("example2"), t)
+    step = flow_map(builtin(name), t)
     batch = step(grid)
     alone = np.array([step(point[None, :])[0] for point in grid])
     assert np.array_equal(batch, alone)
     assert np.array_equal(step(grid[::-1])[::-1], batch)
 
-    z1, z2 = grid[:, 0], grid[:, 1]
+    # Closed form: z1(t) = sqrt(z1^2 - 2t), z2(t) = z2 sqrt(z1 / z1(t)).
+    z1 = grid[:, 0]
     z1t = np.sqrt(z1 * z1 - 2.0 * t)
     z1t = np.where(z1t.imag < 0, -z1t, z1t)
-    exact = np.stack([z1t, z2 * np.sqrt(z1 / z1t)], axis=1)
+    exact = z1t[:, None]
+    if grid.shape[1] == 2:
+        exact = np.stack([z1t, grid[:, 1] * np.sqrt(z1 / z1t)], axis=1)
     assert np.max(np.abs(batch - exact)) <= 10 * DEFAULT_TOL * t
 
 
