@@ -61,7 +61,7 @@ def interior_margin(domain: Domain, coords: np.ndarray) -> np.ndarray:
     if domain == Domain.BALL:
         return 1.0 - np.sqrt(np.sum(np.abs(coords) ** 2, axis=-1))
     if domain == Domain.SIEGEL:
-        tail = np.sum(np.abs(coords[..., 1:]) ** 2, axis=-1)
+        tail = (np.abs(coords[..., 1:]) ** 2).sum(axis=-1)
         return coords[..., 0].imag - tail
     raise ValueError(f"unknown domain {domain!r}")
 

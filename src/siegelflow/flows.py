@@ -121,9 +121,8 @@ def _weights(row) -> tuple:
 _STAGE_WEIGHTS = tuple(_weights(row) for row in _A[1:])
 _ERROR_WEIGHTS = _weights(_E)
 
-# Up to this many rows one running-sum call over all the terms beats a loop
-# of in-place additions; above it the loop is faster and holds one term at a
-# time.  Both add the same terms in the same order, so results are identical.
+# Up to this many rows one running-sum call beats a loop of in-place additions;
+# both add the same terms in the same order, so their sums are identical.
 _RUNNING_SUM_ROWS = 16
 
 
@@ -247,10 +246,11 @@ def _advance(
                     )
 
             done = t >= t1 - floor
+            if done.all():
+                out[rows] = y
+                break
             if done.any():
                 out[rows[done]] = y[done]
-                if done.all():
-                    break
                 keep = ~done
                 rows, y, t, h, r_prev, consecutive = (
                     a[keep] for a in (rows, y, t, h, r_prev, consecutive)
