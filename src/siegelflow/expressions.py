@@ -282,13 +282,13 @@ def compile_expression(expr: Expr) -> Callable[[np.ndarray], np.ndarray]:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def evaluate(expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate a tree, or its compile_expression closure, on points (..., n).
+def evaluate(program: Callable[[np.ndarray], np.ndarray],
+             points: np.ndarray) -> np.ndarray:
+    """Run a compile_expression closure on points (..., n).
 
     Returns an array broadcastable to shape (...,).  Singularities produce
     non-finite entries rather than raising; callers decide the policy.
     """
-    program = expr if callable(expr) else compile_expression(expr)
     return program(points)
 
 

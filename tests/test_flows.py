@@ -215,6 +215,19 @@ def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
         step(np.array([[5j], [1j], [3j]]))
 
 
+def test_spans_below_the_step_floor_take_no_step():
+    # A span under 1e-15 * max(1, |t0|, |t1|) is done before the first step.
+    pts = np.array([[1j, 0.5], [2j, 0.0]])
+    assert np.array_equal(flow_map(builtin("example2"), 1e-16)(pts), pts)
+
+    z0 = half_plane_point(1j)
+    first = (0.0, 0.3, parse_field("-1/z", 1))
+    # 0.1 + 0.2 ends the second piece 5.6e-17 after its start.
+    split = integrate_loewner((first, (0.3, 1.0, parse_field("-2/z", 1))), z0, 0.1 + 0.2)
+    whole = integrate_loewner((first,), z0, 0.3)
+    assert np.array_equal(split.final_state, whole.final_state)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_bad_times_are_rejected(t):
     z0 = siegel_point(1j, 0.5)
