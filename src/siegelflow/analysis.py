@@ -16,20 +16,20 @@ is not a proof of membership.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .domains import (
     Domain,
+    cayley_ball_coords,
     format_complex,
     hyperbolic_norm_sq_array,
     poisson_values,
 )
 from .errors import ArityMismatchError, FieldEvaluationError
 from .fields import VectorField
-from .geodesics import GeodesicParam, slice_field
+from .geodesics import GeodesicParam, geodesic_coords, slice_field, slice_parts
 from .grids import SIEGEL_GRID_V1, HALFPLANE_GRID_V1, halfplane_grid, siegel_grid
 
 # Relative slack applied to every sampled inequality before declaring a
@@ -102,18 +102,17 @@ class InequalityReport:
     ok: bool
     grid_name: str
 
-    def to_json(self) -> dict:
-        return {
-            "worst_margin": self.worst_margin,
-            "witness": [format_complex(c) for c in self.witness],
-            "ok": self.ok,
-            "grid": self.grid_name,
-        }
-
 
 def _finite_or_raise(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise FieldEvaluationError(f"{what} produced non-finite values")
+
+
+def _class_constant(c: float) -> float:
+    c = float(c)
+    if not (np.isfinite(c) and c >= 0.0):
+        raise ValueError(f"class constant c must be finite and >= 0, got {c}")
+    return c
 
 
 def _verdict(sup: float, c: float) -> str:
@@ -123,6 +122,34 @@ def _verdict(sup: float, c: float) -> str:
 # ---------------------------------------------------------------------------
 # One-dimensional estimates
 # ---------------------------------------------------------------------------
+
+def _capacity_estimates(sample, what, y_min, y_max, count) -> list[CapacityEstimate]:
+    """Check the window, then classify the tail of each row of samples.
+
+    ``sample`` maps the heights y, shape (count,), to the values H(iy) of
+    each row, shape (rows, count).  count >= 8 keeps two samples in the tail.
+    """
+    if not (np.isfinite(y_min) and np.isfinite(y_max) and 0 < y_min < y_max):
+        raise ValueError(f"need finite 0 < y_min < y_max, got {y_min}, {y_max}")
+    if count < 8:
+        raise ValueError(f"count must be >= 8 (a two-sample tail), got {count}")
+    ys = np.geomspace(y_min, y_max, count)
+    values = sample(ys)
+    _finite_or_raise(values, what)
+    estimates = []
+    for scaled in ys * np.abs(values):
+        tail = scaled[-(count // 4):]
+        top = np.max(tail)
+        if top == 0.0 or (top - np.min(tail)) / top < 1e-4:
+            trend = "converged"
+        elif np.all(np.diff(tail) >= 0) and tail[-1] > 1.01 * tail[0]:
+            trend = "increasing"
+        else:
+            trend = "inconclusive"
+        samples = tuple((float(y), float(s)) for y, s in zip(ys, scaled))
+        estimates.append(CapacityEstimate(float(top), trend, samples))
+    return estimates
+
 
 def estimate_capacity_1d(
     field: VectorField,
@@ -136,29 +163,46 @@ def estimate_capacity_1d(
     over the last quarter of the samples.  The trend is ``converged`` when
     the tail's relative spread is below 1e-4, ``increasing`` when the tail
     still grows monotonically by more than 1%, else ``inconclusive``.
+    Needs finite 0 < y_min < y_max and count >= 8.
     """
     if field.dimension != 1:
         raise ArityMismatchError("capacity estimation needs a 1-d field")
-    if not (0 < y_min < y_max):
-        raise ValueError("need 0 < y_min < y_max")
-    ys = np.geomspace(y_min, y_max, count)
-    values = field((1j * ys)[:, None])[..., 0]
-    _finite_or_raise(values, field.description)
-    scaled = ys * np.abs(values)
-    tail = scaled[-max(1, count // 4):]
-    value = float(np.max(tail))
-    if value == 0.0:
-        trend = "converged"
-    else:
-        spread = float((np.max(tail) - np.min(tail)) / np.max(tail))
-        if spread < 1e-4:
-            trend = "converged"
-        elif np.all(np.diff(tail) >= 0) and tail[-1] > 1.01 * tail[0]:
-            trend = "increasing"
-        else:
-            trend = "inconclusive"
-    samples = tuple((float(y), float(s)) for y, s in zip(ys, scaled))
-    return CapacityEstimate(value=value, trend=trend, samples=samples)
+
+    def sample(ys):
+        return field((1j * ys)[:, None])[..., 0][None]
+
+    return _capacity_estimates(sample, field.description, y_min, y_max, count)[0]
+
+
+def slice_capacities(
+    field: VectorField,
+    gammas,
+    y_min: float = CAPACITY_DEFAULTS["y_min"],
+    y_max: float = CAPACITY_DEFAULTS["y_max"],
+    count: int = CAPACITY_DEFAULTS["count"],
+) -> list[CapacityEstimate]:
+    """Capacity estimates of the slices h_gamma, one per gamma.
+
+    One field call on the (G, count, n) stack of points phi_gamma(iy) serves
+    every slice; each estimate equals estimate_capacity_1d of that gamma's
+    slice_field bit for bit.
+    """
+    params = [GeodesicParam(tuple(np.atleast_1d(g))) for g in gammas]
+    for param in params:
+        param.require_dimension(field.dimension)
+    if not params:
+        return []
+    directions = np.array([p.gamma for p in params], dtype=complex)[:, None, :]
+
+    def sample(ys):
+        # As inside the single-slice field's evaluator: no float warnings.
+        with np.errstate(all="ignore"):
+            values = field(geodesic_coords(directions, 1j * ys))
+            return slice_parts(values, directions)[1]
+
+    return _capacity_estimates(
+        sample, f"slice[{field.description}]", y_min, y_max, count
+    )
 
 
 def check_pointwise_1d(
@@ -172,6 +216,7 @@ def check_pointwise_1d(
     """
     if field.dimension != 1:
         raise ArityMismatchError("check_pointwise_1d needs a 1-d field")
+    c = _class_constant(c)
     grid_name = HALFPLANE_GRID_V1 if grid is None else "custom"
     points = halfplane_grid() if grid is None else np.asarray(grid, complex)
     values = field(points)[..., 0]
@@ -187,42 +232,51 @@ def check_pointwise_1d(
             "H does not map the half-plane into its closure"
         )
     return MembershipReport(
-        constant_c=float(c),
+        constant_c=c,
         sup_observed=float(scaled[index]),
         witness=(complex(points[index, 0]),),
         witness_domain=Domain.HALF_PLANE,
-        verdict=_verdict(float(scaled[index]), float(c)),
+        verdict=_verdict(float(scaled[index]), c),
         grid_name=grid_name,
         notes=tuple(notes),
     )
 
 
 # ---------------------------------------------------------------------------
-# Siegel membership
+# Siegel and ball membership
 # ---------------------------------------------------------------------------
+
+def _membership(
+    field: VectorField, c: float, points: np.ndarray, domain: Domain, grid_name: str
+) -> MembershipReport:
+    """Sampled sup of u(z)^2 ||H(z)||_z over ``points`` of ``domain``."""
+    c = _class_constant(c)
+    values = field(points)
+    _finite_or_raise(values, field.description)
+    u = poisson_values(domain, points)
+    scaled = (u * u) * np.sqrt(hyperbolic_norm_sq_array(domain, points, values))
+    index = int(np.argmax(scaled))
+    sup = float(scaled[index])
+    return MembershipReport(
+        c, sup, tuple(points[index]), domain, _verdict(sup, c), grid_name
+    )
+
+
+def _siegel_points(field: VectorField, grid) -> tuple[np.ndarray, str]:
+    if grid is None:
+        return siegel_grid(field.dimension), SIEGEL_GRID_V1
+    points = np.asarray(grid, complex)
+    if points.shape[-1] != field.dimension:
+        raise ArityMismatchError("grid dimension does not match the field")
+    return points, "custom"
+
 
 def membership_siegel(
     field: VectorField, c: float, grid: np.ndarray | None = None
 ) -> MembershipReport:
     """Test the metric inequality u(z)^2 ||H(z)||_{H_n,z} <= c on a grid."""
-    grid_name = SIEGEL_GRID_V1 if grid is None else "custom"
-    points = siegel_grid(field.dimension) if grid is None else np.asarray(grid, complex)
-    if points.shape[-1] != field.dimension:
-        raise ArityMismatchError("grid dimension does not match the field")
-    values = field(points)
-    _finite_or_raise(values, field.description)
-    u = poisson_values(Domain.SIEGEL, points)
-    norm_sq = hyperbolic_norm_sq_array(Domain.SIEGEL, points, values)
-    scaled = (u * u) * np.sqrt(norm_sq)
-    index = int(np.argmax(scaled))
-    return MembershipReport(
-        constant_c=float(c),
-        sup_observed=float(scaled[index]),
-        witness=tuple(points[index]),
-        witness_domain=Domain.SIEGEL,
-        verdict=_verdict(float(scaled[index]), float(c)),
-        grid_name=grid_name,
-    )
+    points, grid_name = _siegel_points(field, grid)
+    return _membership(field, c, points, Domain.SIEGEL, grid_name)
 
 
 def membership_ball(
@@ -234,26 +288,9 @@ def membership_ball(
     this is the exact transport of :func:`membership_siegel`, so the two
     verdicts must agree for G = pushforward of H.
     """
-    from .domains import cayley_ball_coords
-
-    grid_name = SIEGEL_GRID_V1 if grid is None else "custom"
-    siegel_points = (
-        siegel_grid(field.dimension) if grid is None else np.asarray(grid, complex)
-    )
-    points = cayley_ball_coords(siegel_points)
-    values = field(points)
-    _finite_or_raise(values, field.description)
-    u = poisson_values(Domain.BALL, points)
-    norm_sq = hyperbolic_norm_sq_array(Domain.BALL, points, values)
-    scaled = (u * u) * np.sqrt(norm_sq)
-    index = int(np.argmax(scaled))
-    return MembershipReport(
-        constant_c=float(c),
-        sup_observed=float(scaled[index]),
-        witness=tuple(points[index]),
-        witness_domain=Domain.BALL,
-        verdict=_verdict(float(scaled[index]), float(c)),
-        grid_name=f"cayley[{grid_name}]",
+    points, grid_name = _siegel_points(field, grid)
+    return _membership(
+        field, c, cayley_ball_coords(points), Domain.BALL, f"cayley[{grid_name}]"
     )
 
 
@@ -261,25 +298,15 @@ def slice_membership(
     field: VectorField,
     gammas,
     c: float,
-    jobs: int = 1,
     y_max: float = CAPACITY_DEFAULTS["y_max"],
 ) -> list[SliceReport]:
     """Pointwise check and capacity estimate for each sliced direction."""
-
-    def one(gamma_coords) -> SliceReport:
-        param = GeodesicParam(tuple(np.atleast_1d(gamma_coords)))
-        sliced = slice_field(field, param)
-        report = check_pointwise_1d(sliced, c)
-        estimate = estimate_capacity_1d(sliced, y_max=y_max)
-        return SliceReport(
-            gamma=param.gamma, pointwise=report, capacity=estimate
-        )
-
-    gammas = list(gammas)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, gammas))
-    return [one(g) for g in gammas]
+    params = [GeodesicParam(tuple(np.atleast_1d(g))) for g in gammas]
+    estimates = slice_capacities(field, [p.gamma for p in params], y_max=y_max)
+    return [
+        SliceReport(p.gamma, check_pointwise_1d(slice_field(field, p), c), estimate)
+        for p, estimate in zip(params, estimates)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +323,11 @@ def horosphere_inequality_check(
     This is the first-order consequence of horosphere preservation by a
     self-map f fixing the boundary point at infinity.
     """
-    grid_name = SIEGEL_GRID_V1 if grid is None else "custom"
-    points = (
-        siegel_grid(displacement.dimension)
-        if grid is None
-        else np.asarray(grid, complex)
-    )
+    points, grid_name = _siegel_points(displacement, grid)
     values = displacement(points)
     _finite_or_raise(values, displacement.description)
-    tail = values[..., 1:]
-    inner = np.sum(np.conj(points[..., 1:]) * tail, axis=-1)
-    lhs = np.sum(np.abs(tail) ** 2, axis=-1)
-    rhs = np.abs(values[..., 0] - 2j * inner)
+    lhs = np.sum(np.abs(values[..., 1:]) ** 2, axis=-1)
+    rhs = np.abs(slice_parts(values, points[..., 1:])[1])
     margins = rhs - lhs
     index = int(np.argmin(margins))
     worst = float(margins[index])

@@ -32,7 +32,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -139,19 +138,9 @@ def _parse_gamma(text: str) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    if args.what == "poisson":
-        _require(args.at, "--at")
-        point = parse_point(args.at, args.domain)
-        _print_json(_f15(poisson(point)))
-        return 0
-    if args.what == "metric":
-        _require(args.at, "--at")
-        point = parse_point(args.at, args.domain)
-        g = bergman_matrix(point).g
-        _print_json([[format_complex(entry) for entry in row] for row in g])
-        return 0
-    if args.what == "slice":
+    if args.what in ("field", "slice"):
         _require(args.field, "--field")
+    if args.what == "slice":
         _require(args.gamma, "--gamma")
         _require(args.zeta, "--zeta")
         gamma = _parse_gamma(args.gamma)
@@ -161,54 +150,43 @@ def cmd_eval(args) -> int:
         )
         _print_json(format_complex(value))
         return 0
-    _require(args.field, "--field")
     _require(args.at, "--at")
     point = parse_point(args.at, args.domain)
-    field = resolve_field(args.field, point.n)
-    values = fields.eval_field(field, point)
-    _print_json([format_complex(value) for value in values])
+    if args.what == "poisson":
+        _print_json(_f15(poisson(point)))
+    elif args.what == "metric":
+        g = bergman_matrix(point).g
+        _print_json([[format_complex(entry) for entry in row] for row in g])
+    else:
+        values = fields.eval_field(resolve_field(args.field, point.n), point)
+        _print_json([format_complex(value) for value in values])
     return 0
 
 
 def cmd_capacity(args) -> int:
     field = resolve_field(args.field)
+    window = {"y_min": args.y_min, "y_max": args.y_max, "count": args.count}
     if args.one_dim:
         if field.dimension != 1:
             raise ArityMismatchError("--one-dim needs a one-dimensional field")
-        estimate = analysis.estimate_capacity_1d(
-            field, y_min=args.y_min, y_max=args.y_max, count=args.count
-        )
-        _print_json(_capacity_json(estimate))
+        data = analysis.estimate_capacity_1d(field, **window).to_json()
+        data["value"] = _f15(data["value"])
+        data["samples"] = [[_f15(y), _f15(s)] for y, s in data["samples"]]
+        _print_json(data)
         return 0
     if args.slices is None:
         raise ValueError("choose --one-dim or --slices GAMMAS")
     gammas = [_parse_gamma(token) for token in args.slices.split(",")]
-
-    def one(gamma):
-        sliced = geodesics.slice_field(field, geodesics.GeodesicParam(gamma))
-        estimate = analysis.estimate_capacity_1d(
-            sliced, y_min=args.y_min, y_max=args.y_max, count=args.count
-        )
-        return {
+    estimates = analysis.slice_capacities(field, gammas, **window)
+    _print_json([
+        {
             "gamma": [format_complex(g) for g in gamma],
             "value": _f15(estimate.value),
             "trend": estimate.trend,
         }
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            payload = list(pool.map(one, gammas))
-    else:
-        payload = [one(gamma) for gamma in gammas]
-    _print_json(payload)
+        for gamma, estimate in zip(gammas, estimates)
+    ])
     return 0
-
-
-def _capacity_json(estimate: analysis.CapacityEstimate) -> dict:
-    data = estimate.to_json()
-    data["value"] = _f15(data["value"])
-    data["samples"] = [[_f15(y), _f15(s)] for y, s in data["samples"]]
-    return data
 
 
 def cmd_flow(args) -> int:
@@ -256,12 +234,11 @@ def cmd_member(args) -> int:
     field = resolve_field(args.field)
     if field.dimension == 1:
         report = analysis.check_pointwise_1d(field, args.c)
-    elif args.domain == "ball":
-        grid = _member_grid(args.grid, field.dimension)
-        report = analysis.membership_ball(field, args.c, grid=grid)
     else:
         grid = _member_grid(args.grid, field.dimension)
-        report = analysis.membership_siegel(field, args.c, grid=grid)
+        member = (analysis.membership_ball if args.domain == "ball"
+                  else analysis.membership_siegel)
+        report = member(field, args.c, grid=grid)
     _print_json(report.to_json())
     return 0 if report.verdict == "consistent" else 1
 
@@ -354,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-min", type=float, default=analysis.CAPACITY_DEFAULTS["y_min"])
     p.add_argument("--y-max", type=float, default=analysis.CAPACITY_DEFAULTS["y_max"])
     p.add_argument("--count", type=int, default=analysis.CAPACITY_DEFAULTS["count"])
-    p.add_argument("--jobs", type=int, default=1, help="parallel slice workers")
     p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser("flow", help="integrate a flow and report the endpoint")

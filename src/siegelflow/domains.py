@@ -66,10 +66,6 @@ def interior_margin(domain: Domain, coords: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown domain {domain!r}")
 
 
-def is_interior(domain: Domain, coords: np.ndarray) -> np.ndarray:
-    return interior_margin(domain, coords) > INTERIOR_MARGIN
-
-
 @dataclass(frozen=True)
 class DomainPoint:
     """An interior point of one of the four model domains."""

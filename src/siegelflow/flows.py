@@ -722,6 +722,13 @@ def iterate_map(
     inconclusive: anything else (the orbit neither settles nor clearly runs
     off to the boundary point at infinity within the budget).
     """
+    if count < 0:
+        raise ValueError(f"iteration count must be >= 0, got {count}")
+    if not (math.isfinite(divergence_threshold) and divergence_threshold > 0.0):
+        raise ValueError(
+            "divergence threshold must be finite and positive, "
+            f"got {divergence_threshold}"
+        )
     domain = z0.domain
     current = z0.as_array()[None, :]
     us = [abs(float(poisson_values(domain, current)[0]))]

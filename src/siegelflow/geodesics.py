@@ -37,7 +37,6 @@ from .domains import (
     Domain,
     DomainPoint,
     TangentVector,
-    format_complex,
     hyperbolic_norm,
 )
 from .errors import ArityMismatchError, DomainViolation
@@ -60,11 +59,12 @@ class GeodesicParam:
     def gamma_array(self) -> np.ndarray:
         return np.array(self.gamma, dtype=complex)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.gamma_array()) ** 2))
-
-    def to_json(self) -> list[str]:
-        return [format_complex(g) for g in self.gamma]
+    def require_dimension(self, dimension: int) -> None:
+        """Raise unless a field of this dimension can be sliced along gamma."""
+        if dimension != self.n:
+            raise ArityMismatchError(
+                f"field dimension {dimension} != geodesic dimension {self.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -76,23 +76,29 @@ class SliceDecomposition:
     orthogonal: tuple[complex, ...]
     slice_value: complex
 
-    def to_json(self) -> dict:
-        return {
-            "tangential": [format_complex(c) for c in self.tangential],
-            "orthogonal": [format_complex(c) for c in self.orthogonal],
-            "slice": format_complex(self.slice_value),
-        }
-
 
 def geodesic_coords(gamma: np.ndarray, zetas: np.ndarray) -> np.ndarray:
-    """phi_gamma on an array of half-plane parameters, shape (...,) -> (..., n)."""
+    """phi_gamma on arrays: gamma (..., n-1) broadcast against zetas -> (..., n).
+
+    A single gamma of shape (n-1,) maps zetas of shape (...,) to (..., n); a
+    stack of shape (G, 1, n-1) maps zetas of shape (m,) to (G, m, n).
+    """
     gamma = np.asarray(gamma, dtype=complex)
     zetas = np.asarray(zetas, dtype=complex)
-    norm_sq = np.sum(np.abs(gamma) ** 2)
-    out = np.empty(zetas.shape + (gamma.shape[0] + 1,), dtype=complex)
-    out[..., 0] = zetas + 1j * norm_sq
+    first = zetas + 1j * np.sum(np.abs(gamma) ** 2, axis=-1)
+    out = np.empty(first.shape + (gamma.shape[-1] + 1,), dtype=complex)
+    out[..., 0] = first
     out[..., 1:] = gamma
     return out
+
+
+def slice_parts(values: np.ndarray, directions: np.ndarray):
+    """<H~, d> and H1 - 2i <H~, d> for values H of shape (..., n).
+
+    d broadcasts against H~: gamma for a slice, z~ for the split at z.
+    """
+    inner = np.sum(np.conj(directions) * values[..., 1:], axis=-1)
+    return inner, values[..., 0] - 2j * inner
 
 
 def geodesic_point(param: GeodesicParam, zeta: complex) -> DomainPoint:
@@ -135,17 +141,12 @@ def project(param: GeodesicParam, point: DomainPoint) -> DomainPoint:
 
 def slice_field(field: VectorField, param: GeodesicParam) -> VectorField:
     """One-dimensional field h_gamma(zeta) obtained by slicing along phi_gamma."""
-    if field.dimension != param.n:
-        raise ArityMismatchError(
-            f"field dimension {field.dimension} != geodesic dimension {param.n}"
-        )
+    param.require_dimension(field.dimension)
     gamma = param.gamma_array()
 
     def evaluator(zetas):
-        z = geodesic_coords(gamma, zetas[..., 0])
-        values = field(z)
-        inner = np.sum(np.conj(gamma) * values[..., 1:], axis=-1)
-        return (values[..., 0] - 2j * inner)[..., None]
+        values = field(geodesic_coords(gamma, zetas[..., 0]))
+        return slice_parts(values, gamma)[1][..., None]
 
     return VectorField(1, evaluator, f"slice[{field.description}]")
 
@@ -155,8 +156,7 @@ def slice_value(field: VectorField, param: GeodesicParam, zeta: complex) -> comp
     zeta = complex(zeta)
     if zeta.imag <= 0:
         raise DomainViolation(f"slice parameter needs Im(zeta) > 0, got {zeta}")
-    h = slice_field(field, param)
-    return complex(h(np.array([[zeta]]))[0, 0])
+    return complex(slice_field(field, param)(np.array([[zeta]]))[0, 0])
 
 
 def split_tangent(point: DomainPoint, value) -> SliceDecomposition:
@@ -168,9 +168,8 @@ def split_tangent(point: DomainPoint, value) -> SliceDecomposition:
         raise ArityMismatchError(
             f"value shape {value.shape} != point dimension {point.n}"
         )
-    coords = point.as_array()
-    inner = np.sum(np.conj(coords[1:]) * value[1:])
-    slice_val = complex(value[0] - 2j * inner)
+    inner, sliced = slice_parts(value, point.as_array()[1:])
+    slice_val = complex(sliced)
     tangential = (slice_val,) + (0j,) * (point.n - 1)
     orthogonal = (complex(2j * inner),) + tuple(value[1:])
     return SliceDecomposition(

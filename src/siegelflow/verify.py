@@ -358,14 +358,12 @@ def _g_pointwise_self_consistency(rng):
 
 def _g_worked_example_slices(rng):
     worst = 0.0
-    for gamma in (1.0, 2.0):
-        sliced = geodesics.slice_field(fields.example1(), GeodesicParam((gamma,)))
-        estimate = analysis.estimate_capacity_1d(sliced, y_max=1e6)
+    gammas = (1.0, 2.0)
+    estimates = analysis.slice_capacities(fields.example1(), gammas, y_max=1e6)
+    for gamma, estimate in zip(gammas, estimates):
         expected = 2.0 * abs(gamma) ** 2
         worst = max(worst, abs(estimate.value - expected) / expected)
-    for gamma in (0.0, 1.0, 1.0 + 1.0j):
-        sliced = geodesics.slice_field(fields.example2(), GeodesicParam((gamma,)))
-        estimate = analysis.estimate_capacity_1d(sliced)
+    for estimate in analysis.slice_capacities(fields.example2(), (0.0, 1.0, 1.0 + 1.0j)):
         worst = max(worst, abs(estimate.value - 1.0))
     return _ok(5, worst, 1e-5)
 

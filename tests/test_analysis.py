@@ -11,6 +11,7 @@ from siegelflow.analysis import (
     horosphere_inequality_check,
     membership_ball,
     membership_siegel,
+    slice_capacities,
     slice_membership,
 )
 from siegelflow.errors import ArityMismatchError
@@ -23,6 +24,7 @@ from siegelflow.fields import (
     zero_field,
 )
 from siegelflow.flows import displacement_field, flow_map
+from siegelflow.geodesics import GeodesicParam, slice_field
 
 
 def test_capacity_of_reciprocal_is_one():
@@ -50,8 +52,23 @@ def test_capacity_trend_flags():
 def test_capacity_rejects_bad_windows():
     with pytest.raises(ValueError):
         estimate_capacity_1d(builtin("reciprocal"), y_min=10.0, y_max=1.0)
+    for window in ({"y_max": np.inf}, {"y_min": np.nan}, {"y_max": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_capacity_1d(builtin("reciprocal"), **window)
     with pytest.raises(ArityMismatchError):
         estimate_capacity_1d(builtin("example1"))
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_capacity_needs_two_tail_samples(count):
+    with pytest.raises(ValueError, match="count"):
+        estimate_capacity_1d(builtin("reciprocal"), count=count)
+
+
+def test_capacity_smallest_count_keeps_a_two_sample_tail():
+    est = estimate_capacity_1d(builtin("reciprocal"), count=8)
+    assert len(est.samples) == 8
+    assert est.trend == "converged"
 
 
 def test_pointwise_1d_verdicts():
@@ -108,12 +125,48 @@ def test_slice_membership_reports():
         assert r.pointwise.verdict == "consistent"
 
 
-def test_slice_membership_parallel_matches_serial():
+def test_slice_membership_batch_matches_single_gammas():
     gammas = [(0.0,), (1.0,), (1 + 1j,)]
-    serial = slice_membership(builtin("example2"), gammas, c=1.0, jobs=1)
-    parallel = slice_membership(builtin("example2"), gammas, c=1.0, jobs=3)
-    for a, b in zip(serial, parallel):
-        assert a.to_json() == b.to_json()
+    batch = slice_membership(builtin("example2"), gammas, c=1.0)
+    assert len(batch) == len(gammas)
+    for gamma, report in zip(gammas, batch):
+        (alone,) = slice_membership(builtin("example2"), [gamma], c=1.0)
+        assert report.to_json() == alone.to_json()
+
+
+@pytest.mark.parametrize("spec", ["0; -i*z2/z1", "0; -i*z3/z1; z2/z1^2"])
+def test_slice_capacities_equal_each_slice_alone(spec):
+    field = parse_field(spec)
+    rng = np.random.default_rng(3)
+    gammas = [
+        tuple(rng.normal(size=field.dimension - 1)
+              + 1j * rng.normal(size=field.dimension - 1))
+        for _ in range(7)
+    ]
+    stacked = slice_capacities(field, gammas, y_max=1e6, count=40)
+    for gamma, estimate in zip(gammas, stacked):
+        alone = estimate_capacity_1d(
+            slice_field(field, GeodesicParam(gamma)), y_max=1e6, count=40
+        )
+        assert estimate == alone
+
+
+def test_slice_capacities_checks_each_gamma():
+    assert slice_capacities(builtin("example2"), []) == []
+    with pytest.raises(ArityMismatchError):
+        slice_capacities(builtin("example2"), [(1.0,), (1.0, 2.0)])
+    with pytest.raises(ValueError, match="count"):
+        slice_capacities(builtin("example2"), [(1.0,)], count=7)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -1.0])
+def test_membership_rejects_bad_class_constants(c):
+    with pytest.raises(ValueError, match="class constant c"):
+        membership_siegel(builtin("example2"), c)
+    with pytest.raises(ValueError, match="class constant c"):
+        membership_ball(pushforward_to_ball(builtin("example2")), c)
+    with pytest.raises(ValueError, match="class constant c"):
+        check_pointwise_1d(builtin("reciprocal"), c)
 
 
 def test_horosphere_inequality_for_flow_displacement():

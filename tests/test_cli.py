@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,15 +135,40 @@ def test_capacity_slices(capsys):
     assert payload[1]["value"] == pytest.approx(8.0, rel=1e-5)
 
 
-def test_capacity_slices_jobs_deterministic(capsys):
-    args = ("capacity", "--field", "builtin:example2", "--slices", "0,1,1+i")
-    code, serial, _ = run_cli(capsys, *args)
+def test_capacity_slices_batch_matches_single_slices(capsys):
+    args = ("capacity", "--field", "builtin:example2", "--slices")
+    code, batch, _ = run_cli(capsys, *args, "0,1,1+i")
     assert code == 0
-    code, parallel, _ = run_cli(capsys, *args, "--jobs", "3")
-    assert code == 0
-    assert serial == parallel
-    for entry in json.loads(serial):
+    alone = []
+    for gamma in ("0", "1", "1+i"):
+        code, out, _ = run_cli(capsys, *args, gamma)
+        assert code == 0
+        alone.extend(json.loads(out))
+    assert batch == json.dumps(alone, indent=2) + "\n"
+    for entry in json.loads(batch):
         assert entry["value"] == pytest.approx(1.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("count", ["0", "7"])
+def test_capacity_small_count_exits_2(capsys, count):
+    code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", "--one-dim",
+                             "--count", count)
+    assert code == 2
+    assert out == ""
+    assert "count" in err
+
+
+@pytest.mark.parametrize("mode", [("--one-dim",), ("--slices", "1")])
+def test_capacity_infinite_window_exits_2(capsys, mode):
+    field = "-1/z" if mode[0] == "--one-dim" else "builtin:example2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "capacity", "--field", field, *mode,
+                                 "--y-max", "inf")
+    assert code == 2
+    assert out == ""
+    assert "y_max" in err
+    assert "Warning" not in err
 
 
 def test_capacity_needs_a_mode(capsys):
@@ -259,6 +285,32 @@ def test_member_small_grid(capsys):
                            "--c", "2", "--grid", "small")
     assert code == 0
     assert json.loads(out)["verdict"] == "consistent"
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+def test_member_bad_constant_exits_2(capsys, c):
+    for field in ("builtin:example2", "-1/z"):
+        code, out, err = run_cli(capsys, "member", "--field", field, "--c", c)
+        assert code == 2
+        assert out == ""
+        assert "class constant c" in err
+
+
+def test_iterate_negative_count_exits_2(capsys):
+    code, out, err = run_cli(capsys, "iterate", "--map", "flow1:builtin:example2",
+                             "--z0", "(i,0.5)", "--n", "-3")
+    assert code == 2
+    assert out == ""
+    assert "count" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "0"])
+def test_iterate_bad_threshold_exits_2(capsys, threshold):
+    code, out, err = run_cli(capsys, "iterate", "--map", "flow1:builtin:example2",
+                             "--z0", "(i,0.5)", "--n", "5", "--threshold", threshold)
+    assert code == 2
+    assert out == ""
+    assert "threshold" in err
 
 
 def test_iterate_example(capsys):

@@ -215,6 +215,29 @@ def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
         step(np.array([[5j], [1j], [3j]]))
 
 
+def test_flow_map_matches_scipy_rk45():
+    # scipy's RK45 is the same Dormand-Prince pair, run on the real split
+    # system at a much tighter tolerance than the flow map's.
+    integrate = pytest.importorskip("scipy.integrate")
+    field = builtin("example2")
+    points = siegel_grid_small()[::23]
+    mapped = flow_map(field, 0.7)(points)
+    n = field.dimension
+
+    def rhs(t, y):
+        values = field((y[:n] + 1j * y[n:])[None])[0]
+        return np.concatenate([values.real, values.imag])
+
+    for start, end in zip(points, mapped):
+        solution = integrate.solve_ivp(
+            rhs, (0.0, 0.7), np.concatenate([start.real, start.imag]),
+            method="RK45", rtol=1e-13, atol=1e-13,
+        )
+        assert solution.success
+        reference = solution.y[:n, -1] + 1j * solution.y[n:, -1]
+        assert np.max(np.abs(end - reference)) <= 1e-8
+
+
 def test_spans_below_the_step_floor_take_no_step():
     # A span under 1e-15 * max(1, |t0|, |t1|) is done before the first step.
     pts = np.array([[1j, 0.5], [2j, 0.0]])
@@ -318,6 +341,18 @@ def test_iterate_early_exit_above_threshold():
                        divergence_threshold=1e3)
     assert diag.tag == "diverges_to_infinity"
     assert diag.iterations < 50
+
+
+def test_iterate_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        iterate_map(lambda pts: pts, siegel_point(1j, 0.5), -3)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+def test_iterate_rejects_bad_thresholds(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        iterate_map(lambda pts: pts, siegel_point(1j, 0.5), 5,
+                    divergence_threshold=threshold)
 
 
 def test_extract_capacity_of_flow_map():
