@@ -30,7 +30,7 @@ from .domains import (
 from .errors import ArityMismatchError, FieldEvaluationError
 from .fields import VectorField
 from .geodesics import GeodesicParam, geodesic_coords, slice_field, slice_parts
-from .grids import SIEGEL_GRID_V1, HALFPLANE_GRID_V1, halfplane_grid, siegel_grid
+from .grids import SIEGEL_GRID_V1, HALFPLANE_GRID_V1, halfplane_grid, siegel_grid_by_name
 
 # Relative slack applied to every sampled inequality before declaring a
 # violation; absorbs harmless last-digit rounding.
@@ -263,8 +263,11 @@ def _membership(
 
 
 def _siegel_points(field: VectorField, grid) -> tuple[np.ndarray, str]:
+    """Points and reported name of a grid: None, a registered name or an array."""
     if grid is None:
-        return siegel_grid(field.dimension), SIEGEL_GRID_V1
+        grid = SIEGEL_GRID_V1
+    if isinstance(grid, str):
+        return siegel_grid_by_name(grid, field.dimension)
     points = np.asarray(grid, complex)
     if points.shape[-1] != field.dimension:
         raise ArityMismatchError("grid dimension does not match the field")
@@ -272,15 +275,15 @@ def _siegel_points(field: VectorField, grid) -> tuple[np.ndarray, str]:
 
 
 def membership_siegel(
-    field: VectorField, c: float, grid: np.ndarray | None = None
+    field: VectorField, c: float, grid: np.ndarray | str | None = None
 ) -> MembershipReport:
-    """Test the metric inequality u(z)^2 ||H(z)||_{H_n,z} <= c on a grid."""
+    """Test u(z)^2 ||H(z)||_{H_n,z} <= c on a named grid or an array of points."""
     points, grid_name = _siegel_points(field, grid)
     return _membership(field, c, points, Domain.SIEGEL, grid_name)
 
 
 def membership_ball(
-    field: VectorField, c: float, grid: np.ndarray | None = None
+    field: VectorField, c: float, grid: np.ndarray | str | None = None
 ) -> MembershipReport:
     """Ball-side membership test on the Cayley image of a Siegel grid.
 

@@ -232,21 +232,20 @@ def cmd_verify(args) -> int:
 
 def cmd_member(args) -> int:
     field = resolve_field(args.field)
+    allowed = ("auto", "siegel", "ball") if field.dimension > 1 else ("auto", "halfplane")
+    if args.domain not in allowed:
+        raise ValueError(
+            f"--domain {args.domain} does not apply to a {field.dimension}-dimensional "
+            f"field; choose from {', '.join(allowed)}"
+        )
     if field.dimension == 1:
         report = analysis.check_pointwise_1d(field, args.c)
     else:
-        grid = _member_grid(args.grid, field.dimension)
         member = (analysis.membership_ball if args.domain == "ball"
                   else analysis.membership_siegel)
-        report = member(field, args.c, grid=grid)
+        report = member(field, args.c, grid=args.grid)
     _print_json(report.to_json())
     return 0 if report.verdict == "consistent" else 1
-
-
-def _member_grid(name: str, dimension: int):
-    if name in ("default", grids.SIEGEL_GRID_V1):
-        return None
-    return grids.siegel_grid_by_name(name, dimension)
 
 
 def cmd_iterate(args) -> int:
@@ -394,6 +393,9 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
 
 

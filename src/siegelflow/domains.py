@@ -223,39 +223,29 @@ def cayley_to_siegel(point: DomainPoint) -> DomainPoint:
 def cayley_jacobian(point: DomainPoint) -> np.ndarray:
     """Complex Jacobian matrix dC at a half-space point, shape (n, n).
 
-    Nonzero entries: dC1/dz1 = 2i/(z1+i)^2, dCk/dz1 = -2 zk/(z1+i)^2 and
-    dCk/dzk = 2/(z1+i) for k >= 2.
+    Column k is ``push_tangent_to_ball`` applied to the unit vector e_k.
     """
     if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
         raise DomainViolation("cayley_jacobian expects a half-space point")
-    z = point.as_array()
-    n = z.shape[0]
-    den = z[0] + 1j
-    jac = np.zeros((n, n), dtype=complex)
-    jac[0, 0] = 2j / den**2
-    for k in range(1, n):
-        jac[k, 0] = -2.0 * z[k] / den**2
-        jac[k, k] = 2.0 / den
-    return jac
+    return push_tangent_to_ball(point.as_array(), np.eye(point.n)).T
 
 
 def cayley_inverse_jacobian(point: DomainPoint) -> np.ndarray:
-    """Complex Jacobian of C^{-1} at a ball point, shape (n, n)."""
+    """Complex Jacobian of C^{-1} at a ball point, shape (n, n).
+
+    Column k is ``pull_tangent_to_siegel`` applied to the unit vector e_k.
+    """
     if point.domain not in (Domain.BALL, Domain.DISC):
         raise DomainViolation("cayley_inverse_jacobian expects a ball point")
-    w = point.as_array()
-    n = w.shape[0]
-    den = 1.0 - w[0]
-    jac = np.zeros((n, n), dtype=complex)
-    jac[0, 0] = 2j / den**2
-    for k in range(1, n):
-        jac[k, 0] = 1j * w[k] / den**2
-        jac[k, k] = 1j / den
-    return jac
+    return pull_tangent_to_siegel(point.as_array(), np.eye(point.n)).T
 
 
 def push_tangent_to_ball(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply dC(z) to tangent vectors; both arrays have shape (..., n)."""
+    """Apply dC(z) to tangent vectors; both arrays have shape (..., n).
+
+    Nonzero entries of dC: dC1/dz1 = 2i/(z1+i)^2, dCk/dz1 = -2 zk/(z1+i)^2
+    and dCk/dzk = 2/(z1+i) for k >= 2.
+    """
     z = np.asarray(z, dtype=complex)
     v = np.asarray(v, dtype=complex)
     den = z[..., 0] + 1j
@@ -286,10 +276,11 @@ def pull_tangent_to_siegel(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Metric
 # ---------------------------------------------------------------------------
 
-def bergman_matrix(point: DomainPoint) -> MetricMatrix:
-    """Metric matrix (g_{j,k}) of the half-space, curvature -1 normalization.
+def bergman_matrix_array(coords: np.ndarray) -> np.ndarray:
+    """Metric matrices (g_{j,k}) of the half-space, curvature -1 normalization.
 
-    With u = u_{H_n}(z):
+    ``coords`` has shape (..., n); the result has shape (..., n, n).  With
+    u = u_{H_n}(z):
 
         g_{1,1} = 1/u^2                  g_{1,k} = 2 i z_k / u^2
         g_{j,1} = -2 i conj(z_j) / u^2   g_{j,k} = 4 z_k conj(z_j) / u^2
@@ -297,24 +288,35 @@ def bergman_matrix(point: DomainPoint) -> MetricMatrix:
 
     for j, k >= 2, j != k.  Squared length of w is  w^T g conj(w).
     """
+    z = np.asarray(coords, dtype=complex)
+    u = poisson_values(Domain.SIEGEL, z)
+    u_sq = (u * u)[..., None]
+    tail = z[..., 1:]
+    abs_sq = np.abs(tail) ** 2
+    excluded = np.sum(abs_sq, axis=-1)[..., None] - abs_sq
+    g = np.empty(z.shape + z.shape[-1:], dtype=complex)
+    g[..., 0, 0] = 1.0 / u_sq[..., 0]
+    g[..., 0, 1:] = 2j * tail / u_sq
+    g[..., 1:, 0] = -2j * np.conj(tail) / u_sq
+    outer = 4.0 * tail[..., None, :] * np.conj(tail)[..., :, None]
+    g[..., 1:, 1:] = outer / u_sq[..., None]
+    diagonal = np.arange(1, z.shape[-1])
+    g[..., diagonal, diagonal] = 4.0 * (z[..., 0, None].imag - excluded) / u_sq
+    return g
+
+
+def bergman_matrix(point: DomainPoint) -> MetricMatrix:
+    """Metric matrix of ``bergman_matrix_array`` at one half-space point."""
     if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
         raise DomainViolation("bergman_matrix expects a half-space point")
-    z = point.as_array()
-    n = z.shape[0]
-    u = poisson(point)
-    u_sq = u * u
-    g = np.zeros((n, n), dtype=complex)
-    g[0, 0] = 1.0 / u_sq
-    abs_sq = np.abs(z) ** 2
-    for j in range(1, n):
-        g[0, j] = 2j * z[j] / u_sq
-        g[j, 0] = -2j * np.conj(z[j]) / u_sq
-        excluded = np.sum(abs_sq[1:]) - abs_sq[j]
-        g[j, j] = 4.0 * (z[0].imag - excluded) / u_sq
-        for k in range(1, n):
-            if k != j:
-                g[j, k] = 4.0 * z[k] * np.conj(z[j]) / u_sq
-    return MetricMatrix(g=g, base=point)
+    return MetricMatrix(g=bergman_matrix_array(point.as_array()), base=point)
+
+
+def bergman_norm_sq(coords: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Squared half-space lengths Re(w^T g conj(w)), g from bergman_matrix_array."""
+    w = np.asarray(vecs, dtype=complex)[..., None, :]
+    value = w @ bergman_matrix_array(coords) @ np.conj(w).swapaxes(-1, -2)
+    return value[..., 0, 0].real
 
 
 def siegel_norm_sq(coords: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -362,8 +364,8 @@ def hyperbolic_norm(tangent: TangentVector) -> float:
     """Hyperbolic length of a tangent vector.
 
     Disc and half-plane use the classical closed forms 2|v|/(1-|z|^2) and
-    |v|/Im(z).  Siegel points evaluate the quadratic form of
-    ``bergman_matrix`` literally; ball vectors are transported to the
+    |v|/Im(z).  Siegel points evaluate ``bergman_norm_sq``, the literal
+    quadratic form of the metric matrix; ball vectors are transported to the
     half-space through the Cayley map first.
     """
     point = tangent.base
@@ -373,15 +375,10 @@ def hyperbolic_norm(tangent: TangentVector) -> float:
         return 2.0 * abs(v[0]) / (1.0 - abs(z) ** 2)
     if point.domain == Domain.HALF_PLANE:
         return abs(v[0]) / point.coords[0].imag
-    if point.domain == Domain.SIEGEL:
-        g = bergman_matrix(point).g
-        value = v @ g @ np.conj(v)
-        return float(np.sqrt(value.real))
+    z = point.as_array()
     if point.domain == Domain.BALL:
-        z = cayley_to_siegel(point)
-        vz = pull_tangent_to_siegel(point.as_array(), v)
-        return hyperbolic_norm(TangentVector(z, tuple(vz)))
-    raise ValueError(f"unknown domain {point.domain!r}")
+        z, v = cayley_siegel_coords(z), pull_tangent_to_siegel(z, v)
+    return float(np.sqrt(bergman_norm_sq(z, v)))
 
 
 # ---------------------------------------------------------------------------

@@ -498,16 +498,6 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     return apply
 
 
-def flow_field(field: VectorField, t: float, tol: float = DEFAULT_TOL,
-               domain: Domain | None = None) -> VectorField:
-    """The time-t flow map packaged as an evaluatable map z -> Phi_t(z)."""
-    return VectorField(
-        dimension=field.dimension,
-        evaluator=flow_map(field, t, tol, domain),
-        description=f"flow[t={t:g}]({field.description})",
-    )
-
-
 def displacement_field(field: VectorField, t: float, tol: float = DEFAULT_TOL,
                        domain: Domain | None = None) -> VectorField:
     """The displacement map z -> Phi_t(z) - z of the field's flow."""

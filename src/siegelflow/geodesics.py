@@ -110,15 +110,51 @@ def geodesic_point(param: GeodesicParam, zeta: complex) -> DomainPoint:
     return DomainPoint(Domain.SIEGEL, tuple(coords))
 
 
+def geodesic_params(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert phi on arrays: coords (..., n) -> gammas (..., n-1), zetas (...)."""
+    coords = np.asarray(coords, dtype=complex)
+    gammas = coords[..., 1:]
+    zetas = coords[..., 0] - 1j * np.sum(np.abs(gammas) ** 2, axis=-1)
+    return gammas, zetas
+
+
+def project_coords(gammas: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Affine projection P on arrays: gammas (..., n-1) against coords (..., n)."""
+    gammas = np.asarray(gammas, dtype=complex)
+    coords = np.asarray(coords, dtype=complex)
+    # One conj(gamma) * gamma product for both terms: on the geodesic z~ is
+    # gamma, the bracket is exactly zero and projecting again returns z1.
+    bracket = np.sum(np.conj(gammas) * gammas, axis=-1) - np.sum(
+        np.conj(gammas) * coords[..., 1:], axis=-1
+    )
+    first = coords[..., 0] + 2j * bracket
+    out = np.empty(first.shape + coords.shape[-1:], dtype=complex)
+    out[..., 0] = first
+    out[..., 1:] = gammas
+    return out
+
+
+def split_tangent_array(coords: np.ndarray, values: np.ndarray):
+    """Tangential and orthogonal parts of values H at points z, both (..., n).
+
+    tangential = (H1 - 2i <H~, z~>, 0) and orthogonal = (2i <H~, z~>, H~).
+    """
+    coords = np.asarray(coords, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    inner, sliced = slice_parts(values, coords[..., 1:])
+    tangential = np.zeros(sliced.shape + values.shape[-1:], dtype=complex)
+    tangential[..., 0] = sliced
+    orthogonal = values.copy()
+    orthogonal[..., 0] = 2j * inner
+    return tangential, orthogonal
+
+
 def geodesic_through(point: DomainPoint) -> tuple[GeodesicParam, complex]:
     """Invert phi: the unique (gamma, zeta) with phi_gamma(zeta) = point."""
     if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
         raise DomainViolation("geodesic_through expects a half-space point")
-    coords = point.as_array()
-    gamma = tuple(coords[1:])
-    norm_sq = float(np.sum(np.abs(coords[1:]) ** 2))
-    zeta = complex(coords[0] - 1j * norm_sq)
-    return GeodesicParam(gamma), zeta
+    gamma, zeta = geodesic_params(point.as_array())
+    return GeodesicParam(tuple(gamma)), complex(zeta)
 
 
 def project(param: GeodesicParam, point: DomainPoint) -> DomainPoint:
@@ -129,14 +165,9 @@ def project(param: GeodesicParam, point: DomainPoint) -> DomainPoint:
         raise ArityMismatchError(
             f"point dimension {point.n} != geodesic dimension {param.n}"
         )
-    coords = point.as_array()
-    gamma = param.gamma_array()
-    # One conj(gamma) * gamma product for both terms: on the geodesic z~ is
-    # gamma, the bracket is exactly zero and projecting again returns z1.
-    bracket = np.sum(np.conj(gamma) * gamma) - np.sum(np.conj(gamma) * coords[1:])
-    first = coords[0] + 2j * bracket
-    return DomainPoint(Domain.SIEGEL, (complex(first), *param.gamma)) \
-        if point.n > 1 else DomainPoint(point.domain, (complex(first),))
+    coords = project_coords(param.gamma_array(), point.as_array())
+    domain = Domain.SIEGEL if point.n > 1 else point.domain
+    return DomainPoint(domain, tuple(coords))
 
 
 def slice_field(field: VectorField, param: GeodesicParam) -> VectorField:
@@ -168,15 +199,12 @@ def split_tangent(point: DomainPoint, value) -> SliceDecomposition:
         raise ArityMismatchError(
             f"value shape {value.shape} != point dimension {point.n}"
         )
-    inner, sliced = slice_parts(value, point.as_array()[1:])
-    slice_val = complex(sliced)
-    tangential = (slice_val,) + (0j,) * (point.n - 1)
-    orthogonal = (complex(2j * inner),) + tuple(value[1:])
+    tangential, orthogonal = split_tangent_array(point.as_array(), value)
     return SliceDecomposition(
         base=point,
-        tangential=tangential,
-        orthogonal=orthogonal,
-        slice_value=slice_val,
+        tangential=tuple(tangential),
+        orthogonal=tuple(orthogonal),
+        slice_value=complex(tangential[0]),
     )
 
 

@@ -122,9 +122,10 @@ def horosphere_samples(n: int = 2) -> np.ndarray:
     return np.array(points, dtype=complex)
 
 
-def siegel_grid_by_name(name: str, n: int = 2) -> np.ndarray:
+def siegel_grid_by_name(name: str, n: int = 2) -> tuple[np.ndarray, str]:
+    """Points of a registered Siegel grid and its version id."""
     if name in ("default", SIEGEL_GRID_V1):
-        return siegel_grid(n)
+        return siegel_grid(n), SIEGEL_GRID_V1
     if name in ("small", SIEGEL_GRID_SMALL_V1):
-        return siegel_grid_small(n)
+        return siegel_grid_small(n), SIEGEL_GRID_SMALL_V1
     raise KeyError(f"unknown Siegel grid {name!r}")

@@ -7,10 +7,14 @@ next to the tolerance it must stay under.  For a fixed seed the rendered
 report is byte-identical from run to run: no timestamps, no environment
 probes, and every float comes from the same deterministic computation.
 
-Metric quantities are always reached through the :mod:`siegelflow.domains`
-module object rather than through direct imports.  That keeps the suites
-honest under fault injection: replacing ``domains.bergman_matrix`` with a
-wrong metric must flip the Pythagoras groups to failed.
+Each group evaluates its identity as one array computation over all of its
+samples.  Metric and geodesic quantities are always reached through the
+:mod:`siegelflow.domains` and :mod:`siegelflow.geodesics` module objects
+rather than through direct imports, and the array kernels are what fault
+injection must reach: replacing ``domains.bergman_matrix_array`` (the metric
+behind ``bergman_norm_sq`` and ``bergman_matrix``) with a wrong metric must
+flip the Pythagoras groups to failed, and a ``domains.poisson_values`` that
+raises must fail the groups that use it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, domains, fields, flows, geodesics, grids, sampling
-from .domains import Domain, DomainPoint, TangentVector
-from .geodesics import GeodesicParam
+from .domains import Domain
 
 SUITE_NAMES = ("metric", "geodesics", "classes", "flows")
 
@@ -150,20 +153,15 @@ def _g_closed_form_norms(rng):
     a = sampling.tangent_vectors(rng, count, 1)[:, 0]
     v = sampling.tangent_vectors(rng, count, 1)[:, 0]
     p = z[:, 1] + sampling.tangent_vectors(rng, count, 1)[:, 0]
-    worst = 0.0
-    for k in range(count):
-        point = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-        u = abs(domains.poisson(point))
-        got = domains.hyperbolic_norm(TangentVector(point, (a[k], 0j)))
-        expected = abs(a[k]) / u
-        worst = max(worst, abs(got - expected) / expected)
-        vec = (2j * np.conj(p[k]) * v[k], v[k])
-        got = domains.hyperbolic_norm(TangentVector(point, vec))
-        expected = 2.0 * math.sqrt(
-            abs(v[k]) ** 2 * u + abs(np.conj(p[k] - z[k, 1]) * v[k]) ** 2
-        ) / u
-        worst = max(worst, abs(got - expected) / expected)
-    return _ok(2 * count, worst, 1e-12)
+    u = np.abs(domains.poisson_values(Domain.SIEGEL, z))
+    along = np.stack([a, np.zeros_like(a)], axis=-1)
+    across = np.stack([2j * np.conj(p) * v, v], axis=-1)
+    got = np.sqrt(domains.bergman_norm_sq(z[:, None], np.stack([along, across], 1)))
+    expected = np.stack([
+        np.abs(a) / u,
+        2.0 * np.sqrt(np.abs(v) ** 2 * u + np.abs(np.conj(p - z[:, 1]) * v) ** 2) / u,
+    ], axis=1)
+    return _ok(2 * count, np.max(np.abs(got - expected) / expected), 1e-12)
 
 
 def _g_pythagoras_split(rng):
@@ -173,146 +171,119 @@ def _g_pythagoras_split(rng):
     count = 1000
     z = sampling.siegel_coords(rng, count, 2)
     w = sampling.tangent_vectors(rng, count, 2)
-    worst = 0.0
-    for k in range(count):
-        point = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-        u = abs(domains.poisson(point))
-        tau = np.conj(z[k, 1]) * w[k, 1]
-        total_sq = domains.hyperbolic_norm(TangentVector(point, tuple(w[k]))) ** 2
-        along_sq = abs(w[k, 0] - 2j * tau) ** 2 / u ** 2
-        across_sq = 4.0 * abs(w[k, 1]) ** 2 / u
-        worst = max(worst, abs(total_sq - (along_sq + across_sq)) / total_sq)
+    u = np.abs(domains.poisson_values(Domain.SIEGEL, z))
+    total_sq = domains.bergman_norm_sq(z, w)
+    along_sq = np.abs(w[:, 0] - 2j * np.conj(z[:, 1]) * w[:, 1]) ** 2 / u ** 2
+    across_sq = 4.0 * np.abs(w[:, 1]) ** 2 / u
+    worst = np.max(np.abs(total_sq - (along_sq + across_sq)) / total_sq)
     return _ok(count, worst, 1e-12)
 
 
 def _g_bergman_pd_hermitian(rng):
     count = 1000
     z = sampling.siegel_coords(rng, count, 2)
-    worst = 0.0
-    min_eig = math.inf
-    for k in range(count):
-        g = domains.bergman_matrix(DomainPoint(Domain.SIEGEL, tuple(z[k]))).g
-        worst = max(worst, float(np.max(np.abs(g - np.conj(g.T)))))
-        min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(g))))
+    g = domains.bergman_matrix_array(z)
+    worst = np.max(np.abs(g - np.conj(g.swapaxes(-1, -2))))
+    min_eig = float(np.min(np.linalg.eigvalsh(g)))
     count, worst, limit, passed, _ = _ok(count, worst, 1e-14)
     passed = passed and min_eig > 0.0
     return count, worst, limit, passed, f"min eigenvalue {min_eig:.6e}"
 
 
 def _g_jacobian_fd(rng):
+    # Row j of each stack is dC(z) e_j, i.e. column j of the Jacobian.
     count = 100
     h = 1e-5
     z = sampling.siegel_coords(
         rng, count, 2, log_u=(-1.0, 1.0), re_scale=3.0, tilde_fraction=0.5
-    )
-    worst = 0.0
-    for k in range(count):
-        point = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-        jac = domains.cayley_jacobian(point)
-        approx = np.empty_like(jac)
-        for j in range(2):
-            bump = np.zeros(2, dtype=complex)
-            bump[j] = h
-            plus = domains.cayley_ball_coords(z[k] + bump)
-            minus = domains.cayley_ball_coords(z[k] - bump)
-            approx[:, j] = (plus - minus) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(approx - jac)) / np.max(np.abs(jac))))
-    return _ok(count, worst, 1e-6)
+    )[:, None, :]
+    bumps = h * np.eye(2)
+    jac = domains.push_tangent_to_ball(z, np.eye(2))
+    plus = domains.cayley_ball_coords(z + bumps)
+    minus = domains.cayley_ball_coords(z - bumps)
+    approx = (plus - minus) / (2.0 * h)
+    worst = np.max(np.abs(approx - jac), axis=(1, 2)) / np.max(np.abs(jac), axis=(1, 2))
+    return _ok(count, np.max(worst), 1e-6)
 
 
 # ---------------------------------------------------------------------------
 # Suite: geodesics
 # ---------------------------------------------------------------------------
 
-def _g_normalization(rng):
-    count = 1000
-    gammas = sampling.tangent_vectors(rng, count, 1)[:, 0]
+def _geodesic_samples(rng, count):
+    gammas = sampling.tangent_vectors(rng, count, 1)
     zetas = sampling.halfplane_coords(rng, count, log_im=(-1.0, 1.0), re_scale=3.0)
     zetas = zetas[:, 0]
-    worst = 0.0
-    for k in range(count):
-        point = geodesics.geodesic_point(GeodesicParam((gammas[k],)), zetas[k])
-        worst = max(worst, abs(domains.poisson(point) + zetas[k].imag))
+    return gammas, zetas, geodesics.geodesic_coords(gammas, zetas)
+
+
+def _g_normalization(rng):
+    count = 1000
+    _, zetas, points = _geodesic_samples(rng, count)
+    worst = np.max(np.abs(domains.poisson_values(Domain.SIEGEL, points) + zetas.imag))
     return _ok(count, worst, 1e-14)
 
 
 def _g_geodesic_roundtrip(rng):
     count = 500
-    gammas = sampling.tangent_vectors(rng, count, 1)[:, 0]
-    zetas = sampling.halfplane_coords(rng, count, log_im=(-1.0, 1.0), re_scale=3.0)
-    zetas = zetas[:, 0]
-    worst = 0.0
-    for k in range(count):
-        point = geodesics.geodesic_point(GeodesicParam((gammas[k],)), zetas[k])
-        param, zeta = geodesics.geodesic_through(point)
-        scale = max(abs(zetas[k]), 1.0)
-        worst = max(worst, abs(param.gamma[0] - gammas[k]))
-        worst = max(worst, abs(zeta - zetas[k]) / scale)
+    gammas, zetas, points = _geodesic_samples(rng, count)
+    gammas_back, zetas_back = geodesics.geodesic_params(points)
+    scale = np.maximum(np.abs(zetas), 1.0)
+    worst = max(
+        np.max(np.abs(gammas_back - gammas)),
+        np.max(np.abs(zetas_back - zetas) / scale),
+    )
     return _ok(count, worst, 1e-12)
 
 
 def _g_projection_idempotence(rng):
     count = 1000
-    gammas = sampling.tangent_vectors(rng, count, 1)[:, 0]
+    gammas = sampling.tangent_vectors(rng, count, 1)
     z = sampling.siegel_coords(rng, count, 2)
-    worst = 0.0
-    for k in range(count):
-        param = GeodesicParam((gammas[k],))
-        once = geodesics.project(param, DomainPoint(Domain.SIEGEL, tuple(z[k])))
-        twice = geodesics.project(param, once)
-        worst = max(
-            worst, float(np.max(np.abs(twice.as_array() - once.as_array())))
-        )
-    return _ok(count, worst, 1e-13)
+    once = geodesics.project_coords(gammas, z)
+    twice = geodesics.project_coords(gammas, once)
+    return _ok(count, np.max(np.abs(twice - once)), 1e-13)
 
 
 def _decomposition_samples(rng, count):
     z = sampling.siegel_coords(rng, count, 2)
     w = sampling.tangent_vectors(rng, count, 2)
-    for k in range(count):
-        point = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-        yield point, w[k], geodesics.split_tangent(point, w[k])
+    tangential, orthogonal = geodesics.split_tangent_array(z, w)
+    return z, w, tangential, orthogonal
 
 
 def _g_decomposition_pythagoras(rng):
     count = 1000
-    worst = 0.0
-    for point, value, dec in _decomposition_samples(rng, count):
-        total_sq = domains.hyperbolic_norm(TangentVector(point, tuple(value))) ** 2
-        pieces_sq = (
-            geodesics.tangential_norm(dec) ** 2 + geodesics.orthogonal_norm(dec) ** 2
-        )
-        worst = max(worst, abs(total_sq - pieces_sq) / total_sq)
+    z, w, tangential, orthogonal = _decomposition_samples(rng, count)
+    total_sq, along_sq, across_sq = domains.bergman_norm_sq(
+        z, np.stack([w, tangential, orthogonal])
+    )
+    worst = np.max(np.abs(total_sq - (along_sq + across_sq)) / total_sq)
     return _ok(count, worst, 1e-12)
 
 
 def _g_norm_formulas(rng):
     count = 1000
-    worst = 0.0
-    for point, value, dec in _decomposition_samples(rng, count):
-        u = abs(domains.poisson(point))
-        tangential = abs(dec.slice_value) / u
-        orthogonal = 2.0 * abs(value[1]) / math.sqrt(u)
-        scale_t = max(tangential, 1e-6)
-        scale_o = max(orthogonal, 1e-6)
-        worst = max(worst, abs(geodesics.tangential_norm(dec) - tangential) / scale_t)
-        worst = max(worst, abs(geodesics.orthogonal_norm(dec) - orthogonal) / scale_o)
+    z, w, tangential, orthogonal = _decomposition_samples(rng, count)
+    u = np.abs(domains.poisson_values(Domain.SIEGEL, z))
+    expected = np.stack(
+        [np.abs(tangential[:, 0]) / u, 2.0 * np.abs(w[:, 1]) / np.sqrt(u)]
+    )
+    got = np.sqrt(domains.bergman_norm_sq(z, np.stack([tangential, orthogonal])))
+    worst = np.max(np.abs(got - expected) / np.maximum(expected, 1e-6))
     return _ok(2 * count, worst, 1e-12)
 
 
 def _g_slice_consistency(rng):
     count = 500
     z = sampling.siegel_coords(rng, count, 2)
+    gammas, zetas = geodesics.geodesic_params(z)
     worst = 0.0
     for field in (fields.example1(), fields.example2()):
-        for k in range(count):
-            point = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-            dec = geodesics.decompose(field, point)
-            param, zeta = geodesics.geodesic_through(point)
-            direct = geodesics.slice_value(field, param, zeta)
-            worst = max(
-                worst, abs(dec.slice_value - direct) / (1.0 + abs(direct))
-            )
+        split = geodesics.split_tangent_array(z, field(z))[0][:, 0]
+        along = field(geodesics.geodesic_coords(gammas, zetas))
+        direct = geodesics.slice_parts(along, gammas)[1]
+        worst = max(worst, np.max(np.abs(split - direct) / (1.0 + np.abs(direct))))
     return _ok(2 * count, worst, 1e-13)
 
 

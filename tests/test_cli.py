@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from siegelflow import cli
 from siegelflow.cli import main, parse_point, resolve_field, resolve_map
 from siegelflow.domains import Domain
 
@@ -285,6 +286,37 @@ def test_member_small_grid(capsys):
                            "--c", "2", "--grid", "small")
     assert code == 0
     assert json.loads(out)["verdict"] == "consistent"
+    assert json.loads(out)["grid"] == "siegel-grid-small-v1"
+    for domain, name in (("siegel", "siegel-grid-small-v1"),
+                         ("ball", "cayley[siegel-grid-small-v1]")):
+        code, out, _ = run_cli(capsys, "member", "--field", "builtin:example2",
+                               "--c", "2", "--grid", "small", "--domain", domain)
+        assert code in (0, 1)
+        assert json.loads(out)["grid"] == name
+
+
+@pytest.mark.parametrize("grid", ["", "huge"])
+def test_member_unknown_grid_exits_2(capsys, grid):
+    code, out, err = run_cli(capsys, "member", "--field", "builtin:example2",
+                             "--c", "2", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert "unknown Siegel grid" in err
+
+
+@pytest.mark.parametrize("field, domain", [
+    ("builtin:example2", "disc"),
+    ("builtin:example2", "halfplane"),
+    ("-1/z", "ball"),
+    ("-1/z", "siegel"),
+    ("-1/z", "disc"),
+])
+def test_member_rejects_a_domain_it_would_ignore(capsys, field, domain):
+    code, out, err = run_cli(capsys, "member", "--field", field, "--c", "2",
+                             "--grid", "small", "--domain", domain)
+    assert code == 2
+    assert out == ""
+    assert "--domain" in err
 
 
 @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
@@ -346,6 +378,19 @@ def test_help_lists_grids(capsys):
     assert code == 0
     assert "siegel-grid-v1" in out
     assert "halfplane-grid-v1" in out
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli.analysis, "slice_capacities", no_memory)
+    code, out, err = run_cli(capsys, "capacity", "--field", "builtin:example2",
+                             "--slices", "1", "--count", "100000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "745. GiB" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_builtin_exits_2(capsys):

@@ -11,6 +11,8 @@ from siegelflow.domains import (
     TangentVector,
     ball_point,
     bergman_matrix,
+    bergman_matrix_array,
+    bergman_norm_sq,
     cayley_ball_coords,
     cayley_inverse_jacobian,
     cayley_jacobian,
@@ -146,6 +148,24 @@ def test_jacobians_are_mutual_inverses(rng):
                                    rtol=0, atol=1e-11)
 
 
+def test_jacobians_match_their_closed_form_entries(rng):
+    # dC: 2i/d^2, -2 zk/d^2 and 2/d with d = z1 + i; dC^{-1}: 2i/e^2, i wk/e^2
+    # and i/e with e = 1 - w1.  Three rounding steps per entry at most.
+    for row in sampling.siegel_coords(rng, 50, 3):
+        p = DomainPoint(Domain.SIEGEL, tuple(row))
+        w = cayley_ball_coords(row)
+        for jac, first, column, diagonal in (
+            (cayley_jacobian(p), 2j / (row[0] + 1j) ** 2,
+             -2.0 * row[1:] / (row[0] + 1j) ** 2, 2.0 / (row[0] + 1j)),
+            (cayley_inverse_jacobian(cayley_to_ball(p)), 2j / (1.0 - w[0]) ** 2,
+             1j * w[1:] / (1.0 - w[0]) ** 2, 1j / (1.0 - w[0])),
+        ):
+            expected = np.diag([first, diagonal, diagonal])
+            expected[1:, 0] = column
+            np.testing.assert_allclose(jac, expected, rtol=4 * np.finfo(float).eps,
+                                       atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Bergman metric
 # ---------------------------------------------------------------------------
@@ -154,6 +174,49 @@ def test_bergman_matrix_oracle():
     g = bergman_matrix(siegel_point(2j, 1.0)).g
     expected = np.array([[1.0, 2j], [-2j, 8.0]])
     np.testing.assert_allclose(g, expected, rtol=0, atol=1e-15)
+
+
+def _bergman_entry_loop(z):
+    """Metric matrix at one point, entry by entry: the reference for the kernel."""
+    n = z.shape[0]
+    u_sq = (-z[0].imag + float(np.sum(np.abs(z[1:]) ** 2))) ** 2
+    g = np.zeros((n, n), dtype=complex)
+    g[0, 0] = 1.0 / u_sq
+    abs_sq = np.abs(z) ** 2
+    for j in range(1, n):
+        g[0, j] = 2j * z[j] / u_sq
+        g[j, 0] = -2j * np.conj(z[j]) / u_sq
+        g[j, j] = 4.0 * (z[0].imag - (np.sum(abs_sq[1:]) - abs_sq[j])) / u_sq
+        for k in range(1, n):
+            if k != j:
+                g[j, k] = 4.0 * z[k] * np.conj(z[j]) / u_sq
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_bergman_matrix_array_matches_the_entry_loop(rng, n):
+    z = sampling.siegel_coords(rng, 300, n)
+    expected = np.array([_bergman_entry_loop(row) for row in z])
+    got = bergman_matrix_array(z)
+    if n <= 2:
+        assert np.array_equal(got, expected)
+    else:
+        # The array loop may round a complex product differently: one ulp.
+        np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
+    for row, g in zip(z[:20], got):
+        point = DomainPoint(Domain.SIEGEL if n > 1 else Domain.HALF_PLANE, tuple(row))
+        assert np.array_equal(bergman_matrix(point).g, g)
+
+
+def test_bergman_norm_sq_is_the_quadratic_form(rng):
+    z = sampling.siegel_coords(rng, 200, 3)
+    w = sampling.tangent_vectors(rng, 200, 3)
+    got = bergman_norm_sq(z, w)
+    for k in range(200):
+        g = bergman_matrix_array(z[k])
+        assert got[k] == (w[k] @ g @ np.conj(w[k])).real
+        p = DomainPoint(Domain.SIEGEL, tuple(z[k]))
+        assert hyperbolic_norm(TangentVector(p, tuple(w[k]))) == np.sqrt(got[k])
 
 
 def test_bergman_matrix_is_hermitian_positive(rng):

@@ -11,13 +11,16 @@ from siegelflow.fields import builtin, eval_field
 from siegelflow.geodesics import (
     GeodesicParam,
     decompose,
+    geodesic_params,
     geodesic_point,
     geodesic_through,
     orthogonal_norm,
     project,
+    project_coords,
     slice_field,
     slice_value,
     split_tangent,
+    split_tangent_array,
     tangential_norm,
 )
 
@@ -64,6 +67,24 @@ def test_projection_is_idempotent(rng):
         once = project(gamma, point)
         twice = project(gamma, once)
         np.testing.assert_allclose(twice.coords, once.coords, rtol=0, atol=1e-13)
+
+
+def test_array_kernels_match_the_point_functions(rng):
+    z = sampling.siegel_coords(rng, 100, 3)
+    gammas = sampling.tangent_vectors(rng, 100, 2)
+    values = sampling.tangent_vectors(rng, 100, 3)
+    gammas_back, zetas = geodesic_params(z)
+    projected = project_coords(gammas, z)
+    tangential, orthogonal = split_tangent_array(z, values)
+    for k in range(100):
+        point = DomainPoint(Domain.SIEGEL, tuple(z[k]))
+        param, zeta = geodesic_through(point)
+        assert param.gamma == tuple(gammas_back[k]) and zeta == zetas[k]
+        once = project(GeodesicParam(tuple(gammas[k])), point)
+        assert once.coords == tuple(projected[k])
+        dec = split_tangent(point, values[k])
+        assert dec.tangential == tuple(tangential[k])
+        assert dec.orthogonal == tuple(orthogonal[k])
 
 
 def test_slice_value_oracles():

@@ -51,16 +51,15 @@ def test_different_seeds_still_pass():
 
 def test_broken_metric_entry_is_named(monkeypatch):
     # flip the sign of g[1,1]; the Pythagoras identity must report it
-    real = domains.bergman_matrix
+    real = domains.bergman_matrix_array
 
-    def broken(point):
-        mm = real(point)
-        g = mm.g.copy()
-        if g.shape[0] > 1:
-            g[1, 1] = -g[1, 1]
-        return domains.MetricMatrix(g, mm.base)
+    def broken(coords):
+        g = real(coords).copy()
+        if g.shape[-1] > 1:
+            g[..., 1, 1] = -g[..., 1, 1]
+        return g
 
-    monkeypatch.setattr(domains, "bergman_matrix", broken)
+    monkeypatch.setattr(domains, "bergman_matrix_array", broken)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run("metric", 7)
@@ -74,7 +73,7 @@ def test_group_exception_becomes_failure(monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(domains, "poisson", explode)
+    monkeypatch.setattr(domains, "poisson_values", explode)
     report = run("geodesics", 7)
     assert not report.passed
     details = [g.detail for s in report.suites for g in s.groups if not g.passed]
