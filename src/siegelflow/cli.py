@@ -101,8 +101,10 @@ def resolve_field(spec: str, dimension: int | None = None) -> fields.VectorField
             body = Path(body[1:]).read_text(encoding="utf-8")
         field = fields.cauchy_transform(fields.DiscreteMeasure.from_json(body))
     elif spec.startswith("bp:"):
-        _, tau_text, p_text = spec.split(":", 2)
-        field = fields.berkson_porta(parse_complex(tau_text), fields.parse_field(p_text, 1))
+        parts = spec.split(":", 2)
+        if len(parts) != 3:
+            raise ValueError(f"bad --field {spec!r}: expected bp:TAU:P_EXPR")
+        field = fields.berkson_porta(parse_complex(parts[1]), fields.parse_field(parts[2], 1))
     else:
         return fields.parse_field(spec, dimension)
     if dimension is not None and field.dimension != dimension:
@@ -239,6 +241,11 @@ def cmd_member(args) -> int:
             f"field; choose from {', '.join(allowed)}"
         )
     if field.dimension == 1:
+        if args.grid not in ("default", grids.HALFPLANE_GRID_V1):
+            raise ValueError(
+                f"--grid {args.grid} does not apply to a 1-dimensional field; "
+                f"choose default or {grids.HALFPLANE_GRID_V1}"
+            )
         report = analysis.check_pointwise_1d(field, args.c)
     else:
         member = (analysis.membership_ball if args.domain == "ball"

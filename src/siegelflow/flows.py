@@ -291,9 +291,6 @@ class Trajectory:
     def final_point(self) -> DomainPoint:
         return DomainPoint(self.domain, tuple(self.states[-1]))
 
-    def points(self) -> list[DomainPoint]:
-        return [DomainPoint(self.domain, tuple(row)) for row in self.states]
-
     def u_values(self) -> np.ndarray:
         return poisson_values(self.domain, self.states)
 
@@ -338,6 +335,36 @@ class Trajectory:
 # Public integrators
 # ---------------------------------------------------------------------------
 
+def _flow_line(pieces, z0: DomainPoint, t_final: float, tol: float) -> Trajectory:
+    """Flow z0 through consecutive constant-field pieces clipped to [0, t_final].
+
+    The first piece always runs, even when empty, so node 0 comes from the
+    checked field evaluation at z0.  Each later piece restarts at the
+    previous endpoint and drops its first node, which repeats that endpoint.
+    """
+    y = z0.as_array()[None, :]
+    segments = []
+    for t_start, t_end, field in pieces:
+        start, stop = max(t_start, 0.0), min(t_end, t_final)
+        if segments and stop <= start:
+            continue
+        seg = _advance(field, z0.domain, y, start, stop, tol, record=True)
+        if segments:
+            del seg.times[0], seg.states[0], seg.derivs[0]
+        segments.append(seg)
+        y = seg.y
+    return Trajectory(
+        domain=z0.domain,
+        times=np.asarray([t for seg in segments for t in seg.times], dtype=float),
+        states=np.asarray([row for seg in segments for row in seg.states], dtype=complex),
+        derivs=np.asarray([row for seg in segments for row in seg.derivs], dtype=complex),
+        steps_accepted=sum(seg.accepted for seg in segments),
+        steps_rejected=sum(seg.rejected for seg in segments),
+        max_local_error=max(seg.max_error for seg in segments),
+        tol=tol,
+    )
+
+
 def integrate_autonomous(
     field: VectorField,
     z0: DomainPoint,
@@ -350,18 +377,7 @@ def integrate_autonomous(
         raise DomainViolation(
             f"field dimension {field.dimension} does not match point {z0.n}"
         )
-    y0 = z0.as_array()[None, :]
-    seg = _advance(field, z0.domain, y0, 0.0, t_final, tol, record=True)
-    return Trajectory(
-        domain=z0.domain,
-        times=np.asarray(seg.times, dtype=float),
-        states=np.asarray(seg.states, dtype=complex),
-        derivs=np.asarray(seg.derivs, dtype=complex),
-        steps_accepted=seg.accepted,
-        steps_rejected=seg.rejected,
-        max_local_error=seg.max_error,
-        tol=tol,
-    )
+    return _flow_line(((0.0, t_final, field),), z0, t_final, tol)
 
 
 @dataclass(frozen=True)
@@ -421,35 +437,7 @@ def integrate_loewner(
         )
     if driver.dimension != z0.n:
         raise DomainViolation("driver dimension does not match the point")
-
-    y = z0.as_array()[None, :]
-    times, states = [0.0], [y[0]]
-    derivs = [np.asarray(driver.pieces[0][2](y), dtype=complex)[0]]
-    accepted = rejected = 0
-    max_error = 0.0
-    for t_start, t_end, field in driver.pieces:
-        start = max(t_start, 0.0)
-        stop = min(t_end, t_final)
-        if stop <= start:
-            continue
-        seg = _advance(field, z0.domain, y, start, stop, tol, record=True)
-        y = seg.y
-        accepted += seg.accepted
-        rejected += seg.rejected
-        max_error = max(max_error, seg.max_error)
-        times += seg.times[1:]
-        states += seg.states[1:]
-        derivs += seg.derivs[1:]
-    return Trajectory(
-        domain=z0.domain,
-        times=np.asarray(times, dtype=float),
-        states=np.asarray(states, dtype=complex),
-        derivs=np.asarray(derivs, dtype=complex),
-        steps_accepted=accepted,
-        steps_rejected=rejected,
-        max_local_error=max_error,
-        tol=tol,
-    )
+    return _flow_line(driver.pieces, z0, t_final, tol)
 
 
 def integrate_fixed_steps(
@@ -498,15 +486,20 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     return apply
 
 
+def _minus_identity(self_map, dimension: int, description: str) -> VectorField:
+    """The map z -> self_map(z) - z as a vector field."""
+    return VectorField(
+        dimension=dimension,
+        evaluator=lambda points: np.asarray(self_map(points), dtype=complex) - points,
+        description=description,
+    )
+
+
 def displacement_field(field: VectorField, t: float, tol: float = DEFAULT_TOL,
                        domain: Domain | None = None) -> VectorField:
     """The displacement map z -> Phi_t(z) - z of the field's flow."""
-    apply = flow_map(field, t, tol, domain)
-    return VectorField(
-        dimension=field.dimension,
-        evaluator=lambda points: apply(points) - np.asarray(points, dtype=complex),
-        description=f"flow[t={t:g}] - id ({field.description})",
-    )
+    return _minus_identity(flow_map(field, t, tol, domain), field.dimension,
+                           f"flow[t={t:g}] - id ({field.description})")
 
 
 # ---------------------------------------------------------------------------
@@ -765,9 +758,5 @@ def extract_capacity(
     f(iy) - iy at height y loses about y * ulp(y) to cancellation; beyond
     y ~ 1e5 the roundoff noise would dominate the tail for double precision.
     """
-    displacement = VectorField(
-        dimension=1,
-        evaluator=lambda pts: np.asarray(self_map(pts), dtype=complex) - pts,
-        description="self-map displacement",
-    )
+    displacement = _minus_identity(self_map, 1, "self-map displacement")
     return estimate_capacity_1d(displacement, y_min=y_min, y_max=y_max, count=count)

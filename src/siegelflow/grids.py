@@ -53,23 +53,17 @@ def halfplane_grid() -> np.ndarray:
 
 
 def _siegel_points(xs, ys, fractions, phases, n):
-    points = []
-    axes = range(n - 1)
-    for x in xs:
-        for y in ys:
-            z1 = x + 1j * y
-            base = np.zeros(n, dtype=complex)
-            base[0] = z1
-            points.append(base)
-            radius = np.sqrt(y)
-            for fraction in fractions:
-                for phase in phases:
-                    for axis in axes:
-                        entry = np.zeros(n, dtype=complex)
-                        entry[0] = z1
-                        entry[1 + axis] = fraction * radius * phase
-                        points.append(entry)
-    return np.array(points, dtype=complex)
+    """For each x, then each y: the row (x + iy, 0, ...), then one row per
+    fraction, phase and axis with fraction * sqrt(y) * phase on that axis."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    values = np.multiply.outer(np.multiply.outer(np.sqrt(ys), fractions), phases)
+    axes = np.arange(n - 1)
+    tails = np.zeros((xs.size,) + values.shape + (n - 1, n), dtype=complex)
+    tails[..., axes, 1 + axes] = values[..., None]
+    head = np.zeros((xs.size, ys.size, 1, n), dtype=complex)
+    rows = np.concatenate([head, tails.reshape(xs.size, ys.size, -1, n)], axis=2)
+    rows[..., 0] = (xs[:, None] + 1j * ys)[..., None]
+    return rows.reshape(-1, n)
 
 
 @lru_cache(maxsize=None)
@@ -95,31 +89,19 @@ def siegel_grid_small(n: int = 2) -> np.ndarray:
 @lru_cache(maxsize=None)
 def horosphere_samples(n: int = 2) -> np.ndarray:
     """Points with |u| = 1 exactly: phi_gamma(x + i), shape (64, n)."""
-    magnitudes = (0.5, 1.0, 2.0)
-    phases = (1.0, 1j, -1.0, -1j)
-    gammas = [np.zeros(n - 1, dtype=complex)]
-    for magnitude in magnitudes:
-        for phase in phases:
-            gamma = np.zeros(n - 1, dtype=complex)
-            if n > 1:
-                gamma[0] = magnitude * phase
-            gammas.append(gamma)
+    magnitudes = np.array([0.5, 1.0, 2.0])
+    phases = np.array([1.0, 1j, -1.0, -1j])
     extra = [0.5 + 0.5j, 1.0 + 1.0j, 1.0 - 1.0j]
-    for value in extra:
-        gamma = np.zeros(n - 1, dtype=complex)
-        if n > 1:
-            gamma[0] = value
-        gammas.append(gamma)
-    xs = (-2.0, -0.5, 0.5, 2.0)
-    points = []
-    for gamma in gammas:
-        norm_sq = float(np.sum(np.abs(gamma) ** 2))
-        for x in xs:
-            entry = np.zeros(n, dtype=complex)
-            entry[0] = x + 1j * (1.0 + norm_sq)
-            entry[1:] = gamma
-            points.append(entry)
-    return np.array(points, dtype=complex)
+    leading = np.concatenate([[0.0], np.multiply.outer(magnitudes, phases).ravel(), extra])
+    # Each gamma sits in the first tangential coordinate (none when n = 1).
+    gammas = np.zeros((leading.size, n - 1), dtype=complex)
+    gammas[:, :1] = leading[:, None]
+    norm_sq = np.sum(np.abs(gammas) ** 2, axis=1)
+    xs = np.array([-2.0, -0.5, 0.5, 2.0])
+    points = np.zeros((leading.size, xs.size, n), dtype=complex)
+    points[..., 0] = xs + 1j * (1.0 + norm_sq)[:, None]
+    points[..., 1:] = gammas[:, None, :]
+    return points.reshape(-1, n)
 
 
 def siegel_grid_by_name(name: str, n: int = 2) -> tuple[np.ndarray, str]:

@@ -90,9 +90,10 @@ class RunReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def _ok(count: int, worst, limit: float, detail: str = ""):
+def _ok(count: int, worst, limit: float, detail: str = "", ok: bool = True):
+    """A group's result tuple; it passes when worst <= limit and ``ok`` holds."""
     worst = float(worst)
-    return count, worst, limit, worst <= limit, detail
+    return count, worst, limit, worst <= limit and ok, detail
 
 
 def _rel(actual, expected, floor: float = 1.0) -> np.ndarray:
@@ -185,9 +186,7 @@ def _g_bergman_pd_hermitian(rng):
     g = domains.bergman_matrix_array(z)
     worst = np.max(np.abs(g - np.conj(g.swapaxes(-1, -2))))
     min_eig = float(np.min(np.linalg.eigvalsh(g)))
-    count, worst, limit, passed, _ = _ok(count, worst, 1e-14)
-    passed = passed and min_eig > 0.0
-    return count, worst, limit, passed, f"min eigenvalue {min_eig:.6e}"
+    return _ok(count, worst, 1e-14, f"min eigenvalue {min_eig:.6e}", min_eig > 0.0)
 
 
 def _g_jacobian_fd(rng):
@@ -320,11 +319,9 @@ def _g_pointwise_self_consistency(rng):
         report = analysis.check_pointwise_1d(field, c)
         verdicts.append(report.verdict)
         worst = max(worst, (report.sup_observed - c) / c)
-    count, worst, limit, passed, _ = _ok(
-        len(measures), worst, analysis.INEQUALITY_SLACK
-    )
-    passed = passed and all(v == "consistent" for v in verdicts)
-    return count, worst, limit, passed, "worst is (grid sup - capacity)/capacity"
+    return _ok(len(measures), worst, analysis.INEQUALITY_SLACK,
+               "worst is (grid sup - capacity)/capacity",
+               all(v == "consistent" for v in verdicts))
 
 
 def _g_worked_example_slices(rng):
@@ -344,21 +341,10 @@ def _g_membership_verdicts(rng):
     unbounded = analysis.membership_siegel(fields.example1(), 7.0)
     trivial = analysis.membership_siegel(fields.zero_field(2), 0.0)
     tail = abs(unbounded.witness[1])
-    count, worst, limit, passed, _ = _ok(
-        3, bounded.sup_observed**2, 4.0 * (1.0 + analysis.INEQUALITY_SLACK)
-    )
-    passed = (
-        passed
-        and bounded.verdict == "consistent"
-        and unbounded.verdict == "violated"
-        and trivial.verdict == "consistent"
-        and tail >= 2.0
-    )
-    detail = (
-        f"verdicts {bounded.verdict}/{unbounded.verdict}/{trivial.verdict}, "
-        f"violation witness |z~| = {tail:g}"
-    )
-    return count, worst, limit, passed, detail
+    verdicts = (bounded.verdict, unbounded.verdict, trivial.verdict)
+    detail = f"verdicts {'/'.join(verdicts)}, violation witness |z~| = {tail:g}"
+    return _ok(3, bounded.sup_observed**2, 4.0 * (1.0 + analysis.INEQUALITY_SLACK),
+               detail, verdicts == ("consistent", "violated", "consistent") and tail >= 2.0)
 
 
 def _g_cayley_verdict_agreement(rng):
@@ -371,8 +357,7 @@ def _g_cayley_verdict_agreement(rng):
             worst, abs(ball.sup_observed - half.sup_observed) / half.sup_observed
         )
         agree = agree and ball.verdict == half.verdict
-    count, worst, limit, passed, _ = _ok(2, worst, 1e-9)
-    return count, worst, limit, passed and agree, "worst is relative sup gap"
+    return _ok(2, worst, 1e-9, "worst is relative sup gap", agree)
 
 
 def _g_parser_consistency(rng):
@@ -386,8 +371,7 @@ def _g_parser_consistency(rng):
         once = fields.parse_field(text).description
         twice = fields.parse_field(once).description
         stable = stable and once == twice
-    count, worst, limit, passed, _ = _ok(count, worst, 1e-14)
-    return count, worst, limit, passed and stable, "includes canonical-form check"
+    return _ok(count, worst, 1e-14, "includes canonical-form check", stable)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +410,8 @@ def _g_semigroup_law(rng):
     )
     reports = [flows.semigroup_check(f, z0, 0.5, 0.5) for f, z0 in cases]
     worst = max(report.residual for report in reports)
-    limit = reports[0].allowance
-    count, worst, limit, passed, _ = _ok(len(reports), worst, limit)
-    return count, worst, limit, passed and all(r.passed for r in reports), ""
+    return _ok(len(reports), worst, reports[0].allowance, "",
+               all(r.passed for r in reports))
 
 
 def _g_julia_monotonicity(rng):
@@ -481,15 +464,12 @@ def _g_horosphere_checks(rng):
     )
     image = flows.horosphere_image_check(flows.flow_map(fields.example2(), 1.0), 2.0)
     worst = max(-inequality.worst_margin, image.worst_value - image.limit)
-    count, worst, limit, passed, _ = _ok(
-        grids.siegel_grid_small().shape[0] + image.count, worst, 1e-9
-    )
-    passed = passed and inequality.ok and image.passed
     detail = (
         f"orthogonality margin {inequality.worst_margin:.3e}, "
         f"image |u| max {image.worst_value:.6f} of {image.limit:g}"
     )
-    return count, worst, limit, passed, detail
+    return _ok(grids.siegel_grid_small().shape[0] + image.count, worst, 1e-9,
+               detail, inequality.ok and image.passed)
 
 
 def _g_loewner_restart(rng):
@@ -512,13 +492,11 @@ def _g_loewner_restart(rng):
     single = flows.integrate_loewner([(0.0, 2.0, one)], z0, 2.0).final_state[0]
     exact_match = plain == single
 
-    count, worst, limit, passed, _ = _ok(4, restart_gap, 1e-12)
-    passed = passed and endpoint_error <= 1e-8 and exact_match
     detail = (
         f"two-piece endpoint error {endpoint_error:.3e}, "
         f"single piece matches autonomous: {exact_match}"
     )
-    return count, worst, limit, passed, detail
+    return _ok(4, restart_gap, 1e-12, detail, endpoint_error <= 1e-8 and exact_match)
 
 
 def _g_flow_capacity(rng):
@@ -533,9 +511,8 @@ def _g_flow_capacity(rng):
     cap_two = flows.extract_capacity(lambda pts: step(step(pts))).value
     errors.append(abs(2.0 * cap_one - cap_two))
     additive = analysis.capacity_additivity_check((cap_one, cap_one), cap_two)
-    count, worst, limit, passed, _ = _ok(len(errors), max(errors), 1e-3)
     detail = f"composite capacity {cap_two:.6f} vs parts {cap_one:.6f} + {cap_one:.6f}"
-    return count, worst, limit, passed and additive, detail
+    return _ok(len(errors), max(errors), 1e-3, detail, additive)
 
 
 def _g_iteration_diagnostic(rng):

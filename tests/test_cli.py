@@ -103,6 +103,15 @@ def test_eval_syntax_error_exits_2(capsys):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("spec", ["bp:0", "bp:"])
+def test_eval_malformed_bp_spec_exits_2(capsys, spec):
+    code, out, err = run_cli(capsys, "eval", "--field", spec, "--at", "0.3",
+                             "--domain", "disc")
+    assert code == 2
+    assert out == ""
+    assert "--field" in err and "bp:TAU:P_EXPR" in err
+
+
 def test_eval_domain_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--what", "poisson", "--at", "(-i, 0)")
     assert code == 2
@@ -210,6 +219,16 @@ def test_flow_driver_pieces(capsys, tmp_path):
     assert endpoint.startswith("0+2.645751311")
 
 
+def test_flow_driver_checks_the_field_at_z0_at_time_zero(capsys, tmp_path):
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps([{"t0": 0, "t1": 1, "field": "1/(z-i)"}]))
+    for source in (["--driver", str(pieces)], ["--field", "1/(z-i)"]):
+        code, out, err = run_cli(capsys, "flow", *source, "--z0", "i", "--t", "0")
+        assert code == 3
+        assert out == ""
+        assert "not finite at the initial point" in err
+
+
 def test_flow_underflow_exits_3(capsys):
     code, _, err = run_cli(capsys, "flow", "--field", "-i", "--z0", "i",
                            "--t", "2")
@@ -276,9 +295,11 @@ def test_member_violated_exit_1(capsys):
 
 
 def test_member_one_dim_route(capsys):
-    code, out, _ = run_cli(capsys, "member", "--field", "-1/z", "--c", "1")
-    assert code == 0
-    assert json.loads(out)["verdict"] == "consistent"
+    for grid in ([], ["--grid", "default"], ["--grid", "halfplane-grid-v1"]):
+        code, out, _ = run_cli(capsys, "member", "--field", "-1/z", "--c", "1", *grid)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "consistent"
+        assert json.loads(out)["grid"] == "halfplane-grid-v1"
 
 
 def test_member_small_grid(capsys):
@@ -302,6 +323,15 @@ def test_member_unknown_grid_exits_2(capsys, grid):
     assert code == 2
     assert out == ""
     assert "unknown Siegel grid" in err
+
+
+@pytest.mark.parametrize("grid", ["nonsense", "small", "siegel-grid-v1", ""])
+def test_member_one_dim_rejects_a_grid_it_would_ignore(capsys, grid):
+    code, out, err = run_cli(capsys, "member", "--field", "-1/z", "--c", "1",
+                             "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err
 
 
 @pytest.mark.parametrize("field, domain", [

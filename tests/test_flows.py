@@ -13,7 +13,7 @@ from siegelflow.domains import (
     siegel_point,
 )
 from siegelflow.errors import CoverageGap, StepSizeUnderflow
-from siegelflow.fields import builtin, parse_field
+from siegelflow.fields import VectorField, builtin, parse_field
 from siegelflow.flows import (
     DEFAULT_TOL,
     HerglotzField,
@@ -151,7 +151,27 @@ def test_single_piece_matches_autonomous_exactly():
     z0 = half_plane_point(2j)
     a = integrate_loewner(piece, z0, 1.5)
     b = integrate_autonomous(builtin("reciprocal"), z0, 1.5)
-    assert np.array_equal(a.states, b.states)
+    for name in ("times", "states", "derivs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.steps_accepted, a.steps_rejected, a.max_local_error) == (
+        b.steps_accepted, b.steps_rejected, b.max_local_error
+    )
+
+
+def test_single_piece_makes_as_many_field_calls_as_autonomous():
+    calls = []
+
+    def counted(points):
+        calls.append(1)
+        return -1.0 / points
+
+    field = VectorField(1, counted, "-1/z")
+    z0 = half_plane_point(1j)
+    integrate_autonomous(field, z0, 1.0)
+    autonomous = len(calls)
+    calls.clear()
+    integrate_loewner([(0.0, 1.0, field)], z0, 1.0)
+    assert len(calls) == autonomous
 
 
 def test_coverage_gap_rejected():
