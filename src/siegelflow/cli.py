@@ -24,6 +24,10 @@ Self-map specifications accepted by --map:
 
 Points use the syntax "(a+bi, c+di, ...)"; whitespace is ignored and the
 parentheses are optional for one-dimensional points.
+
+Work bounds: capacity --count takes at most 1000000 samples per window and
+iterate --n at most 1000000 maps; a larger value exits 2 before any field
+is built.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from .errors import (
     MonotonicityViolation,
     StepSizeUnderflow,
 )
+
+MAX_SAMPLE_COUNT = 1_000_000
+MAX_ITERATIONS = 1_000_000
 
 _DOMAIN_CHOICES = ("auto", "disc", "halfplane", "ball", "siegel")
 
@@ -91,8 +98,12 @@ def parse_point(text: str, domain: str = "auto") -> DomainPoint:
     return DomainPoint(resolved, coords)
 
 
-def resolve_field(spec: str, dimension: int | None = None) -> fields.VectorField:
-    """Turn a --field specification into a vector field."""
+def resolve_field(spec: str, dimension: int | None = None,
+                  origin: str = "--field") -> fields.VectorField:
+    """Turn a --field specification into a vector field.
+
+    ``origin`` names where the spec came from in error messages.
+    """
     if spec.startswith("builtin:"):
         field = fields.builtin(spec[len("builtin:"):])
     elif spec.startswith("measure:"):
@@ -103,7 +114,7 @@ def resolve_field(spec: str, dimension: int | None = None) -> fields.VectorField
     elif spec.startswith("bp:"):
         parts = spec.split(":", 2)
         if len(parts) != 3:
-            raise ValueError(f"bad --field {spec!r}: expected bp:TAU:P_EXPR")
+            raise ValueError(f"bad {origin} {spec!r}: expected bp:TAU:P_EXPR")
         field = fields.berkson_porta(parse_complex(parts[1]), fields.parse_field(parts[2], 1))
     else:
         return fields.parse_field(spec, dimension)
@@ -124,7 +135,7 @@ def resolve_map(spec: str):
             raise ValueError(
                 f"bad map {spec!r}: expected flowT:FIELDSPEC with numeric T"
             ) from None
-        field = resolve_field(rest)
+        field = resolve_field(rest, origin="--map field")
         return flows.flow_map(field, t), field.dimension
     field = fields.parse_field(spec)
     return field, field.dimension
@@ -166,6 +177,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    _check_at_most(args.count, MAX_SAMPLE_COUNT, "--count")
     field = resolve_field(args.field)
     window = {"y_min": args.y_min, "y_max": args.y_max, "count": args.count}
     if args.one_dim:
@@ -199,9 +211,10 @@ def cmd_flow(args) -> int:
             (
                 float(piece["t0"]),
                 float(piece["t1"]),
-                resolve_field(piece["field"], z0.n),
+                resolve_field(piece["field"], z0.n,
+                              origin=f"field of piece {index} in {args.driver}"),
             )
-            for piece in spec
+            for index, piece in enumerate(spec)
         )
         trajectory = flows.integrate_loewner(
             flows.HerglotzField(pieces), z0, args.t, tol=args.tol
@@ -256,6 +269,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    _check_at_most(args.n, MAX_ITERATIONS, "--n")
     self_map, dimension = resolve_map(args.map)
     z0 = parse_point(args.z0, args.domain)
     if z0.n != dimension:
@@ -272,6 +286,11 @@ def cmd_iterate(args) -> int:
 def _require(value, flag: str) -> None:
     if value is None:
         raise ValueError(f"missing required flag {flag}")
+
+
+def _check_at_most(value: int, bound: int, flag: str) -> None:
+    if value > bound:
+        raise ValueError(f"{flag} {value} exceeds the upper bound {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slices", help="comma-separated geodesic parameters")
     p.add_argument("--y-min", type=float, default=analysis.CAPACITY_DEFAULTS["y_min"])
     p.add_argument("--y-max", type=float, default=analysis.CAPACITY_DEFAULTS["y_max"])
-    p.add_argument("--count", type=int, default=analysis.CAPACITY_DEFAULTS["count"])
+    p.add_argument("--count", type=int, default=analysis.CAPACITY_DEFAULTS["count"],
+                   help=f"samples per window, 8 to {MAX_SAMPLE_COUNT}")
     p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser("flow", help="integrate a flow and report the endpoint")
@@ -365,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="iterate a self-map and classify the orbit")
     p.add_argument("--map", required=True, help="self-map specification")
     p.add_argument("--z0", required=True, help="initial point")
-    p.add_argument("--n", type=int, required=True, help="iteration budget")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"iteration budget, 0 to {MAX_ITERATIONS}")
     p.add_argument("--threshold", type=float, default=1e6,
                    help="|u| level declared divergent")
     add_domain(p)

@@ -12,6 +12,13 @@ every point keeps its own time, step size and controller state, and stages
 are evaluated only on the points still in flight.  A point's result is
 therefore bit-identical whether it is integrated alone or in any batch.
 
+The kernel stores a batch of m points in n dimensions component-major: the
+state as an (n, m) array and the seven stages as one (7, n, m) buffer, both
+contiguous, so the per-point reductions (finiteness, error norm, starting
+step) run along a leading axis.  A field still receives its points as an
+(m, n) array, but that array is the transposed view of the (n, m) state and
+is not contiguous; it must return an (m, n) result.
+
 Trajectories must stay inside their domain: a step whose endpoint leaves the
 interior (margin <= 1e-12) is rejected and retried at half the step size, and
 sixty consecutive rejections raise StepSizeUnderflow.  For fields in the
@@ -88,9 +95,10 @@ class _Segment:
         self.y: np.ndarray | None = None
 
     def record(self, t: float, y: np.ndarray, k: np.ndarray) -> None:
+        """Keep row 0 of the component-major state y and stage k, both (n, m)."""
         self.times.append(t)
-        self.states.append(y[0])
-        self.derivs.append(k[0].copy())
+        self.states.append(y[:, 0])
+        self.derivs.append(k[:, 0].copy())
 
 
 def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL) -> None:
@@ -101,12 +109,18 @@ def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL) -> None:
 
 
 def _eval_checked(eval_fn, y: np.ndarray) -> np.ndarray:
-    k = np.asarray(eval_fn(y), dtype=complex)
-    if k.shape != y.shape:
+    """The field at the component-major rows y (n, m), also (n, m).
+
+    The evaluator sees the (m, n) points as the transposed view y.T, which
+    is not contiguous, and must return an (m, n) result.
+    """
+    points = y.T
+    k = np.asarray(eval_fn(points), dtype=complex)
+    if k.shape != points.shape:
         raise FieldEvaluationError(
-            f"field returned shape {k.shape}, expected {y.shape}"
+            f"field returned shape {k.shape}, expected {points.shape}"
         )
-    return k
+    return k.T
 
 
 def _weights(row) -> tuple:
@@ -121,8 +135,9 @@ def _weights(row) -> tuple:
 _STAGE_WEIGHTS = tuple(_weights(row) for row in _A[1:])
 _ERROR_WEIGHTS = _weights(_E)
 
-# Stages of at most this many numbers (m * n) sum faster in one running-sum
-# call than in a loop of in-place additions; the two cross near 80-96 numbers.
+# Stages of at most this many numbers (n * m) sum faster in one running-sum
+# call than in a loop of in-place additions.  On (7, n, m) stage buffers
+# (n = 1 and 2, numpy 2.4.6, 2-core VM) the two cross near 80-112 numbers.
 # Both add the same terms in the same order, so their sums are identical.
 _RUNNING_SUM_SIZE = 64
 
@@ -146,8 +161,9 @@ def _combine(ks: np.ndarray, weights) -> np.ndarray:
 def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> np.ndarray:
     """Fill stages 1-6 of one Dormand-Prince step from rows y; return y_new.
 
-    ``ks`` (7, m, n) holds the field at y in ks[0]; ``h`` is a scalar or one
-    step per row, (m, 1).  ks[6] is the field at y_new (FSAL).
+    Everything is component-major: ``y`` is (n, m) and ``ks`` (7, n, m)
+    holds the field at y in ks[0]; ``h`` is a scalar or one step per row,
+    (m,).  ks[6] is the field at y_new (FSAL).
     """
     for i, weights in enumerate(_STAGE_WEIGHTS, 1):
         y_i = _combine(ks, weights)
@@ -172,10 +188,14 @@ def _advance(
     rejection count, and leaves the stage arrays once it reaches t1, so its
     result does not depend on the other rows.  Any failing row fails the
     call.  ``record`` keeps the accepted nodes of a single row (m = 1).
+    The state is held component-major (module docstring); ``seg.y`` is
+    (m, n) again.
     """
     seg = _Segment()
-    y = np.array(y0, dtype=complex)
-    ks = np.empty((7,) + y.shape, dtype=complex)
+    y = np.array(np.asarray(y0, dtype=complex).T, order="C")
+    n, m = y.shape
+    buffer = np.empty(7 * n * m, dtype=complex)
+    ks = buffer.reshape(7, n, m)
     ks[0] = _eval_checked(eval_fn, y)
     if not np.isfinite(ks[0]).all():
         raise FieldEvaluationError("field is not finite at the initial point")
@@ -183,17 +203,17 @@ def _advance(
         seg.record(t0, y, ks[0])
     floor = 1e-15 * max(1.0, abs(t0), abs(t1))
     if t0 >= t1 - floor:
-        seg.y = y
+        seg.y = y.T.copy()
         return seg
 
-    out = np.empty_like(y)
-    rows = np.arange(len(y))
-    d0 = np.maximum(np.abs(y).max(axis=1), 1e-6)
-    d1 = np.maximum(np.abs(ks[0]).max(axis=1), 1e-16)
+    out = np.empty((m, n), dtype=complex)
+    rows = np.arange(m)
+    d0 = np.maximum(np.abs(y).max(axis=0), 1e-6)
+    d1 = np.maximum(np.abs(ks[0]).max(axis=0), 1e-16)
     h = np.minimum(t1 - t0, 0.01 * d0 / d1)
-    t = np.full(len(y), float(t0))
-    r_prev = np.ones(len(y))
-    consecutive = np.zeros(len(y), dtype=int)
+    t = np.full(m, float(t0))
+    r_prev = np.ones(m)
+    consecutive = np.zeros(m, dtype=int)
 
     with np.errstate(all="ignore"):
         while True:
@@ -205,12 +225,13 @@ def _advance(
             remaining = t1 - t
             last = h >= remaining * (1.0 - 1e-12)
             h_step = np.where(last, remaining, h)
-            y_new = _stages(eval_fn, y, ks, h_step[:, None])
+            y_new = _stages(eval_fn, y, ks, h_step)
 
-            inside = (np.isfinite(ks).all(axis=(0, 2))
-                      & np.isfinite(y_new).all(axis=1)
-                      & (interior_margin(domain, y_new) > INTERIOR_MARGIN))
-            err = np.abs(_combine(ks, _ERROR_WEIGHTS)).max(axis=1)
+            # ks[0] is finite: checked above, or carried from an accepted step.
+            inside = (np.isfinite(ks[1:]).all(axis=(0, 1))
+                      & np.isfinite(y_new).all(axis=0)
+                      & (interior_margin(domain, y_new.T) > INTERIOR_MARGIN))
+            err = np.abs(_combine(ks, _ERROR_WEIGHTS)).max(axis=0)
             accept = inside & (err <= tol)
 
             r = np.maximum(err / tol, 1e-10)
@@ -229,8 +250,8 @@ def _advance(
                 h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
                 h = np.where(accept, h_grow, np.where(inside, h_shrink, 0.5 * h_step))
                 t = np.where(accept, t_new, t)
-                y = np.where(accept[:, None], y_new, y)
-                ks[0] = np.where(accept[:, None], ks[6], ks[0])
+                y = np.where(accept, y_new, y)
+                ks[0] = np.where(accept, ks[6], ks[0])
                 r_prev = np.where(accept, r, r_prev)
                 consecutive = np.where(accept, 0, consecutive + 1)
                 n_accepted = int(np.count_nonzero(accept))
@@ -248,17 +269,20 @@ def _advance(
 
             done = t >= t1 - floor
             if done.all():
-                out[rows] = y
+                out[rows] = y.T
                 break
             if done.any():
-                out[rows[done]] = y[done]
+                out[rows[done]] = y[:, done].T
                 keep = ~done
-                rows, y, t, h, r_prev, consecutive = (
-                    a[keep] for a in (rows, y, t, h, r_prev, consecutive)
+                rows, t, h, r_prev, consecutive = (
+                    a[keep] for a in (rows, t, h, r_prev, consecutive)
                 )
-                # Only ks[0] carries over; shrink the stage buffer in place.
-                ks[0, :rows.size] = ks[0, keep]
-                ks = ks[:, :rows.size]
+                y = y[:, keep]
+                # Only ks[0] carries over; shrink the stage buffer in place,
+                # keeping it contiguous over the first 7 * n * rows numbers.
+                ks0 = ks[0][:, keep]
+                ks = buffer[:7 * n * rows.size].reshape(7, n, rows.size)
+                ks[0] = ks0
     seg.y = out
     return seg
 
@@ -451,13 +475,13 @@ def integrate_fixed_steps(
     _check_time_and_tol(t_final)
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    y = z0.as_array()[None, :]
+    y = z0.as_array()[:, None]
     ks = np.empty((7,) + y.shape, dtype=complex)
     ks[0] = _eval_checked(field, y)
     for _ in range(steps):
         y = _stages(field, y, ks, t_final / steps)
         ks[0] = ks[6]
-    return y[0]
+    return y[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,29 @@ def test_eval_metric(capsys):
     assert rows[1][1] == "8+0i"
 
 
+def test_iterate_map_malformed_bp_spec_names_map(capsys):
+    code, out, err = run_cli(capsys, "iterate", "--map", "flow1:bp:0",
+                             "--z0", "0.3", "--domain", "disc", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "--map" in err and "--field" not in err
+    assert "'bp:0'" in err and "bp:TAU:P_EXPR" in err
+
+
+def test_flow_driver_malformed_bp_spec_names_file_and_piece(capsys, tmp_path):
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps([
+        {"t0": 0, "t1": 1, "field": "-1/z"},
+        {"t0": 1, "t1": 2, "field": "bp:0"},
+    ]))
+    code, out, err = run_cli(capsys, "flow", "--driver", str(pieces),
+                             "--z0", "0.3", "--domain", "disc", "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert f"piece 1 in {pieces}" in err and "--field" not in err
+    assert "'bp:0'" in err and "bp:TAU:P_EXPR" in err
+
+
 def test_eval_syntax_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--field", "z +", "--at", "i")
     assert code == 2
@@ -166,6 +189,37 @@ def test_capacity_small_count_exits_2(capsys, count):
     assert code == 2
     assert out == ""
     assert "count" in err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the bound must be checked before any field is built")
+
+
+@pytest.mark.parametrize("mode", [("--one-dim",), ("--slices", "1")])
+def test_capacity_count_above_bound_exits_2(capsys, monkeypatch, mode):
+    monkeypatch.setattr(cli, "resolve_field", _never_called)
+    code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", *mode,
+                             "--count", str(cli.MAX_SAMPLE_COUNT + 1))
+    assert code == 2
+    assert out == ""
+    assert "--count" in err and str(cli.MAX_SAMPLE_COUNT) in err
+
+
+def test_iterate_n_above_bound_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "resolve_map", _never_called)
+    code, out, err = run_cli(capsys, "iterate", "--map", "flow1:builtin:example2",
+                             "--z0", "(i,0.5)", "--n", str(cli.MAX_ITERATIONS + 1))
+    assert code == 2
+    assert out == ""
+    assert "--n" in err and str(cli.MAX_ITERATIONS) in err
+
+
+def test_help_states_the_work_bounds(capsys):
+    for command, flag, bound in (("capacity", "--count", cli.MAX_SAMPLE_COUNT),
+                                 ("iterate", "--n", cli.MAX_ITERATIONS)):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert flag in out and str(bound) in out
 
 
 @pytest.mark.parametrize("mode", [("--one-dim",), ("--slices", "1")])
@@ -416,7 +470,7 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.analysis, "slice_capacities", no_memory)
     code, out, err = run_cli(capsys, "capacity", "--field", "builtin:example2",
-                             "--slices", "1", "--count", "100000000000")
+                             "--slices", "1", "--count", str(cli.MAX_SAMPLE_COUNT))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "745. GiB" in err

@@ -1,5 +1,6 @@
 """Flow integration: endpoints, adaptivity, semigroup laws, and diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,10 +13,11 @@ from siegelflow.domains import (
     poisson,
     siegel_point,
 )
-from siegelflow.errors import CoverageGap, StepSizeUnderflow
+from siegelflow.errors import CoverageGap, FieldEvaluationError, StepSizeUnderflow
 from siegelflow.fields import VectorField, builtin, parse_field
 from siegelflow.flows import (
     DEFAULT_TOL,
+    _advance,
     HerglotzField,
     displacement_bound_check,
     displacement_field,
@@ -225,6 +227,57 @@ def test_flow_map_batch_is_bit_identical_to_each_point_alone(name, grid):
     if grid.shape[1] == 2:
         exact = np.stack([z1t, grid[:, 1] * np.sqrt(z1 / z1t)], axis=1)
     assert np.max(np.abs(batch - exact)) <= 10 * DEFAULT_TOL * t
+
+
+# SHA-256 of the endpoint bytes (complex128, C order) from the row-major
+# kernel that preceded the component-major stage buffers.  The layout moved
+# no addition, so no bit of any endpoint may move either.
+@pytest.mark.parametrize("name, grid, digest", [
+    ("example2", siegel_grid_small(2),
+     "7534cf9664753d1242031b768c2554ce1e21047752a24baf1449380e4807b6fb"),
+    ("reciprocal", halfplane_grid()[::37],
+     "001b9251f685756a7e15d6a95c53e2b2dd77fb2b370e9e8d1c7defa6c5f97232"),
+])
+def test_flow_map_endpoints_are_pinned_bit_for_bit(name, grid, digest):
+    endpoints = flow_map(builtin(name), 1.0)(grid)
+    assert endpoints.dtype == complex and endpoints.shape == grid.shape
+    assert hashlib.sha256(np.ascontiguousarray(endpoints).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("stage", [1, 3, 6])
+def test_a_non_finite_stage_rejects_only_that_rows_step(stage):
+    field = builtin("example2")
+    points = np.array([[1j, 0.5], [2j, 0.0], [0.5 + 3j, 1.0], [4j, -1j]])
+    poisoned_row, t = 2, 0.5
+    calls = []
+
+    def evaluator(pts):
+        values = field(pts)
+        calls.append(len(pts))
+        # Call 1 is the field at the start points; call 1 + i is stage i of
+        # the first step, which every row takes.
+        if len(calls) == 1 + stage:
+            values[poisoned_row] = np.nan
+        return values
+
+    poisoned = VectorField(2, evaluator, "example2 with one non-finite stage")
+    clean = _advance(field, Domain.SIEGEL, points, 0.0, t, DEFAULT_TOL)
+    seg = _advance(poisoned, Domain.SIEGEL, points, 0.0, t, DEFAULT_TOL)
+    assert calls[stage] == len(points)
+    assert seg.rejected == clean.rejected + 1
+    np.testing.assert_allclose(seg.y[poisoned_row], clean.y[poisoned_row], rtol=1e-8)
+    alone = flow_map(field, t)
+    for k in range(len(points)):
+        if k != poisoned_row:
+            assert np.array_equal(seg.y[k], alone(points[k:k + 1])[0])
+
+
+@pytest.mark.parametrize("wrong", [lambda pts: pts.T, lambda pts: pts[:, :1]])
+def test_a_wrong_shaped_field_result_names_the_expected_shape(wrong):
+    field = VectorField(2, wrong, "wrong shape")
+    points = siegel_grid_small(2)[:5]
+    with pytest.raises(FieldEvaluationError, match=r"expected \(5, 2\)"):
+        flow_map(field, 0.5)(points)
 
 
 def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
