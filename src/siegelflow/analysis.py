@@ -103,9 +103,13 @@ class InequalityReport:
     grid_name: str
 
 
-def _finite_or_raise(values: np.ndarray, what: str) -> None:
+def _finite_values(evaluate, points, what: str) -> np.ndarray:
+    """evaluate(points) under one floating-point state; non-finite raises."""
+    with np.errstate(all="ignore"):
+        values = evaluate(points)
     if not np.all(np.isfinite(values)):
         raise FieldEvaluationError(f"{what} produced non-finite values")
+    return values
 
 
 def _class_constant(c: float) -> float:
@@ -134,8 +138,7 @@ def _capacity_estimates(sample, what, y_min, y_max, count) -> list[CapacityEstim
     if count < 8:
         raise ValueError(f"count must be >= 8 (a two-sample tail), got {count}")
     ys = np.geomspace(y_min, y_max, count)
-    values = sample(ys)
-    _finite_or_raise(values, what)
+    values = _finite_values(sample, ys, what)
     estimates = []
     for scaled in ys * np.abs(values):
         tail = scaled[-(count // 4):]
@@ -195,10 +198,8 @@ def slice_capacities(
     directions = np.array([p.gamma for p in params], dtype=complex)[:, None, :]
 
     def sample(ys):
-        # As inside the single-slice field's evaluator: no float warnings.
-        with np.errstate(all="ignore"):
-            values = field(geodesic_coords(directions, 1j * ys))
-            return slice_parts(values, directions)[1]
+        values = field(geodesic_coords(directions, 1j * ys))
+        return slice_parts(values, directions)[1]
 
     return _capacity_estimates(
         sample, f"slice[{field.description}]", y_min, y_max, count
@@ -219,8 +220,7 @@ def check_pointwise_1d(
     c = _class_constant(c)
     grid_name = HALFPLANE_GRID_V1 if grid is None else "custom"
     points = halfplane_grid() if grid is None else np.asarray(grid, complex)
-    values = field(points)[..., 0]
-    _finite_or_raise(values, field.description)
+    values = _finite_values(field, points, field.description)[..., 0]
     scaled = points[:, 0].imag * np.abs(values)
     index = int(np.argmax(scaled))
     notes = []
@@ -251,8 +251,7 @@ def _membership(
 ) -> MembershipReport:
     """Sampled sup of u(z)^2 ||H(z)||_z over ``points`` of ``domain``."""
     c = _class_constant(c)
-    values = field(points)
-    _finite_or_raise(values, field.description)
+    values = _finite_values(field, points, field.description)
     u = poisson_values(domain, points)
     scaled = (u * u) * np.sqrt(hyperbolic_norm_sq_array(domain, points, values))
     index = int(np.argmax(scaled))
@@ -327,8 +326,7 @@ def horosphere_inequality_check(
     self-map f fixing the boundary point at infinity.
     """
     points, grid_name = _siegel_points(displacement, grid)
-    values = displacement(points)
-    _finite_or_raise(values, displacement.description)
+    values = _finite_values(displacement, points, displacement.description)
     lhs = np.sum(np.abs(values[..., 1:]) ** 2, axis=-1)
     rhs = np.abs(slice_parts(values, points[..., 1:])[1])
     margins = rhs - lhs

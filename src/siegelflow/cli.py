@@ -33,6 +33,7 @@ is built.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -203,21 +204,41 @@ def cmd_capacity(args) -> int:
     return 0
 
 
+def _driver_pieces(path: str, dimension: int) -> tuple:
+    """The (t0, t1, field) pieces of a driver file.
+
+    The file must hold a JSON list of objects, each with numeric "t0" and
+    "t1" and a string "field"; anything else raises ValueError naming the
+    file and the piece index.
+    """
+    spec = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(spec, list):
+        raise ValueError(f"driver file {path} must hold a JSON list of pieces")
+    pieces = []
+    for index, piece in enumerate(spec):
+        where = f"piece {index} in {path}"
+        if not isinstance(piece, dict):
+            raise ValueError(f"{where} must be an object with t0, t1 and field")
+        missing = [key for key in ("t0", "t1", "field") if key not in piece]
+        if missing:
+            raise ValueError(f"{where} lacks {', '.join(missing)}")
+        times = (piece["t0"], piece["t1"])
+        if not all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                   for t in times):
+            raise ValueError(f"{where} needs numeric t0 and t1")
+        if not isinstance(piece["field"], str):
+            raise ValueError(f"{where} needs a string field")
+        field = resolve_field(piece["field"], dimension, origin=f"field of {where}")
+        pieces.append((float(times[0]), float(times[1]), field))
+    return tuple(pieces)
+
+
 def cmd_flow(args) -> int:
     z0 = parse_point(args.z0, args.domain)
     if args.driver is not None:
-        spec = json.loads(Path(args.driver).read_text(encoding="utf-8"))
-        pieces = tuple(
-            (
-                float(piece["t0"]),
-                float(piece["t1"]),
-                resolve_field(piece["field"], z0.n,
-                              origin=f"field of piece {index} in {args.driver}"),
-            )
-            for index, piece in enumerate(spec)
-        )
         trajectory = flows.integrate_loewner(
-            flows.HerglotzField(pieces), z0, args.t, tol=args.tol
+            flows.HerglotzField(_driver_pieces(args.driver, z0.n)), z0, args.t,
+            tol=args.tol,
         )
     else:
         _require(args.field, "--field")
@@ -395,15 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.handler(args)
+        # Field calls follow the caller's floating-point state; the
+        # commands report non-finite values through their own checks.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (BoundViolation, MonotonicityViolation) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

@@ -53,16 +53,22 @@ class VectorField:
         self.description = description
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on points of shape (..., n); no finiteness check."""
+        """Evaluate on points of shape (..., n); no finiteness check.
+
+        A direct call follows numpy's current error state, so a singular
+        point may emit a RuntimeWarning.  The package's numeric entry points
+        (eval_field, the flow integrators, the analysis scans, the verify
+        suites and cli.main) each hold ``np.errstate(all="ignore")`` around
+        their evaluations and report non-finite values through their own
+        checks.
+        """
         points = np.asarray(points, dtype=complex)
         if points.shape[-1] != self.dimension:
             raise ArityMismatchError(
                 f"points have dimension {points.shape[-1]}, "
                 f"field expects {self.dimension}"
             )
-        with np.errstate(all="ignore"):
-            values = self._evaluator(points)
-        return values
+        return self._evaluator(points)
 
     def __repr__(self):
         return f"VectorField(n={self.dimension}, {self.description})"
@@ -74,7 +80,8 @@ def eval_field(field: VectorField, point: DomainPoint) -> tuple[complex, ...]:
         raise ArityMismatchError(
             f"point dimension {point.n} != field dimension {field.dimension}"
         )
-    values = field(point.as_array())
+    with np.errstate(all="ignore"):
+        values = field(point.as_array())
     if not np.all(np.isfinite(values)):
         raise FieldEvaluationError(
             f"{field.description} is singular at {point.coords}"
@@ -244,7 +251,8 @@ def berkson_porta(tau: complex, p: VectorField) -> VectorField:
     radii = 0.97 * np.sqrt(rng.uniform(0.0, 1.0, _HERGLOTZ_SAMPLES))
     angles = rng.uniform(0.0, 2.0 * np.pi, _HERGLOTZ_SAMPLES)
     samples = (radii * np.exp(1j * angles))[:, None]
-    sampled = p(samples)[..., 0]
+    with np.errstate(all="ignore"):
+        sampled = p(samples)[..., 0]
     worst = float(np.min(sampled.real))
     if worst < -1e-12:
         warnings.warn(

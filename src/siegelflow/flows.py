@@ -115,7 +115,9 @@ def _eval_checked(eval_fn, y: np.ndarray) -> np.ndarray:
     is not contiguous, and must return an (m, n) result.
     """
     points = y.T
-    k = np.asarray(eval_fn(points), dtype=complex)
+    k = eval_fn(points)
+    if type(k) is not np.ndarray or k.dtype != complex:
+        k = np.asarray(k, dtype=complex)
     if k.shape != points.shape:
         raise FieldEvaluationError(
             f"field returned shape {k.shape}, expected {points.shape}"
@@ -196,26 +198,31 @@ def _advance(
     n, m = y.shape
     buffer = np.empty(7 * n * m, dtype=complex)
     ks = buffer.reshape(7, n, m)
-    ks[0] = _eval_checked(eval_fn, y)
-    if not np.isfinite(ks[0]).all():
-        raise FieldEvaluationError("field is not finite at the initial point")
-    if record:
-        seg.record(t0, y, ks[0])
-    floor = 1e-15 * max(1.0, abs(t0), abs(t1))
-    if t0 >= t1 - floor:
-        seg.y = y.T.copy()
-        return seg
-
-    out = np.empty((m, n), dtype=complex)
-    rows = np.arange(m)
-    d0 = np.maximum(np.abs(y).max(axis=0), 1e-6)
-    d1 = np.maximum(np.abs(ks[0]).max(axis=0), 1e-16)
-    h = np.minimum(t1 - t0, 0.01 * d0 / d1)
-    t = np.full(m, float(t0))
-    r_prev = np.ones(m)
-    consecutive = np.zeros(m, dtype=int)
-
+    # One floating-point state for the whole integration: field calls do not
+    # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
+        ks[0] = _eval_checked(eval_fn, y)
+        if not np.isfinite(ks[0]).all():
+            raise FieldEvaluationError("field is not finite at the initial point")
+        if record:
+            seg.record(t0, y, ks[0])
+        floor = 1e-15 * max(1.0, abs(t0), abs(t1))
+        t_done = t1 - floor
+        if t0 >= t_done:
+            seg.y = y.T.copy()
+            return seg
+
+        d0 = np.maximum(np.abs(y).max(axis=0), 1e-6)
+        d1 = np.maximum(np.abs(ks[0]).max(axis=0), 1e-16)
+        h = np.minimum(t1 - t0, 0.01 * d0 / d1)
+        t = np.empty(m)
+        t.fill(t0)
+        r_prev = np.ones(m)
+        consecutive = np.zeros(m, dtype=int)
+        # Finished rows go to ``out`` at their original index; both arrays
+        # exist only once rows finish at different iterations.
+        live, rows, out = m, None, None
+
         while True:
             if (h < floor).any():
                 k = int(np.argmax(h < floor))
@@ -242,7 +249,7 @@ def _advance(
                 t, y, h, r_prev = t_new, y_new, h_grow, r
                 ks[0] = ks[6]
                 consecutive[:] = 0
-                seg.accepted += rows.size
+                seg.accepted += live
                 seg.max_error = max(seg.max_error, float(err.max()))
                 if record:
                     seg.record(float(t[0]), y, ks[0])
@@ -256,7 +263,7 @@ def _advance(
                 consecutive = np.where(accept, 0, consecutive + 1)
                 n_accepted = int(np.count_nonzero(accept))
                 seg.accepted += n_accepted
-                seg.rejected += rows.size - n_accepted
+                seg.rejected += live - n_accepted
                 seg.max_error = max(seg.max_error, float(err[accept].max(initial=0.0)))
                 if (consecutive >= _MAX_CONSECUTIVE_REJECTS).any():
                     k = int(np.argmax(consecutive))
@@ -267,24 +274,30 @@ def _advance(
                         f"{consecutive[k]} consecutive rejections"
                     )
 
-            done = t >= t1 - floor
+            done = t >= t_done
             if done.all():
-                out[rows] = y.T
-                break
+                if out is None:
+                    seg.y = y.T.copy()
+                else:
+                    out[rows] = y.T
+                    seg.y = out
+                return seg
             if done.any():
+                if out is None:
+                    out = np.empty((m, n), dtype=complex)
+                    rows = np.arange(m)
                 out[rows[done]] = y[:, done].T
                 keep = ~done
                 rows, t, h, r_prev, consecutive = (
                     a[keep] for a in (rows, t, h, r_prev, consecutive)
                 )
+                live = rows.size
                 y = y[:, keep]
                 # Only ks[0] carries over; shrink the stage buffer in place,
-                # keeping it contiguous over the first 7 * n * rows numbers.
+                # keeping it contiguous over the first 7 * n * live numbers.
                 ks0 = ks[0][:, keep]
-                ks = buffer[:7 * n * rows.size].reshape(7, n, rows.size)
+                ks = buffer[:7 * n * live].reshape(7, n, live)
                 ks[0] = ks0
-    seg.y = out
-    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +490,11 @@ def integrate_fixed_steps(
         raise ValueError(f"steps must be positive, got {steps}")
     y = z0.as_array()[:, None]
     ks = np.empty((7,) + y.shape, dtype=complex)
-    ks[0] = _eval_checked(field, y)
-    for _ in range(steps):
-        y = _stages(field, y, ks, t_final / steps)
-        ks[0] = ks[6]
+    with np.errstate(all="ignore"):
+        ks[0] = _eval_checked(field, y)
+        for _ in range(steps):
+            y = _stages(field, y, ks, t_final / steps)
+            ks[0] = ks[6]
     return y[:, 0]
 
 
@@ -672,7 +686,8 @@ def horosphere_image_check(
     points = horosphere_samples(dimension) if samples is None else np.asarray(
         samples, dtype=complex
     )
-    images = np.asarray(self_map(points), dtype=complex)
+    with np.errstate(all="ignore"):
+        images = np.asarray(self_map(points), dtype=complex)
     values = np.abs(poisson_values(Domain.SIEGEL, images))
     index = int(np.argmax(values))
     worst = float(values[index])
@@ -741,20 +756,21 @@ def iterate_map(
     us = [abs(float(poisson_values(domain, current)[0]))]
     tag = None
     performed = 0
-    for _ in range(count):
-        image = np.asarray(self_map(current), dtype=complex)
-        if not np.all(np.isfinite(image)):
-            raise FieldEvaluationError("self-map produced non-finite iterate")
-        performed += 1
-        step = float(np.max(np.abs(image - current)))
-        current = image
-        us.append(abs(float(poisson_values(domain, current)[0])))
-        if us[-1] > divergence_threshold:
-            tag = "diverges_to_infinity"
-            break
-        if step < step_tol:
-            tag = "converged_interior"
-            break
+    with np.errstate(all="ignore"):
+        for _ in range(count):
+            image = np.asarray(self_map(current), dtype=complex)
+            if not np.all(np.isfinite(image)):
+                raise FieldEvaluationError("self-map produced non-finite iterate")
+            performed += 1
+            step = float(np.max(np.abs(image - current)))
+            current = image
+            us.append(abs(float(poisson_values(domain, current)[0])))
+            if us[-1] > divergence_threshold:
+                tag = "diverges_to_infinity"
+                break
+            if step < step_tol:
+                tag = "converged_interior"
+                break
     us = np.asarray(us)
     if tag is None:
         nondecreasing = bool(np.all(np.diff(us) >= -1e-12 * np.max(us)))

@@ -187,7 +187,8 @@ def slice_value(field: VectorField, param: GeodesicParam, zeta: complex) -> comp
     zeta = complex(zeta)
     if zeta.imag <= 0:
         raise DomainViolation(f"slice parameter needs Im(zeta) > 0, got {zeta}")
-    return complex(slice_field(field, param)(np.array([[zeta]]))[0, 0])
+    with np.errstate(all="ignore"):
+        return complex(slice_field(field, param)(np.array([[zeta]]))[0, 0])
 
 
 def split_tangent(point: DomainPoint, value) -> SliceDecomposition:
@@ -210,7 +211,8 @@ def split_tangent(point: DomainPoint, value) -> SliceDecomposition:
 
 def decompose(field: VectorField, point: DomainPoint) -> SliceDecomposition:
     """Split the field value H(point) along the geodesic through the point."""
-    values = field(point.as_array())
+    with np.errstate(all="ignore"):
+        values = field(point.as_array())
     return split_tangent(point, values)
 
 

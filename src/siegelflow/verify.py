@@ -604,9 +604,11 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suite_index = SUITE_NAMES.index(name)
     groups = []
-    for group_index, (group_name, fn) in enumerate(_SUITE_TABLES[name]):
-        rng = np.random.default_rng([seed, suite_index, group_index])
-        groups.append(_run_group(group_name, fn, rng))
+    # One floating-point state for the suite: groups call fields directly.
+    with np.errstate(all="ignore"):
+        for group_index, (group_name, fn) in enumerate(_SUITE_TABLES[name]):
+            rng = np.random.default_rng([seed, suite_index, group_index])
+            groups.append(_run_group(group_name, fn, rng))
     return SuiteReport(name, tuple(groups))
 
 

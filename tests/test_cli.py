@@ -1,5 +1,6 @@
 """Command-line contract: flag parsing, JSON output, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -283,6 +284,26 @@ def test_flow_driver_checks_the_field_at_z0_at_time_zero(capsys, tmp_path):
         assert "not finite at the initial point" in err
 
 
+@pytest.mark.parametrize("spec, names_piece, says", [
+    ({"t0": 0}, False, "JSON list of pieces"),
+    ([[0, 1, "-1/z"]], True, "must be an object"),
+    ([{"t0": 0, "t1": 1, "field": "-1/z"}, {"t0": 1, "t1": 2}], True, "lacks field"),
+    ([{"t0": "0", "t1": 1, "field": "-1/z"}], True, "numeric t0 and t1"),
+    ([{"t0": 0, "t1": True, "field": "-1/z"}], True, "numeric t0 and t1"),
+    ([{"t0": 0, "t1": 1, "field": 3}], True, "string field"),
+])
+def test_flow_driver_bad_shape_exits_2(capsys, tmp_path, spec, names_piece, says):
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "flow", "--driver", str(pieces),
+                             "--z0", "i", "--t", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(pieces) in err and says in err
+    index = len(spec) - 1 if isinstance(spec, list) else None
+    assert (f"piece {index} in" in err) == names_piece
+
+
 def test_flow_underflow_exits_3(capsys):
     code, _, err = run_cli(capsys, "flow", "--field", "-i", "--z0", "i",
                            "--t", "2")
@@ -314,6 +335,53 @@ def test_iterate_nonfinite_flow_time_exits_2(capsys, spec):
                            "--z0", "(i,0.5)", "--n", "5")
     assert code == 2
     assert out == ""
+
+
+# SHA-256 of stdout (and of the CSV) of one-point commands, taken from the
+# kernel before the integration-wide floating-point state: bookkeeping
+# changes in the integrator or the CLI must not move a byte.  The parsed
+# flow map equals the built-in one bit for bit, so both pin one digest.
+_Z0 = "(0.1+1.2i, 0.3+0.2i)"
+_ITERATE_DIGEST = "c3d076c39b4ce24b75a2b95e49349eaa630b160ccde93ec1e2d4e11c462b6b40"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["iterate", "--map", "flow0.9:builtin:example2", "--z0", _Z0, "--n", "300"],
+     _ITERATE_DIGEST),
+    (["iterate", "--map", "flow0.9:-1/z1; z2/(2*z1^2)", "--z0", _Z0, "--n", "300"],
+     _ITERATE_DIGEST),
+    (["flow", "--field", "0; -i*z2/z1", "--z0", _Z0, "--t", "1.3", "--out", "traj.csv"],
+     "8f305c5e452ae6bfc0f06256e48fe32d3d6bab430abde5f3605bcbacc445d804"),
+    (["flow", "--driver", "driver.json", "--z0", "0.2+0.9i", "--t", "1.6"],
+     "cda6b88378d71d3ed84ef7a25abca80d4bfff94427118333107117339b949cc9"),
+])
+def test_one_point_commands_are_pinned_bit_for_bit(capsys, tmp_path, monkeypatch,
+                                                   argv, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "driver.json").write_text(json.dumps([
+        {"t0": 0, "t1": 0.7, "field": "-1/z"},
+        {"t0": 0.7, "t1": 1.6, "field": "-2/z"},
+    ]))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "--out" in argv:
+        csv = (tmp_path / "traj.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "22e32f2dc231f39736da4177b893d7e163523a081bba467df9b416494d363e2c")
+
+
+def test_repeated_main_calls_start_from_fresh_arguments(capsys, tmp_path):
+    flow = ["flow", "--field", "builtin:example2", "--z0", "(i, 0.5)", "--t", "1"]
+    code, out, _ = run_cli(capsys, *flow, "--out", str(tmp_path / "traj.csv"))
+    assert code == 0 and "csv" in json.loads(out)
+    code, again, _ = run_cli(capsys, *flow)
+    assert code == 0 and "csv" not in json.loads(again)
+    assert json.loads(again)["endpoint"] == json.loads(out)["endpoint"]
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and "usage:" in out
+    code, out, _ = run_cli(capsys, *flow)
+    assert code == 0 and out == again
 
 
 def test_json_output_is_strict(capsys):

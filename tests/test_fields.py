@@ -1,5 +1,7 @@
 """Vector fields: builtins, parsed fields, measures, and pushforwards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,19 @@ def test_parsed_field_matches_builtin(rng):
 
 def test_eval_field_rejects_singularities():
     field = parse_field("1/(z - i)", 1)
-    with pytest.raises(FieldEvaluationError):
-        eval_field(field, half_plane_point(1j))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(FieldEvaluationError):
+            eval_field(field, half_plane_point(1j))
+
+
+def test_a_direct_field_call_follows_the_callers_error_state():
+    field = parse_field("1/(z - i)", 1)
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            field(np.array([[1j]]))
+    with np.errstate(all="ignore"):
+        assert np.isinf(field(np.array([[1j]]))[0, 0])
 
 
 def test_zero_field():

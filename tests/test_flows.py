@@ -176,6 +176,27 @@ def test_single_piece_makes_as_many_field_calls_as_autonomous():
     assert len(calls) == autonomous
 
 
+def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
+    # One evaluation at z0, then six stages per attempted step, each through
+    # VectorField.__call__ (where the bench tracer counts field calls).
+    field = parse_field("-1/z^3", 1)
+    z0 = half_plane_point(0.5 + 0.2j)
+    trajectory = integrate_autonomous(field, z0, 3.0)
+    assert trajectory.steps_rejected >= 1
+    calls = []
+    call = VectorField.__call__
+
+    def counted(self, points):
+        calls.append(1)
+        return call(self, points)
+
+    monkeypatch.setattr(VectorField, "__call__", counted)
+    image = flow_map(field, 3.0)(z0.as_array()[None, :])
+    assert np.array_equal(image[0], trajectory.final_state)
+    steps = trajectory.steps_accepted + trajectory.steps_rejected
+    assert len(calls) == 1 + 6 * steps
+
+
 def test_coverage_gap_rejected():
     with pytest.raises(CoverageGap):
         HerglotzField((
