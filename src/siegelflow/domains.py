@@ -66,6 +66,17 @@ def interior_margin(domain: Domain, coords: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown domain {domain!r}")
 
 
+# interior_margin's operations for component-major coordinates c, shape
+# (n, m), as the flow kernel holds its batches: the same numbers in the same
+# memory give the same bits, without the per-call conversion and dispatch.
+COMPONENT_MARGIN = {
+    Domain.DISC: lambda c: 1.0 - np.abs(c[0]),
+    Domain.HALF_PLANE: lambda c: c[0].imag,
+    Domain.BALL: lambda c: 1.0 - np.sqrt(np.sum(np.abs(c) ** 2, axis=0)),
+    Domain.SIEGEL: lambda c: c[0].imag - (np.abs(c[1:]) ** 2).sum(axis=0),
+}
+
+
 @dataclass(frozen=True)
 class DomainPoint:
     """An interior point of one of the four model domains."""

@@ -12,12 +12,12 @@ every point keeps its own time, step size and controller state, and stages
 are evaluated only on the points still in flight.  A point's result is
 therefore bit-identical whether it is integrated alone or in any batch.
 
-The kernel stores a batch of m points in n dimensions component-major: the
-state as an (n, m) array and the seven stages as one (7, n, m) buffer, both
-contiguous, so the per-point reductions (finiteness, error norm, starting
-step) run along a leading axis.  A field still receives its points as an
-(m, n) array, but that array is the transposed view of the (n, m) state and
-is not contiguous; it must return an (m, n) result.
+The kernel stores a batch of m points in n dimensions component-major,
+contiguous: the state as an (n, m) array and the stages as one (7, n, m)
+buffer in the order k1, k0, k2, ..., k6, where every tableau row's nonzero
+weights fill one slice.  Per-point reductions run along a leading axis.
+A field receives its points as an (m, n) array, the transposed view of the
+(n, m) state, which is not contiguous; it must return an (m, n) result.
 
 Trajectories must stay inside their domain: a step whose endpoint leaves the
 interior (margin <= 1e-12) is rejected and retried at half the step size, and
@@ -38,13 +38,13 @@ import numpy as np
 
 from .analysis import CAPACITY_DEFAULTS, CapacityEstimate, estimate_capacity_1d
 from .domains import (
+    COMPONENT_MARGIN,
     INTERIOR_MARGIN,
     Domain,
     DomainPoint,
     TangentVector,
     format_complex,
     hyperbolic_norm,
-    interior_margin,
     poisson,
     poisson_values,
 )
@@ -108,34 +108,29 @@ def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _eval_checked(eval_fn, y: np.ndarray) -> np.ndarray:
-    """The field at the component-major rows y (n, m), also (n, m).
-
-    The evaluator sees the (m, n) points as the transposed view y.T, which
-    is not contiguous, and must return an (m, n) result.
-    """
-    points = y.T
-    k = eval_fn(points)
-    if type(k) is not np.ndarray or k.dtype != complex:
-        k = np.asarray(k, dtype=complex)
-    if k.shape != points.shape:
-        raise FieldEvaluationError(
-            f"field returned shape {k.shape}, expected {points.shape}"
-        )
-    return k.T
+def _field_result(k, shape: tuple) -> np.ndarray:
+    """A field's value as a complex array of the expected (m, n) shape."""
+    k = np.asarray(k, dtype=complex)
+    if k.shape != shape:
+        raise FieldEvaluationError(f"field returned shape {k.shape}, expected {shape}")
+    return k
 
 
-def _weights(row) -> tuple:
-    """A tableau row's nonzero weights: (j, w) pairs, stage selector, column."""
-    pairs = tuple((j, a) for j, a in enumerate(row) if a != 0.0)
-    stages = [j for j, _ in pairs]
-    contiguous = stages == list(range(len(stages)))
-    select = slice(0, len(stages)) if contiguous else np.array(stages)
-    return pairs, select, np.array([a for _, a in pairs])[:, None, None]
+_SLOT = (1, 0, 2, 3, 4, 5, 6)  # the slot of stage k_j (module docstring)
 
 
-_STAGE_WEIGHTS = tuple(_weights(row) for row in _A[1:])
-_ERROR_WEIGHTS = _weights(_E)
+def _row(weights) -> tuple:
+    """A row's slot slice lo:hi, (slot, w) pairs and weight column (or None)."""
+    pairs = tuple(sorted((_SLOT[j], w) for j, w in enumerate(weights) if w != 0.0))
+    lo, hi = pairs[0][0], pairs[-1][0] + 1
+    assert hi - lo == len(pairs), "a row's weights must fill one slot slice"
+    column = np.array([w for _, w in pairs])[:, None, None] if len(pairs) > 1 else None
+    return lo, hi, pairs, column
+
+
+_STAGE_PLAN = tuple((_SLOT[i], *_row(row)) for i, row in enumerate(_A[1:], 1))
+_ERROR_ROW = _row(_E)
+_COMPLEX = np.dtype(complex)  # a singleton, so `is` tells it apart
 
 # Stages of at most this many numbers (n * m) sum faster in one running-sum
 # call than in a loop of in-place additions.  On (7, n, m) stage buffers
@@ -144,15 +139,17 @@ _ERROR_WEIGHTS = _weights(_E)
 _RUNNING_SUM_SIZE = 64
 
 
-def _combine(ks: np.ndarray, weights) -> np.ndarray:
-    """sum_j w_j ks[j], summed elementwise and left to right over the stages.
+def _combine(ks: np.ndarray, lo: int, hi: int, pairs, column, small: bool) -> np.ndarray:
+    """sum_j w_j ks[j] over slots lo:hi, summed elementwise left to right.
 
     The fixed order of the additions makes each row's result independent of
-    the other rows; a BLAS contraction would not guarantee that.
+    the other rows; a BLAS contraction would not guarantee that.  Slot order
+    swaps k0 and k1 in a row's first addition, which is exact either way.
     """
-    pairs, select, column = weights
-    if ks.shape[1] * ks.shape[2] <= _RUNNING_SUM_SIZE:
-        return np.add.accumulate(ks[select] * column, axis=0)[-1]
+    if column is None:
+        return ks[lo] * pairs[0][1]
+    if small:
+        return np.add.accumulate(ks[lo:hi] * column, axis=0)[-1]
     (j, w), *rest = pairs
     acc = ks[j] * w
     for j, w in rest:
@@ -164,14 +161,18 @@ def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> np.ndarray:
     """Fill stages 1-6 of one Dormand-Prince step from rows y; return y_new.
 
     Everything is component-major: ``y`` is (n, m) and ``ks`` (7, n, m)
-    holds the field at y in ks[0]; ``h`` is a scalar or one step per row,
-    (m,).  ks[6] is the field at y_new (FSAL).
+    holds the field at y in slot 1; ``h`` is a scalar or one step per row,
+    (m,).  Slot 6 is the field at y_new (FSAL).
     """
-    for i, weights in enumerate(_STAGE_WEIGHTS, 1):
-        y_i = _combine(ks, weights)
+    shape, small = y.shape[::-1], y.size <= _RUNNING_SUM_SIZE
+    for slot, lo, hi, pairs, column in _STAGE_PLAN:
+        y_i = _combine(ks, lo, hi, pairs, column, small)
         y_i *= h
         y_i += y
-        ks[i] = _eval_checked(eval_fn, y_i)
+        k = eval_fn(y_i.T)
+        if type(k) is not np.ndarray or k.dtype is not _COMPLEX or k.shape != shape:
+            k = _field_result(k, shape)
+        ks[slot] = k.T
     return y_i
 
 
@@ -198,14 +199,15 @@ def _advance(
     n, m = y.shape
     buffer = np.empty(7 * n * m, dtype=complex)
     ks = buffer.reshape(7, n, m)
+    margin = COMPONENT_MARGIN[domain]
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
-        ks[0] = _eval_checked(eval_fn, y)
-        if not np.isfinite(ks[0]).all():
+        ks[1] = _field_result(eval_fn(y.T), (m, n)).T
+        if not np.isfinite(ks[1]).all():
             raise FieldEvaluationError("field is not finite at the initial point")
         if record:
-            seg.record(t0, y, ks[0])
+            seg.record(t0, y, ks[1])
         floor = 1e-15 * max(1.0, abs(t0), abs(t1))
         t_done = t1 - floor
         if t0 >= t_done:
@@ -213,7 +215,7 @@ def _advance(
             return seg
 
         d0 = np.maximum(np.abs(y).max(axis=0), 1e-6)
-        d1 = np.maximum(np.abs(ks[0]).max(axis=0), 1e-16)
+        d1 = np.maximum(np.abs(ks[1]).max(axis=0), 1e-16)
         h = np.minimum(t1 - t0, 0.01 * d0 / d1)
         t = np.empty(m)
         t.fill(t0)
@@ -222,9 +224,10 @@ def _advance(
         # Finished rows go to ``out`` at their original index; both arrays
         # exist only once rows finish at different iterations.
         live, rows, out = m, None, None
+        retried = False  # some row's rejection count may be nonzero
 
         while True:
-            if (h < floor).any():
+            if h.min() < floor:
                 k = int(np.argmax(h < floor))
                 raise StepSizeUnderflow(
                     f"step size underflow at t = {t[k]} (h = {h[k]:.3e})"
@@ -234,34 +237,38 @@ def _advance(
             h_step = np.where(last, remaining, h)
             y_new = _stages(eval_fn, y, ks, h_step)
 
-            # ks[0] is finite: checked above, or carried from an accepted step.
-            inside = (np.isfinite(ks[1:]).all(axis=(0, 1))
+            # Slot 1 is finite: checked above, or carried from an accepted step.
+            inside = (np.isfinite(ks).all(axis=(0, 1))
                       & np.isfinite(y_new).all(axis=0)
-                      & (interior_margin(domain, y_new.T) > INTERIOR_MARGIN))
-            err = np.abs(_combine(ks, _ERROR_WEIGHTS)).max(axis=0)
+                      & (margin(y_new) > INTERIOR_MARGIN))
+            small = n * live <= _RUNNING_SUM_SIZE
+            err = np.abs(_combine(ks, *_ERROR_ROW, small)).max(axis=0)
             accept = inside & (err <= tol)
+            n_accepted = int(np.count_nonzero(accept))
 
             r = np.maximum(err / tol, 1e-10)
             fac = np.maximum(_STEP_SHRINK_CAP, 0.9 * r**-0.175 * r_prev**0.1)
             h_grow = h_step * np.minimum(_STEP_GROW_CAP, fac)
             t_new = np.where(last, t1, t + h_step)
-            if accept.all():
+            if n_accepted == live:
                 t, y, h, r_prev = t_new, y_new, h_grow, r
-                ks[0] = ks[6]
-                consecutive[:] = 0
+                ks[1] = ks[6]
+                if retried:
+                    consecutive[:] = 0
+                    retried = False
                 seg.accepted += live
                 seg.max_error = max(seg.max_error, float(err.max()))
                 if record:
-                    seg.record(float(t[0]), y, ks[0])
+                    seg.record(float(t[0]), y, ks[1])
             else:
                 h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
                 h = np.where(accept, h_grow, np.where(inside, h_shrink, 0.5 * h_step))
                 t = np.where(accept, t_new, t)
                 y = np.where(accept, y_new, y)
-                ks[0] = np.where(accept, ks[6], ks[0])
+                ks[1] = np.where(accept, ks[6], ks[1])
                 r_prev = np.where(accept, r, r_prev)
                 consecutive = np.where(accept, 0, consecutive + 1)
-                n_accepted = int(np.count_nonzero(accept))
+                retried = True
                 seg.accepted += n_accepted
                 seg.rejected += live - n_accepted
                 seg.max_error = max(seg.max_error, float(err[accept].max(initial=0.0)))
@@ -275,14 +282,15 @@ def _advance(
                     )
 
             done = t >= t_done
-            if done.all():
+            n_done = int(np.count_nonzero(done))
+            if n_done == live:
                 if out is None:
                     seg.y = y.T.copy()
                 else:
                     out[rows] = y.T
                     seg.y = out
                 return seg
-            if done.any():
+            if n_done:
                 if out is None:
                     out = np.empty((m, n), dtype=complex)
                     rows = np.arange(m)
@@ -293,11 +301,11 @@ def _advance(
                 )
                 live = rows.size
                 y = y[:, keep]
-                # Only ks[0] carries over; shrink the stage buffer in place,
+                # Only slot 1 carries over; shrink the stage buffer in place,
                 # keeping it contiguous over the first 7 * n * live numbers.
-                ks0 = ks[0][:, keep]
+                ks1 = ks[1][:, keep]
                 ks = buffer[:7 * n * live].reshape(7, n, live)
-                ks[0] = ks0
+                ks[1] = ks1
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +345,8 @@ class Trajectory:
         lo, hi = self.times[0], self.times[-1]
         if np.any(ts < lo) or np.any(ts > hi):
             raise ValueError(f"sample times must lie in [{lo}, {hi}]")
+        if len(self.times) == 1:
+            return np.tile(self.states[0], ts.shape + (1,))
         idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0,
                       len(self.times) - 2)
         t0 = self.times[idx]
@@ -491,10 +501,10 @@ def integrate_fixed_steps(
     y = z0.as_array()[:, None]
     ks = np.empty((7,) + y.shape, dtype=complex)
     with np.errstate(all="ignore"):
-        ks[0] = _eval_checked(field, y)
+        ks[1] = _field_result(field(y.T), y.shape[::-1]).T
         for _ in range(steps):
             y = _stages(field, y, ks, t_final / steps)
-            ks[0] = ks[6]
+            ks[1] = ks[6]
     return y[:, 0]
 
 
@@ -517,7 +527,9 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     def apply(points):
         points = np.asarray(points, dtype=complex)
         flat = points.reshape(-1, points.shape[-1])
-        if interior_margin(domain, flat).min() <= INTERIOR_MARGIN:
+        if not flat.size:
+            return np.empty_like(points)
+        if COMPONENT_MARGIN[domain](flat.T).min() <= INTERIOR_MARGIN:
             raise DomainViolation("flow map applied to a non-interior point")
         return _advance(field, domain, flat, 0.0, t, tol).y.reshape(points.shape)
 

@@ -371,6 +371,15 @@ def test_one_point_commands_are_pinned_bit_for_bit(capsys, tmp_path, monkeypatch
             "22e32f2dc231f39736da4177b893d7e163523a081bba467df9b416494d363e2c")
 
 
+def test_flows_suite_output_is_pinned_bit_for_bit(capsys):
+    # SHA-256 of the stdout of `verify --suite flows --seed 7`, taken from the
+    # stage kernel with k0 in slot 0: the slot order moved no addition.
+    code, out, err = run_cli(capsys, "verify", "--suite", "flows", "--seed", "7")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5b5ef973f96a2841c9c2e0789c8ae8129a7dfe3b6785a1182a252e30a5c8ce09")
+
+
 def test_repeated_main_calls_start_from_fresh_arguments(capsys, tmp_path):
     flow = ["flow", "--field", "builtin:example2", "--z0", "(i, 0.5)", "--t", "1"]
     code, out, _ = run_cli(capsys, *flow, "--out", str(tmp_path / "traj.csv"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from siegelflow import sampling
 from siegelflow.domains import (
+    COMPONENT_MARGIN,
     Domain,
     DomainPoint,
     TangentVector,
@@ -25,6 +26,7 @@ from siegelflow.domains import (
     horosphere_radius,
     hyperbolic_norm,
     hyperbolic_norm_sq_array,
+    interior_margin,
     parse_complex,
     point_from_json,
     point_to_json,
@@ -292,3 +294,19 @@ def test_cayley_round_trip_property(x, y, frac):
     z = np.array([[x + 1j * y, z2]])
     back = cayley_siegel_coords(cayley_ball_coords(z))
     np.testing.assert_allclose(back, z, rtol=0, atol=1e-9 * max(1.0, y))
+
+
+@pytest.mark.parametrize("domain", list(Domain))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_margin_matches_interior_margin_bit_for_bit(rng, domain, n):
+    # The flow kernel holds its points component-major, (n, m); interior_margin
+    # sees the same numbers as (m, n) points.  flow_map's domain check passes
+    # COMPONENT_MARGIN a transposed (m, n) batch.
+    for m in (1, 2, 7, 300):
+        y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        y *= 10.0 ** rng.integers(-3, 4, size=(n, m))
+        kernel = COMPONENT_MARGIN[domain](y)
+        assert kernel.shape == (m,)
+        for points in (y.T, np.ascontiguousarray(y.T)):
+            assert kernel.tobytes() == interior_margin(domain, points).tobytes()
+            assert kernel.tobytes() == COMPONENT_MARGIN[domain](points.T).tobytes()

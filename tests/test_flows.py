@@ -83,6 +83,17 @@ def test_dense_output_matches_closed_form():
     assert np.max(np.abs(samples - exact)) < 1e-7
 
 
+def test_sampling_a_one_node_trajectory_returns_the_start_state():
+    z0 = siegel_point(2j, 0.5)
+    traj = integrate_autonomous(builtin("example2"), z0, 0.0)
+    assert len(traj.times) == 1
+    assert np.array_equal(traj.sample([0.0]), [z0.as_array()])
+    assert np.array_equal(traj.sample(0.0), z0.as_array())
+    assert traj.sample(np.zeros((2, 3))).shape == (2, 3, 2)
+    with pytest.raises(ValueError, match="sample times"):
+        traj.sample([0.1])
+
+
 def test_tolerance_controls_error():
     coarse = integrate_autonomous(
         builtin("reciprocal"), half_plane_point(1j), 1.0, tol=1e-6
@@ -293,12 +304,50 @@ def test_a_non_finite_stage_rejects_only_that_rows_step(stage):
             assert np.array_equal(seg.y[k], alone(points[k:k + 1])[0])
 
 
-@pytest.mark.parametrize("wrong", [lambda pts: pts.T, lambda pts: pts[:, :1]])
+@pytest.mark.parametrize("wrong", [
+    lambda pts: pts.T,
+    lambda pts: pts[:, :1],
+    lambda pts: pts.T.tolist(),
+    lambda pts: np.ones((len(pts), 3)),
+])
 def test_a_wrong_shaped_field_result_names_the_expected_shape(wrong):
     field = VectorField(2, wrong, "wrong shape")
     points = siegel_grid_small(2)[:5]
     with pytest.raises(FieldEvaluationError, match=r"expected \(5, 2\)"):
         flow_map(field, 0.5)(points)
+
+
+@pytest.mark.parametrize("name, convert", [
+    ("example2", lambda values: values.tolist()),
+    ("reciprocal", lambda values: values.tolist()),
+    ("real", lambda values: values.real.copy()),
+    ("real", lambda values: values.real.tolist()),
+])
+def test_a_float_or_list_field_result_integrates_like_its_complex_twin(name, convert):
+    # A horizontal drift with a height-dependent speed has real values, which
+    # its converted field returns as a float64 array or a list of floats.
+    twin = (VectorField(1, lambda pts: np.cos(pts.imag) + 0j, "real drift")
+            if name == "real" else builtin(name))
+    field = VectorField(twin.dimension, lambda pts: convert(twin(pts)), "converted")
+    points = (siegel_grid_small(2) if twin.dimension == 2 else halfplane_grid())[::41]
+    expected = flow_map(twin, 0.7)(points)
+    assert np.array_equal(flow_map(field, 0.7)(points), expected)
+    assert np.array_equal(flow_map(field, 0.7)(points[:1]), expected[:1])
+
+
+def test_flow_map_of_an_empty_batch_calls_no_field():
+    calls = []
+
+    def evaluator(pts):
+        calls.append(len(pts))
+        return builtin("example2")(pts)
+
+    step = flow_map(VectorField(2, evaluator, "counted example2"), 1.0)
+    empty = np.empty((0, 2), dtype=complex)
+    assert step(empty).shape == (0, 2)
+    assert step(np.empty((3, 0, 2))).shape == (3, 0, 2)
+    assert flow_map(builtin("example2"), 1.0)(empty).dtype == complex
+    assert calls == []
 
 
 def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
