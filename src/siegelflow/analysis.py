@@ -29,7 +29,7 @@ from .domains import (
 )
 from .errors import ArityMismatchError, FieldEvaluationError
 from .fields import VectorField
-from .geodesics import GeodesicParam, geodesic_coords, slice_field, slice_parts
+from .geodesics import GeodesicParam, geodesic_coords, slice_parts
 from .grids import SIEGEL_GRID_V1, HALFPLANE_GRID_V1, halfplane_grid, siegel_grid_by_name
 
 # Relative slack applied to every sampled inequality before declaring a
@@ -76,20 +76,6 @@ class MembershipReport:
             "verdict": self.verdict,
             "grid": self.grid_name,
             "notes": list(self.notes),
-        }
-
-
-@dataclass(frozen=True)
-class SliceReport:
-    gamma: tuple[complex, ...]
-    pointwise: MembershipReport
-    capacity: CapacityEstimate
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": [format_complex(g) for g in self.gamma],
-            "pointwise": self.pointwise.to_json(),
-            "capacity": self.capacity.to_json(),
         }
 
 
@@ -294,21 +280,6 @@ def membership_ball(
     return _membership(
         field, c, cayley_ball_coords(points), Domain.BALL, f"cayley[{grid_name}]"
     )
-
-
-def slice_membership(
-    field: VectorField,
-    gammas,
-    c: float,
-    y_max: float = CAPACITY_DEFAULTS["y_max"],
-) -> list[SliceReport]:
-    """Pointwise check and capacity estimate for each sliced direction."""
-    params = [GeodesicParam(tuple(np.atleast_1d(g))) for g in gammas]
-    estimates = slice_capacities(field, [p.gamma for p in params], y_max=y_max)
-    return [
-        SliceReport(p.gamma, check_pointwise_1d(slice_field(field, p), c), estimate)
-        for p, estimate in zip(params, estimates)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     if args.what == "poisson":
         _print_json(_f15(poisson(point)))
     elif args.what == "metric":
-        g = bergman_matrix(point).g
+        g = bergman_matrix(point)
         _print_json([[format_complex(entry) for entry in row] for row in g])
     else:
         values = fields.eval_field(resolve_field(args.field, point.n), point)

@@ -147,16 +147,8 @@ class TangentVector:
         return np.array(self.v, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class MetricMatrix:
-    """Hermitian positive-definite metric matrix at a base point."""
-
-    g: np.ndarray
-    base: DomainPoint
-
-
 # ---------------------------------------------------------------------------
-# Poisson kernel and horospheres
+# Poisson kernel
 # ---------------------------------------------------------------------------
 
 def poisson_values(domain: Domain, coords: np.ndarray) -> np.ndarray:
@@ -176,11 +168,6 @@ def poisson_values(domain: Domain, coords: np.ndarray) -> np.ndarray:
 def poisson(point: DomainPoint) -> float:
     """Poisson kernel at a point; strictly negative on the interior."""
     return float(poisson_values(point.domain, point.as_array()))
-
-
-def horosphere_radius(point: DomainPoint) -> float:
-    """Radius parameter R = 1/|u| of the horosphere through the point."""
-    return 1.0 / abs(poisson(point))
 
 
 # ---------------------------------------------------------------------------
@@ -205,50 +192,6 @@ def cayley_siegel_coords(w: np.ndarray) -> np.ndarray:
     out[..., 0] = 1j * (1.0 + w[..., 0]) / den
     out[..., 1:] = 1j * w[..., 1:] / den[..., None]
     return out
-
-
-def _ball_domain_for(domain: Domain) -> Domain:
-    return Domain.DISC if domain == Domain.HALF_PLANE else Domain.BALL
-
-
-def _siegel_domain_for(domain: Domain) -> Domain:
-    return Domain.HALF_PLANE if domain == Domain.DISC else Domain.SIEGEL
-
-
-def cayley_to_ball(point: DomainPoint) -> DomainPoint:
-    """Map a Siegel (or half-plane) point to the ball (or disc)."""
-    if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
-        raise DomainViolation("cayley_to_ball expects a half-space point")
-    out = cayley_ball_coords(point.as_array())
-    return DomainPoint(_ball_domain_for(point.domain), tuple(out))
-
-
-def cayley_to_siegel(point: DomainPoint) -> DomainPoint:
-    """Map a ball (or disc) point to the Siegel half-space (or half-plane)."""
-    if point.domain not in (Domain.BALL, Domain.DISC):
-        raise DomainViolation("cayley_to_siegel expects a ball point")
-    out = cayley_siegel_coords(point.as_array())
-    return DomainPoint(_siegel_domain_for(point.domain), tuple(out))
-
-
-def cayley_jacobian(point: DomainPoint) -> np.ndarray:
-    """Complex Jacobian matrix dC at a half-space point, shape (n, n).
-
-    Column k is ``push_tangent_to_ball`` applied to the unit vector e_k.
-    """
-    if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
-        raise DomainViolation("cayley_jacobian expects a half-space point")
-    return push_tangent_to_ball(point.as_array(), np.eye(point.n)).T
-
-
-def cayley_inverse_jacobian(point: DomainPoint) -> np.ndarray:
-    """Complex Jacobian of C^{-1} at a ball point, shape (n, n).
-
-    Column k is ``pull_tangent_to_siegel`` applied to the unit vector e_k.
-    """
-    if point.domain not in (Domain.BALL, Domain.DISC):
-        raise DomainViolation("cayley_inverse_jacobian expects a ball point")
-    return pull_tangent_to_siegel(point.as_array(), np.eye(point.n)).T
 
 
 def push_tangent_to_ball(z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -316,11 +259,11 @@ def bergman_matrix_array(coords: np.ndarray) -> np.ndarray:
     return g
 
 
-def bergman_matrix(point: DomainPoint) -> MetricMatrix:
-    """Metric matrix of ``bergman_matrix_array`` at one half-space point."""
+def bergman_matrix(point: DomainPoint) -> np.ndarray:
+    """Metric matrix of ``bergman_matrix_array`` at one half-space point, (n, n)."""
     if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
         raise DomainViolation("bergman_matrix expects a half-space point")
-    return MetricMatrix(g=bergman_matrix_array(point.as_array()), base=point)
+    return bergman_matrix_array(point.as_array())
 
 
 def bergman_norm_sq(coords: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -374,19 +317,16 @@ def hyperbolic_norm_sq_array(
 def hyperbolic_norm(tangent: TangentVector) -> float:
     """Hyperbolic length of a tangent vector.
 
-    Disc and half-plane use the classical closed forms 2|v|/(1-|z|^2) and
-    |v|/Im(z).  Siegel points evaluate ``bergman_norm_sq``, the literal
-    quadratic form of the metric matrix; ball vectors are transported to the
-    half-space through the Cayley map first.
+    Disc and half-plane take the closed forms 2|v|/(1-|z|^2) and |v|/Im(z)
+    from ``hyperbolic_norm_sq_array``.  Siegel points evaluate
+    ``bergman_norm_sq``, the literal quadratic form of the metric matrix;
+    ball vectors are transported to the half-space through the Cayley map
+    first.
     """
     point = tangent.base
-    v = tangent.as_array()
-    if point.domain == Domain.DISC:
-        z = point.coords[0]
-        return 2.0 * abs(v[0]) / (1.0 - abs(z) ** 2)
-    if point.domain == Domain.HALF_PLANE:
-        return abs(v[0]) / point.coords[0].imag
-    z = point.as_array()
+    z, v = point.as_array(), tangent.as_array()
+    if point.domain in _ONE_DIM:
+        return float(np.sqrt(hyperbolic_norm_sq_array(point.domain, z, v)))
     if point.domain == Domain.BALL:
         z, v = cayley_siegel_coords(z), pull_tangent_to_siegel(z, v)
     return float(np.sqrt(bergman_norm_sq(z, v)))
@@ -425,16 +365,3 @@ def parse_complex(text: str) -> complex:
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise ValueError(f"non-finite complex literal {text!r}")
     return value
-
-
-def point_to_json(point: DomainPoint) -> dict:
-    return {
-        "domain": point.domain.value,
-        "coords": [format_complex(c) for c in point.coords],
-    }
-
-
-def point_from_json(data: dict) -> DomainPoint:
-    domain = Domain(data["domain"])
-    coords = tuple(parse_complex(c) for c in data["coords"])
-    return DomainPoint(domain, coords)

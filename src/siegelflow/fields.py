@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions
-from .domains import (
-    DomainPoint,
-    cayley_ball_coords,
-    cayley_siegel_coords,
-    pull_tangent_to_siegel,
-    push_tangent_to_ball,
-)
+from .domains import DomainPoint, cayley_siegel_coords, push_tangent_to_ball
 from .errors import (
     ArityMismatchError,
     FieldEvaluationError,
@@ -169,13 +163,13 @@ def builtin(name: str) -> VectorField:
     return factory()
 
 
-def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTINS))
-
-
 # ---------------------------------------------------------------------------
 # Measures and Cauchy transforms
 # ---------------------------------------------------------------------------
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -201,9 +195,25 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, data) -> "DiscreteMeasure":
+        """Build from a list of {"u": location, "m": mass} objects.
+
+        Any other shape, or a non-numeric (or bool) u or m, raises ValueError
+        naming the offending atom.
+        """
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(tuple((entry["u"], entry["m"]) for entry in data))
+        if not isinstance(data, list):
+            raise ValueError('a measure must be a JSON list of {"u": U, "m": M} atoms')
+        atoms = []
+        for index, entry in enumerate(data):
+            if not (isinstance(entry, dict)
+                    and all(_is_number(entry.get(key)) for key in ("u", "m"))):
+                raise ValueError(
+                    f"measure atom {index} must be an object with numeric u and m, "
+                    f"got {entry!r}"
+                )
+            atoms.append((entry["u"], entry["m"]))
+        return cls(tuple(atoms))
 
 
 def cauchy_transform(measure: DiscreteMeasure) -> VectorField:
@@ -284,14 +294,3 @@ def pushforward_to_ball(field: VectorField) -> VectorField:
         return push_tangent_to_ball(z, values)
 
     return VectorField(field.dimension, evaluator, f"ball[{field.description}]")
-
-
-def pushforward_to_halfspace(field: VectorField) -> VectorField:
-    """Carry a ball field G back: H(z) = dC^{-1}(w) G(w), w = C(z)."""
-
-    def evaluator(points):
-        w = cayley_ball_coords(points)
-        values = field(w)
-        return pull_tangent_to_siegel(w, values)
-
-    return VectorField(field.dimension, evaluator, f"halfspace[{field.description}]")

@@ -529,7 +529,10 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
         flat = points.reshape(-1, points.shape[-1])
         if not flat.size:
             return np.empty_like(points)
-        if COMPONENT_MARGIN[domain](flat.T).min() <= INTERIOR_MARGIN:
+        # DomainPoint's rule for every row: finite coordinates and a margin
+        # above INTERIOR_MARGIN (a NaN margin fails the comparison).
+        if not (np.isfinite(flat).all()
+                and COMPONENT_MARGIN[domain](flat.T).min() > INTERIOR_MARGIN):
             raise DomainViolation("flow map applied to a non-interior point")
         return _advance(field, domain, flat, 0.0, t, tol).y.reshape(points.shape)
 

@@ -33,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import (
-    Domain,
-    DomainPoint,
-    TangentVector,
-    hyperbolic_norm,
-)
+from .domains import Domain, DomainPoint
 from .errors import ArityMismatchError, DomainViolation
 from .fields import VectorField
 
@@ -101,15 +96,6 @@ def slice_parts(values: np.ndarray, directions: np.ndarray):
     return inner, values[..., 0] - 2j * inner
 
 
-def geodesic_point(param: GeodesicParam, zeta: complex) -> DomainPoint:
-    """Point phi_gamma(zeta) on the Siegel half-space."""
-    zeta = complex(zeta)
-    if zeta.imag <= 0:
-        raise DomainViolation(f"geodesic parameter needs Im(zeta) > 0, got {zeta}")
-    coords = geodesic_coords(param.gamma_array(), np.asarray(zeta))
-    return DomainPoint(Domain.SIEGEL, tuple(coords))
-
-
 def geodesic_params(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert phi on arrays: coords (..., n) -> gammas (..., n-1), zetas (...)."""
     coords = np.asarray(coords, dtype=complex)
@@ -147,14 +133,6 @@ def split_tangent_array(coords: np.ndarray, values: np.ndarray):
     orthogonal = values.copy()
     orthogonal[..., 0] = 2j * inner
     return tangential, orthogonal
-
-
-def geodesic_through(point: DomainPoint) -> tuple[GeodesicParam, complex]:
-    """Invert phi: the unique (gamma, zeta) with phi_gamma(zeta) = point."""
-    if point.domain not in (Domain.SIEGEL, Domain.HALF_PLANE):
-        raise DomainViolation("geodesic_through expects a half-space point")
-    gamma, zeta = geodesic_params(point.as_array())
-    return GeodesicParam(tuple(gamma)), complex(zeta)
 
 
 def project(param: GeodesicParam, point: DomainPoint) -> DomainPoint:
@@ -214,17 +192,3 @@ def decompose(field: VectorField, point: DomainPoint) -> SliceDecomposition:
     with np.errstate(all="ignore"):
         values = field(point.as_array())
     return split_tangent(point, values)
-
-
-def tangential_norm(decomposition: SliceDecomposition) -> float:
-    """Hyperbolic length of the tangential part: |slice value| / |u|."""
-    return hyperbolic_norm(
-        TangentVector(decomposition.base, decomposition.tangential)
-    )
-
-
-def orthogonal_norm(decomposition: SliceDecomposition) -> float:
-    """Hyperbolic length of the orthogonal part: 2 ||H~|| / sqrt(|u|)."""
-    return hyperbolic_norm(
-        TangentVector(decomposition.base, decomposition.orthogonal)
-    )

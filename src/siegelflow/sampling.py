@@ -11,13 +11,6 @@ import numpy as np
 from .domains import INTERIOR_MARGIN
 
 
-def disc_coords(rng: np.random.Generator, count: int, radius: float = 0.95) -> np.ndarray:
-    """Uniform points in the disc of the given radius, shape (count, 1)."""
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-    theta = rng.uniform(0.0, 2.0 * np.pi, count)
-    return (r * np.exp(1j * theta))[:, None]
-
-
 def halfplane_coords(
     rng: np.random.Generator,
     count: int,

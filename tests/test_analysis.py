@@ -12,7 +12,6 @@ from siegelflow.analysis import (
     membership_ball,
     membership_siegel,
     slice_capacities,
-    slice_membership,
 )
 from siegelflow.errors import ArityMismatchError
 from siegelflow.fields import (
@@ -114,24 +113,15 @@ def test_ball_membership_agrees_with_siegel():
     assert ball.sup_observed == pytest.approx(siegel.sup_observed, rel=1e-9)
 
 
-def test_slice_membership_reports():
-    reports = slice_membership(
-        builtin("example1"), [(1.0,), (2.0,)], c=8.0, y_max=1e6
-    )
-    values = [r.capacity.value for r in reports]
+def test_slice_capacities_and_pointwise_checks():
+    field = builtin("example1")
+    gammas = [(1.0,), (2.0,)]
+    values = [e.value for e in slice_capacities(field, gammas, y_max=1e6)]
     assert values[0] == pytest.approx(2.0, rel=1e-5)
     assert values[1] == pytest.approx(8.0, rel=1e-5)
-    for r in reports:
-        assert r.pointwise.verdict == "consistent"
-
-
-def test_slice_membership_batch_matches_single_gammas():
-    gammas = [(0.0,), (1.0,), (1 + 1j,)]
-    batch = slice_membership(builtin("example2"), gammas, c=1.0)
-    assert len(batch) == len(gammas)
-    for gamma, report in zip(gammas, batch):
-        (alone,) = slice_membership(builtin("example2"), [gamma], c=1.0)
-        assert report.to_json() == alone.to_json()
+    for gamma in gammas:
+        report = check_pointwise_1d(slice_field(field, GeodesicParam(gamma)), 8.0)
+        assert report.verdict == "consistent"
 
 
 @pytest.mark.parametrize("spec", ["0; -i*z2/z1", "0; -i*z3/z1; z2/z1^2"])

@@ -121,6 +121,17 @@ def test_flow_driver_malformed_bp_spec_names_file_and_piece(capsys, tmp_path):
     assert "'bp:0'" in err and "bp:TAU:P_EXPR" in err
 
 
+@pytest.mark.parametrize("body", [
+    '{"u": 1, "m": 1}', "[1, 2]", "5", '[{"u": null, "m": 1}]', '[{"u": 0, "m": true}]',
+])
+def test_malformed_measure_json_exits_2(capsys, body):
+    code, out, err = run_cli(capsys, "eval", "--what", "field",
+                             "--field", "measure:" + body, "--at", "i")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "measure" in err
+
+
 def test_eval_syntax_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--field", "z +", "--at", "i")
     assert code == 2

@@ -20,6 +20,7 @@ BAD_NUMBERS = ["0", "-0", "-1", "-1e300", "nan", "-nan", "inf", "-inf"]
 BAD_FIELDS = [
     "builtin:nope", "1/z^0", 'measure:[{"u": 0, "m": -1}]', "measure:[", "bp:2:1",
     "bp:nan:1", "bp:0", "", "1/(", "z3", "z^", "nan",
+    'measure:{"u":1,"m":1}', "measure:[1,2]", "measure:5", 'measure:[{"u":null,"m":1}]',
 ]
 BAD_POINTS = ["(i, 5)", "(-i)", "(nan, 1)", "(inf i)", "(", "abc", "", "(i,,0)",
               "(1e308i, 1e308)"]

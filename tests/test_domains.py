@@ -15,21 +15,14 @@ from siegelflow.domains import (
     bergman_matrix_array,
     bergman_norm_sq,
     cayley_ball_coords,
-    cayley_inverse_jacobian,
-    cayley_jacobian,
     cayley_siegel_coords,
-    cayley_to_ball,
-    cayley_to_siegel,
     disc_point,
     format_complex,
     half_plane_point,
-    horosphere_radius,
     hyperbolic_norm,
     hyperbolic_norm_sq_array,
     interior_margin,
     parse_complex,
-    point_from_json,
-    point_to_json,
     poisson,
     pull_tangent_to_siegel,
     push_tangent_to_ball,
@@ -69,15 +62,8 @@ def test_complex_string_round_trip():
     assert parse_complex("3") == 3 + 0j
 
 
-def test_point_json_round_trip():
-    p = siegel_point(0.5 + 2j, 0.25 - 0.125j)
-    q = point_from_json(point_to_json(p))
-    assert q.domain == p.domain
-    assert q.coords == p.coords
-
-
 # ---------------------------------------------------------------------------
-# Poisson kernels and horospheres
+# Poisson kernels
 # ---------------------------------------------------------------------------
 
 def test_poisson_oracles():
@@ -90,22 +76,27 @@ def test_poisson_oracles():
     assert poisson(disc_point(0.5)) == pytest.approx(-3.0, rel=1e-15)
 
 
-def test_horosphere_radius_is_reciprocal_height():
-    assert horosphere_radius(siegel_point(1j, 0.0)) == pytest.approx(1.0)
-    assert horosphere_radius(half_plane_point(4j)) == pytest.approx(0.25)
-
-
 # ---------------------------------------------------------------------------
 # Cayley transform
 # ---------------------------------------------------------------------------
 
+def _jacobian(z):
+    """dC at a half-space point z, shape (n, n): column k is dC(z) e_k."""
+    return push_tangent_to_ball(z, np.eye(z.shape[-1])).T
+
+
+def _inverse_jacobian(w):
+    """dC^{-1} at a ball point w, shape (n, n): column k is dC^{-1}(w) e_k."""
+    return pull_tangent_to_siegel(w, np.eye(w.shape[-1])).T
+
+
 def test_cayley_oracles():
-    w = cayley_to_ball(siegel_point(1j, 0.0))
-    np.testing.assert_allclose(w.coords, [0.0, 0.0], atol=1e-15)
-    w = cayley_to_ball(siegel_point(2j, 1.0))
-    np.testing.assert_allclose(w.coords, [1 / 3, -2j / 3], rtol=1e-15)
-    z = cayley_to_siegel(ball_point(0.0, 0.0))
-    np.testing.assert_allclose(z.coords, [1j, 0.0], atol=1e-15)
+    w = cayley_ball_coords(np.array([1j, 0.0]))
+    np.testing.assert_allclose(w, [0.0, 0.0], atol=1e-15)
+    w = cayley_ball_coords(np.array([2j, 1.0]))
+    np.testing.assert_allclose(w, [1 / 3, -2j / 3], rtol=1e-15)
+    z = cayley_siegel_coords(np.array([0.0, 0.0]))
+    np.testing.assert_allclose(z, [1j, 0.0], atol=1e-15)
 
 
 def test_cayley_round_trip_on_samples(rng):
@@ -130,7 +121,7 @@ def test_cayley_jacobian_matches_finite_differences(rng):
                                tilde_fraction=0.5)
     h = 1e-6
     for row in z:
-        jac = cayley_jacobian(DomainPoint(Domain.SIEGEL, tuple(row)))
+        jac = _jacobian(row)
         point = row[None, :]
         for axis in range(2):
             shift = np.zeros((1, 2), complex)
@@ -143,9 +134,8 @@ def test_cayley_jacobian_matches_finite_differences(rng):
 def test_jacobians_are_mutual_inverses(rng):
     z = sampling.siegel_coords(rng, 50, 2)
     for row in z:
-        p = DomainPoint(Domain.SIEGEL, tuple(row))
-        forward = cayley_jacobian(p)
-        backward = cayley_inverse_jacobian(cayley_to_ball(p))
+        forward = _jacobian(row)
+        backward = _inverse_jacobian(cayley_ball_coords(row))
         np.testing.assert_allclose(backward @ forward, np.eye(2),
                                    rtol=0, atol=1e-11)
 
@@ -154,12 +144,11 @@ def test_jacobians_match_their_closed_form_entries(rng):
     # dC: 2i/d^2, -2 zk/d^2 and 2/d with d = z1 + i; dC^{-1}: 2i/e^2, i wk/e^2
     # and i/e with e = 1 - w1.  Three rounding steps per entry at most.
     for row in sampling.siegel_coords(rng, 50, 3):
-        p = DomainPoint(Domain.SIEGEL, tuple(row))
         w = cayley_ball_coords(row)
         for jac, first, column, diagonal in (
-            (cayley_jacobian(p), 2j / (row[0] + 1j) ** 2,
+            (_jacobian(row), 2j / (row[0] + 1j) ** 2,
              -2.0 * row[1:] / (row[0] + 1j) ** 2, 2.0 / (row[0] + 1j)),
-            (cayley_inverse_jacobian(cayley_to_ball(p)), 2j / (1.0 - w[0]) ** 2,
+            (_inverse_jacobian(w), 2j / (1.0 - w[0]) ** 2,
              1j * w[1:] / (1.0 - w[0]) ** 2, 1j / (1.0 - w[0])),
         ):
             expected = np.diag([first, diagonal, diagonal])
@@ -173,7 +162,7 @@ def test_jacobians_match_their_closed_form_entries(rng):
 # ---------------------------------------------------------------------------
 
 def test_bergman_matrix_oracle():
-    g = bergman_matrix(siegel_point(2j, 1.0)).g
+    g = bergman_matrix(siegel_point(2j, 1.0))
     expected = np.array([[1.0, 2j], [-2j, 8.0]])
     np.testing.assert_allclose(g, expected, rtol=0, atol=1e-15)
 
@@ -207,7 +196,7 @@ def test_bergman_matrix_array_matches_the_entry_loop(rng, n):
         np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
     for row, g in zip(z[:20], got):
         point = DomainPoint(Domain.SIEGEL if n > 1 else Domain.HALF_PLANE, tuple(row))
-        assert np.array_equal(bergman_matrix(point).g, g)
+        assert np.array_equal(bergman_matrix(point), g)
 
 
 def test_bergman_norm_sq_is_the_quadratic_form(rng):
@@ -224,7 +213,7 @@ def test_bergman_norm_sq_is_the_quadratic_form(rng):
 def test_bergman_matrix_is_hermitian_positive(rng):
     z = sampling.siegel_coords(rng, 200, 2)
     for row in z:
-        g = bergman_matrix(DomainPoint(Domain.SIEGEL, tuple(row))).g
+        g = bergman_matrix(DomainPoint(Domain.SIEGEL, tuple(row)))
         assert np.array_equal(g, np.conj(g.T))
         assert np.min(np.linalg.eigvalsh(g)) > 0
 
@@ -237,6 +226,14 @@ def test_hyperbolic_norm_closed_forms():
     tau = np.conj(1.0) * 0.5
     v = TangentVector(p, (2j * tau, 0.5))
     assert hyperbolic_norm(v) == pytest.approx(1.0, rel=1e-14)
+    # disc 2|v|/(1-|z|^2) and half-plane |v|/Im z, to a few roundings
+    eps4 = 4 * np.finfo(float).eps
+    for z, v in ((0.0, 1.0), (0.5, 1.0), (0.3 - 0.4j, 2 + 1j), (-0.9j, 1e-3j)):
+        got = hyperbolic_norm(TangentVector(disc_point(z), (v,)))
+        assert got == pytest.approx(2 * abs(v) / (1 - abs(z) ** 2), rel=eps4, abs=0)
+    for z, v in ((1j, 1.0), (2 + 4j, 3 - 4j), (-5 + 1e-3j, 1j), (0.5 + 1e3j, 7.0)):
+        got = hyperbolic_norm(TangentVector(half_plane_point(z), (v,)))
+        assert got == pytest.approx(abs(v) / z.imag, rel=eps4, abs=0)
 
 
 def test_norm_via_matrix_equals_expanded_form(rng):

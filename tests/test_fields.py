@@ -11,6 +11,7 @@ from siegelflow.domains import (
     ball_point,
     cayley_ball_coords,
     half_plane_point,
+    pull_tangent_to_siegel,
     siegel_point,
 )
 from siegelflow.errors import FieldEvaluationError, HalfPlaneConditionWarning
@@ -18,20 +19,18 @@ from siegelflow.fields import (
     DiscreteMeasure,
     berkson_porta,
     builtin,
-    builtin_names,
     cauchy_transform,
     eval_field,
     parse_field,
     pushforward_to_ball,
-    pushforward_to_halfspace,
     zero_field,
 )
 
 
 def test_builtin_registry():
-    names = builtin_names()
-    assert set(names) >= {"example1", "example2", "reciprocal"}
-    with pytest.raises(KeyError):
+    for name in ("example1", "example2", "reciprocal"):
+        assert builtin(name).dimension == (1 if name == "reciprocal" else 2)
+    with pytest.raises(KeyError, match="example1.*example2.*reciprocal"):
         builtin("nope")
 
 
@@ -144,10 +143,12 @@ def test_berkson_porta_warns_on_negative_real_part():
 # ---------------------------------------------------------------------------
 
 def test_pushforward_round_trip(rng):
+    # Pull the ball field back to the half-space: H(z) = dC^{-1}(w) G(w), w = C(z).
     field = builtin("example2")
-    back = pushforward_to_halfspace(pushforward_to_ball(field))
     z = sampling.siegel_coords(rng, 100, 2, log_u=(-1.5, 1.5), re_scale=3.0)
-    np.testing.assert_allclose(back(z), field(z), rtol=0, atol=1e-11)
+    w = cayley_ball_coords(z)
+    back = pull_tangent_to_siegel(w, pushforward_to_ball(field)(w))
+    np.testing.assert_allclose(back, field(z), rtol=0, atol=1e-11)
 
 
 def test_pushforward_is_the_jacobian_action(rng):

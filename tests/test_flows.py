@@ -13,8 +13,13 @@ from siegelflow.domains import (
     poisson,
     siegel_point,
 )
-from siegelflow.errors import CoverageGap, FieldEvaluationError, StepSizeUnderflow
-from siegelflow.fields import VectorField, builtin, parse_field
+from siegelflow.errors import (
+    CoverageGap,
+    DomainViolation,
+    FieldEvaluationError,
+    StepSizeUnderflow,
+)
+from siegelflow.fields import VectorField, builtin, parse_field, zero_field
 from siegelflow.flows import (
     DEFAULT_TOL,
     _advance,
@@ -356,6 +361,19 @@ def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
     assert np.allclose(step(np.array([[5j], [3j]])), [[3j], [1j]])
     with pytest.raises(StepSizeUnderflow):
         step(np.array([[5j], [1j], [3j]]))
+
+
+@pytest.mark.parametrize("field", [zero_field(2), builtin("example2")],
+                         ids=["zero", "example2"])
+@pytest.mark.parametrize("bad", [[np.nan + 1j, 0.5], [1j, np.nan],
+                                 [complex(0, np.inf), 0.5]],
+                         ids=["nan-z1", "nan-z2", "inf-im-z1"])
+def test_flow_map_rejects_non_finite_points(field, bad):
+    # DomainPoint's rule: every row finite, with margin above INTERIOR_MARGIN.
+    step = flow_map(field, 1.0)
+    for points in (np.array([bad]), np.array([[2j, 0.5], bad])):
+        with pytest.raises(DomainViolation):
+            step(points)
 
 
 def test_flow_map_matches_scipy_rk45():

@@ -5,10 +5,7 @@ import numpy as np
 from siegelflow import sampling
 
 
-def test_disc_and_ball_radii(rng):
-    w = sampling.disc_coords(rng, 500)
-    assert w.shape == (500, 1)
-    assert np.max(np.abs(w)) < 0.95 + 1e-12
+def test_ball_radius(rng):
     b = sampling.ball_coords(rng, 500, 3)
     assert b.shape == (500, 3)
     assert np.max(np.sqrt(np.sum(np.abs(b) ** 2, axis=1))) < 0.9 + 1e-12
