@@ -192,10 +192,8 @@ def slice_capacities(
     )
 
 
-def check_pointwise_1d(
-    field: VectorField, c: float, grid: np.ndarray | None = None
-) -> MembershipReport:
-    """Test Im(z) |H(z)| <= c on a half-plane grid.
+def check_pointwise_1d(field: VectorField, c: float) -> MembershipReport:
+    """Test Im(z) |H(z)| <= c on the versioned half-plane grid.
 
     Also verifies Im(H) >= -1e-12 (H must map into the closed half-plane);
     failures are reported in ``notes`` without affecting the supremum-based
@@ -204,8 +202,7 @@ def check_pointwise_1d(
     if field.dimension != 1:
         raise ArityMismatchError("check_pointwise_1d needs a 1-d field")
     c = _class_constant(c)
-    grid_name = HALFPLANE_GRID_V1 if grid is None else "custom"
-    points = halfplane_grid() if grid is None else np.asarray(grid, complex)
+    points = halfplane_grid()
     values = _finite_values(field, points, field.description)[..., 0]
     scaled = points[:, 0].imag * np.abs(values)
     index = int(np.argmax(scaled))
@@ -223,7 +220,7 @@ def check_pointwise_1d(
         witness=(complex(points[index, 0]),),
         witness_domain=Domain.HALF_PLANE,
         verdict=_verdict(float(scaled[index]), c),
-        grid_name=grid_name,
+        grid_name=HALFPLANE_GRID_V1,
         notes=tuple(notes),
     )
 
@@ -247,28 +244,16 @@ def _membership(
     )
 
 
-def _siegel_points(field: VectorField, grid) -> tuple[np.ndarray, str]:
-    """Points and reported name of a grid: None, a registered name or an array."""
-    if grid is None:
-        grid = SIEGEL_GRID_V1
-    if isinstance(grid, str):
-        return siegel_grid_by_name(grid, field.dimension)
-    points = np.asarray(grid, complex)
-    if points.shape[-1] != field.dimension:
-        raise ArityMismatchError("grid dimension does not match the field")
-    return points, "custom"
-
-
 def membership_siegel(
-    field: VectorField, c: float, grid: np.ndarray | str | None = None
+    field: VectorField, c: float, grid: str = SIEGEL_GRID_V1
 ) -> MembershipReport:
-    """Test u(z)^2 ||H(z)||_{H_n,z} <= c on a named grid or an array of points."""
-    points, grid_name = _siegel_points(field, grid)
+    """Test u(z)^2 ||H(z)||_{H_n,z} <= c on a named grid."""
+    points, grid_name = siegel_grid_by_name(grid, field.dimension)
     return _membership(field, c, points, Domain.SIEGEL, grid_name)
 
 
 def membership_ball(
-    field: VectorField, c: float, grid: np.ndarray | str | None = None
+    field: VectorField, c: float, grid: str = SIEGEL_GRID_V1
 ) -> MembershipReport:
     """Ball-side membership test on the Cayley image of a Siegel grid.
 
@@ -276,7 +261,7 @@ def membership_ball(
     this is the exact transport of :func:`membership_siegel`, so the two
     verdicts must agree for G = pushforward of H.
     """
-    points, grid_name = _siegel_points(field, grid)
+    points, grid_name = siegel_grid_by_name(grid, field.dimension)
     return _membership(
         field, c, cayley_ball_coords(points), Domain.BALL, f"cayley[{grid_name}]"
     )
@@ -286,17 +271,22 @@ def membership_ball(
 # Self-map inequalities
 # ---------------------------------------------------------------------------
 
+# Absolute slack on the horosphere inequality's margin.
+HOROSPHERE_INEQUALITY_SLACK = 1e-10
+
+
 def horosphere_inequality_check(
-    displacement: VectorField,
-    grid: np.ndarray | None = None,
-    slack: float = 1e-10,
+    displacement: VectorField, grid: str = SIEGEL_GRID_V1
 ) -> InequalityReport:
     """Sample ||H~(z)||^2 <= |H1(z) - 2i <H~(z), z~>| for H = f - id.
 
     This is the first-order consequence of horosphere preservation by a
-    self-map f fixing the boundary point at infinity.
+    self-map f fixing the boundary point at infinity.  ``grid`` names a
+    registered Siegel grid.  The report carries the worst margin rhs - lhs
+    and its witness; ``ok`` means that margin is at least
+    -HOROSPHERE_INEQUALITY_SLACK.
     """
-    points, grid_name = _siegel_points(displacement, grid)
+    points, grid_name = siegel_grid_by_name(grid, displacement.dimension)
     values = _finite_values(displacement, points, displacement.description)
     lhs = np.sum(np.abs(values[..., 1:]) ** 2, axis=-1)
     rhs = np.abs(slice_parts(values, points[..., 1:])[1])
@@ -306,11 +296,6 @@ def horosphere_inequality_check(
     return InequalityReport(
         worst_margin=worst,
         witness=tuple(points[index]),
-        ok=worst >= -slack,
+        ok=worst >= -HOROSPHERE_INEQUALITY_SLACK,
         grid_name=grid_name,
     )
-
-
-def capacity_additivity_check(parts, composite: float, tol: float = 1e-3) -> bool:
-    """|sum(parts) - composite| <= tol."""
-    return abs(float(np.sum(parts)) - float(composite)) <= tol

@@ -18,8 +18,8 @@ Field specifications accepted by --field (and inside driver files):
 
 Self-map specifications accepted by --map:
 
-  flowT:FIELDSPEC       time-T flow map of the field, e.g.
-                        flow1:builtin:example2
+  flowT:FIELDSPEC       time-T flow map of the field in the domain of
+                        --z0, e.g. flow1:builtin:example2
   EXPRESSION            component expressions evaluated as the map itself
 
 Points use the syntax "(a+bi, c+di, ...)"; whitespace is ignored and the
@@ -52,12 +52,10 @@ from .domains import (
 )
 from .errors import (
     ArityMismatchError,
-    BoundViolation,
     CoverageGap,
     DomainViolation,
     ExpressionSyntaxError,
     FieldEvaluationError,
-    MonotonicityViolation,
     StepSizeUnderflow,
 )
 
@@ -126,8 +124,11 @@ def resolve_field(spec: str, dimension: int | None = None,
     return field
 
 
-def resolve_map(spec: str):
-    """Turn a --map specification into (batch evaluator, dimension)."""
+def resolve_map(spec: str, domain: Domain):
+    """Turn a --map specification into (batch evaluator, dimension).
+
+    A flowT: map integrates inside ``domain``, the domain of the orbit.
+    """
     if spec.startswith("flow") and ":" in spec:
         head, rest = spec.split(":", 1)
         try:
@@ -137,7 +138,7 @@ def resolve_map(spec: str):
                 f"bad map {spec!r}: expected flowT:FIELDSPEC with numeric T"
             ) from None
         field = resolve_field(rest, origin="--map field")
-        return flows.flow_map(field, t), field.dimension
+        return flows.flow_map(field, t, domain=domain), field.dimension
     field = fields.parse_field(spec)
     return field, field.dimension
 
@@ -291,8 +292,8 @@ def cmd_member(args) -> int:
 
 def cmd_iterate(args) -> int:
     _check_at_most(args.n, MAX_ITERATIONS, "--n")
-    self_map, dimension = resolve_map(args.map)
     z0 = parse_point(args.z0, args.domain)
+    self_map, dimension = resolve_map(args.map, z0.domain)
     if z0.n != dimension:
         raise ArityMismatchError(
             f"point dimension {z0.n} does not match map dimension {dimension}"
@@ -433,9 +434,6 @@ def main(argv=None) -> int:
         # commands report non-finite values through their own checks.
         with np.errstate(all="ignore"):
             return args.handler(args)
-    except (BoundViolation, MonotonicityViolation) as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return 1
     except (StepSizeUnderflow, FieldEvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -41,20 +41,5 @@ class CoverageGap(SiegelflowError, ValueError):
     """Piecewise driving field does not cover the requested time interval."""
 
 
-class MonotonicityViolation(SiegelflowError, RuntimeError):
-    """Horosphere function decreased along a trajectory.
-
-    Carries ``time_pair``, the offending pair of sample times.
-    """
-
-    def __init__(self, message: str, time_pair: tuple[float, float]):
-        super().__init__(message)
-        self.time_pair = time_pair
-
-
-class BoundViolation(SiegelflowError, RuntimeError):
-    """A proven inequality failed beyond numerical slack."""
-
-
 class HalfPlaneConditionWarning(UserWarning):
     """Sampled values of a Herglotz factor left the closed right half-plane."""

@@ -11,7 +11,7 @@ import pytest
 
 from siegelflow import cli
 from siegelflow.cli import main, parse_point, resolve_field, resolve_map
-from siegelflow.domains import Domain
+from siegelflow.domains import Domain, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -57,12 +57,16 @@ def test_resolve_field_forms(tmp_path):
 
 
 def test_resolve_map_flow_spec():
-    step, dim = resolve_map("flow1:builtin:example2")
+    step, dim = resolve_map("flow1:builtin:example2", Domain.SIEGEL)
     assert dim == 2
     out = step(np.array([[1j, 0.5]]))
     assert out.shape == (1, 2)
+    # The flow map integrates in the given domain: 0.3 is in the disc.
+    step, dim = resolve_map("flow1:-z", Domain.DISC)
+    assert dim == 1
+    assert abs(step(np.array([[0.3]]))[0, 0] - 0.3 * np.exp(-1.0)) < 1e-10
     with pytest.raises(ValueError):
-        resolve_map("flowX:builtin:example2")
+        resolve_map("flowX:builtin:example2", Domain.SIEGEL)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +519,29 @@ def test_iterate_bad_threshold_exits_2(capsys, threshold):
     assert code == 2
     assert out == ""
     assert "threshold" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--map", "flow1:-z", "--z0", "0.3", "--domain", "disc", "--n", "5"],
+     [0.3 * np.exp(-5.0)]),
+    (["--map", "flow0.5:-z1;-z2", "--z0", "(0.1, 0.2)", "--domain", "ball", "--n", "3"],
+     [0.1 * np.exp(-1.5), 0.2 * np.exp(-1.5)]),
+])
+def test_iterate_flow_map_runs_in_the_domain_of_z0(capsys, argv, expected):
+    code, out, err = run_cli(capsys, "iterate", *argv)
+    assert code == 0, err
+    final = [parse_complex(c) for c in json.loads(out)["final"]]
+    np.testing.assert_allclose(final, expected, rtol=1e-9, atol=0)
+
+
+def test_iterate_flow_map_leaving_the_ball_is_a_numerical_failure(capsys):
+    # example2 is a Siegel field; on the ball its flow from (0.5i, 0.1) runs
+    # into the boundary, where the integrator stops instead of stepping out.
+    code, out, err = run_cli(capsys, "iterate", "--map", "flow0.5:builtin:example2",
+                             "--z0", "(0.5i, 0.1)", "--domain", "ball", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_iterate_example(capsys):

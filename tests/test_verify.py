@@ -78,3 +78,23 @@ def test_group_exception_becomes_failure(monkeypatch):
     assert not report.passed
     details = [g.detail for s in report.suites for g in s.groups if not g.passed]
     assert any("injected" in d for d in details)
+
+
+def test_a_violated_bound_is_measured_not_lost(monkeypatch):
+    # example2 scaled by 10 leaves the class c = 2 the displacement group
+    # assumes: the group must report its four measured cases, not an error.
+    import siegelflow.fields as fields
+
+    real = fields.example2
+
+    def scaled():
+        field = real()
+        return fields.VectorField(field.dimension, lambda z: 10.0 * field(z),
+                                  "10 * example2")
+
+    monkeypatch.setattr(fields, "example2", scaled)
+    report = run_suite("flows", 7)
+    group = next(g for g in report.groups if g.name == "displacement-bound")
+    assert group.count == 4
+    assert np.isfinite(group.worst) and group.worst > group.limit
+    assert not group.passed
