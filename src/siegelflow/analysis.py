@@ -16,10 +16,9 @@ is not a proof of membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 import numpy as np
 
+from ._records import record
 from .domains import (
     Domain,
     cayley_ball_coords,
@@ -39,7 +38,7 @@ INEQUALITY_SLACK = 1e-9
 CAPACITY_DEFAULTS = {"y_min": 1.0, "y_max": 1e8, "count": 64}
 
 
-@dataclass(frozen=True)
+@record
 class CapacityEstimate:
     """Tail estimate of y |H(iy)| along the imaginary axis."""
 
@@ -55,7 +54,7 @@ class CapacityEstimate:
         }
 
 
-@dataclass(frozen=True)
+@record
 class MembershipReport:
     """Outcome of a sampled membership inequality."""
 
@@ -65,7 +64,7 @@ class MembershipReport:
     witness_domain: Domain
     verdict: str  # consistent | violated
     grid_name: str
-    notes: tuple[str, ...] = dataclass_field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -79,7 +78,7 @@ class MembershipReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class InequalityReport:
     """Worst sampled margin of a pointwise inequality (negative = violated)."""
 

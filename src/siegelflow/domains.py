@@ -25,11 +25,11 @@ where the Siegel domain is the half-plane and the ball is the disc.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._records import record
 from .errors import ArityMismatchError, DomainViolation
 
 # A point counts as interior only when its defining inequality holds with
@@ -77,7 +77,7 @@ COMPONENT_MARGIN = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class DomainPoint:
     """An interior point of one of the four model domains."""
 
@@ -128,7 +128,7 @@ def siegel_point(*coords: complex) -> DomainPoint:
     return DomainPoint(Domain.SIEGEL, tuple(coords))
 
 
-@dataclass(frozen=True)
+@record
 class TangentVector:
     """A tangent vector attached to an interior base point."""
 

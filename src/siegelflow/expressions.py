@@ -16,46 +16,46 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
+from ._records import record
 from .errors import ArityMismatchError, ExpressionSyntaxError, UnknownIdentifierError
 
 # Principal-branch functions by name.
 FUNCTIONS = {"exp": np.exp, "sqrt": np.sqrt, "log": np.log}
 
 
-@dataclass(frozen=True)
+@record
 class Num:
     value: complex
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     index: int  # zero-based
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@record
 class Pow:
     base: "Expr"
     exponent: int
 
 
-@dataclass(frozen=True)
+@record
 class Func:
     name: str
     arg: "Expr"

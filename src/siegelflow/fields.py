@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expressions
+from ._records import record
 from .domains import DomainPoint, cayley_siegel_coords, push_tangent_to_ball
 from .errors import (
     ArityMismatchError,
@@ -171,7 +171,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@record
 class DiscreteMeasure:
     """Finitely many point masses m_k >= 0 at real locations u_k."""
 

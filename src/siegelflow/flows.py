@@ -32,10 +32,10 @@ trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .analysis import CapacityEstimate, estimate_capacity_1d
 from .domains import (
     COMPONENT_MARGIN,
@@ -303,7 +303,7 @@ def _advance(
 # Trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Trajectory:
     """Accepted integration nodes of one flow line, with diagnostics."""
 
@@ -395,7 +395,7 @@ def integrate_autonomous(
     return _flow_line(((0.0, t_final, field),), z0, t_final, tol)
 
 
-@dataclass(frozen=True)
+@record
 class HerglotzField:
     """Piecewise-constant-in-time driving field on contiguous intervals."""
 
@@ -535,7 +535,7 @@ DISPLACEMENT_SLACK = 1e-6  # absolute, on the displacement bound
 HOROSPHERE_IMAGE_SLACK = 1e-9  # absolute, on |u(f(z))| <= 1 + c
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     residual: float
     allowance: float
@@ -557,7 +557,7 @@ def semigroup_check(
     return ResidualReport(residual, allowance, residual <= allowance)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MonotonicityReport:
     times: np.ndarray
     u_magnitudes: np.ndarray
@@ -593,7 +593,7 @@ def displacement_integral(c: float, t: float) -> float:
     return t * math.sqrt(1.0 + c * c * t * t) / 2.0 + math.asinh(c * t) / (2.0 * c)
 
 
-@dataclass(frozen=True)
+@record
 class DisplacementBoundReport:
     displacement_norm: float
     bound: float
@@ -631,7 +631,7 @@ def displacement_bound_check(
     )
 
 
-@dataclass(frozen=True)
+@record
 class HorosphereImageReport:
     worst_value: float
     limit: float
@@ -669,7 +669,7 @@ def horosphere_image_check(self_map, c: float) -> HorosphereImageReport:
 # Iteration diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IterationDiagnostic:
     tag: str  # diverges_to_infinity | converged_interior | inconclusive
     u_magnitudes: np.ndarray
@@ -700,6 +700,10 @@ def iterate_map(
     converged_interior: consecutive iterates get closer than 1e-9.
     inconclusive: anything else (the orbit neither settles nor clearly runs
     off to the boundary point at infinity within the budget).
+
+    Every iterate must be finite (else FieldEvaluationError) and interior to
+    z0's domain by flow_map's rule, a margin above INTERIOR_MARGIN (else
+    DomainViolation naming the iteration).
     """
     if count < 0:
         raise ValueError(f"iteration count must be >= 0, got {count}")
@@ -709,6 +713,7 @@ def iterate_map(
             f"got {divergence_threshold}"
         )
     domain = z0.domain
+    margin = COMPONENT_MARGIN[domain]
     current = z0.as_array()[None, :]
     us = [abs(float(poisson_values(domain, current)[0]))]
     tag = None
@@ -716,10 +721,17 @@ def iterate_map(
     with np.errstate(all="ignore"):
         for _ in range(count):
             image = np.asarray(self_map(current), dtype=complex)
-            if not np.all(np.isfinite(image)):
+            if not np.isfinite(image).all():
                 raise FieldEvaluationError("self-map produced non-finite iterate")
             performed += 1
-            step = float(np.max(np.abs(image - current)))
+            # flow_map.apply's interior rule, in the domain of z0; the margin
+            # of the one point is a scalar, and a NaN fails the comparison.
+            if not margin(image[0]) > INTERIOR_MARGIN:
+                point = ", ".join(format_complex(c) for c in image[0])
+                raise DomainViolation(
+                    f"iterate {performed} ({point}) is not interior to {domain.value}"
+                )
+            step = float(np.abs(image - current).max())
             current = image
             us.append(abs(float(poisson_values(domain, current)[0])))
             if us[-1] > divergence_threshold:

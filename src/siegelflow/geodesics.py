@@ -29,16 +29,16 @@ whose hyperbolic lengths are |slice|/|u| and 2 ||H~|| / sqrt(|u|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import record
 from .domains import Domain, DomainPoint
 from .errors import ArityMismatchError, DomainViolation
 from .fields import VectorField
 
 
-@dataclass(frozen=True)
+@record
 class GeodesicParam:
     """Parameter gamma of a normalized geodesic through infinity."""
 
@@ -62,7 +62,7 @@ class GeodesicParam:
             )
 
 
-@dataclass(frozen=True)
+@record
 class SliceDecomposition:
     """Split of a field value at z into geodesic-tangent and normal parts."""
 

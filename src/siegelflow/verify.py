@@ -21,17 +21,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, domains, fields, flows, geodesics, grids, sampling
+from ._records import record
 from .domains import Domain
 
 SUITE_NAMES = ("metric", "geodesics", "classes", "flows")
 
 
-@dataclass(frozen=True)
+@record
 class GroupResult:
     """Worst observed deviation of one identity family against its limit."""
 
@@ -53,7 +53,7 @@ class GroupResult:
         }
 
 
-@dataclass(frozen=True)
+@record
 class SuiteReport:
     suite: str
     groups: tuple[GroupResult, ...]
@@ -70,7 +70,7 @@ class SuiteReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class RunReport:
     seed: int
     suites: tuple[SuiteReport, ...]

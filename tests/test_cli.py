@@ -544,6 +544,17 @@ def test_iterate_flow_map_leaving_the_ball_is_a_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv, iterate", [
+    (["--map", "2*z", "--z0", "0.3", "--domain", "disc", "--n", "5"], 2),
+    (["--map", "z1 - 2*i; z2", "--z0", "(i, 0.5)", "--n", "3"], 1),
+])
+def test_iterate_leaving_the_domain_exits_2(capsys, argv, iterate):
+    code, out, err = run_cli(capsys, "iterate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: iterate {iterate} (") and "is not interior" in err
+
+
 def test_iterate_example(capsys):
     code, out, _ = run_cli(capsys, "iterate", "--map", "flow1:builtin:example2",
                            "--z0", "(i,0.5)", "--n", "50")

@@ -508,6 +508,18 @@ def test_iterate_early_exit_above_threshold():
     assert diag.iterations < 50
 
 
+def test_iterate_leaving_the_disc_names_the_iteration():
+    # 0.3 -> 0.6 -> 1.2: the second iterate is outside the disc.
+    with pytest.raises(DomainViolation, match=r"iterate 2 \(1\.2\+0i\) .* disc"):
+        iterate_map(lambda pts: 2 * pts, disc_point(0.3), 5)
+
+
+def test_iterate_leaving_the_siegel_domain_names_the_iteration():
+    # (i, 0.5) -> (-i, 0.5) has Im z1 - |z2|^2 = -1.25.
+    with pytest.raises(DomainViolation, match=r"iterate 1 \(.*\) .* siegel"):
+        iterate_map(lambda pts: pts - np.array([2j, 0]), siegel_point(1j, 0.5), 3)
+
+
 def test_iterate_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count"):
         iterate_map(lambda pts: pts, siegel_point(1j, 0.5), -3)
