@@ -5,9 +5,9 @@ record.  It installs closures in the class's own namespace, so each class
 carries its own methods:
 
 * ``__init__`` taking the fields positionally or by keyword, in annotation
-  order, with class attributes as defaults; it calls ``__post_init__`` when
-  the class defines one, which may normalise a field through
-  ``object.__setattr__``;
+  order, with class attributes as defaults, and carrying the fields as its
+  ``__signature__``; it calls ``__post_init__`` when the class defines one,
+  which may normalise a field through ``object.__setattr__``;
 * ``__repr__`` as ``Name(field=value, ...)``;
 * ``__setattr__`` and ``__delattr__`` that raise ``FrozenRecordError``;
 * with ``eq=True`` (the default), ``__eq__`` comparing the field tuples of
@@ -22,6 +22,7 @@ cheap.  The standard library's field helpers (``fields``, ``replace``,
 
 from __future__ import annotations
 
+from inspect import Parameter, Signature
 from operator import attrgetter
 
 
@@ -63,22 +64,25 @@ def _build(cls, eq: bool):
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count = len(names)
     post_init = hasattr(cls, "__post_init__")
-    # keywords[k]: the keyword set that completes k positional arguments.
-    # Most reports are built by keyword; matching the set directly skips
-    # _bind, which costs a few microseconds per record.
-    keywords = [frozenset(names[k:]) for k in range(count + 1)]
 
     def __init__(self, *args, **kwargs):
         state = self.__dict__
         if not kwargs and len(args) == count:
             state.update(zip(names, args))
-        elif len(args) + len(kwargs) == count and kwargs.keys() == keywords[len(args)]:
-            state.update(zip(names, args))
-            state.update(kwargs)
         else:
             state.update(zip(names, _bind(cls, names, defaults, args, kwargs)))
         if post_init:
             self.__post_init__()
+
+    # What inspect.signature, help() and editors show for the class.
+    __init__.__signature__ = Signature(
+        [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)]
+        + [
+            Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                      default=defaults.get(name, Parameter.empty))
+            for name in names
+        ]
+    )
 
     def __repr__(self):
         parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

@@ -724,8 +724,7 @@ def iterate_map(
             if not np.isfinite(image).all():
                 raise FieldEvaluationError("self-map produced non-finite iterate")
             performed += 1
-            # flow_map.apply's interior rule, in the domain of z0; the margin
-            # of the one point is a scalar, and a NaN fails the comparison.
+            # flow_map.apply's interior rule, in the domain of z0.
             if not margin(image[0]) > INTERIOR_MARGIN:
                 point = ", ".join(format_complex(c) for c in image[0])
                 raise DomainViolation(

@@ -1,5 +1,6 @@
 """The immutable record types: construction, immutability, equality, repr."""
 
+import inspect
 import math
 import subprocess
 import sys
@@ -74,6 +75,8 @@ def test_record_behaves_like_a_frozen_record(cls, args):
     for method in ("__init__", "__repr__", "__setattr__", "__delattr__"):
         assert method in vars(cls)
 
+    assert tuple(inspect.signature(cls).parameters) == names
+
     text = ", ".join(f"{name}={getattr(positional, name)!r}" for name in names)
     assert repr(positional) == f"{cls.__name__}({text})"
     assert repr(keyword) == repr(positional) == repr(mixed)
@@ -109,6 +112,7 @@ def test_defaults_hold():
         constant_c=2.0, sup_observed=1.5, witness=(1j,), witness_domain=Domain.HALF_PLANE,
         verdict="consistent", grid_name="g", notes=(),
     )
+    assert inspect.signature(verify.GroupResult).parameters["detail"].default == ""
 
 
 @pytest.mark.parametrize("call, message", [
