@@ -282,10 +282,12 @@ def cmd_member(args) -> int:
                 f"choose default or {grids.HALFPLANE_GRID_V1}"
             )
         report = analysis.check_pointwise_1d(field, args.c)
+    elif args.domain == "ball":
+        # --field is a half-space field; the ball side checks its Cayley pushforward.
+        report = analysis.membership_ball(fields.pushforward_to_ball(field), args.c,
+                                          grid=args.grid)
     else:
-        member = (analysis.membership_ball if args.domain == "ball"
-                  else analysis.membership_siegel)
-        report = member(field, args.c, grid=args.grid)
+        report = analysis.membership_siegel(field, args.c, grid=args.grid)
     _print_json(report.to_json())
     return 0 if report.verdict == "consistent" else 1
 
@@ -352,13 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_domain(p):
-        p.add_argument(
-            "--domain",
-            choices=_DOMAIN_CHOICES,
-            default="auto",
-            help="domain of input points (auto: n>1 -> siegel, n=1 -> halfplane)",
-        )
+    def add_domain(p, text="domain of input points (auto: n>1 -> siegel, n=1 -> halfplane)"):
+        p.add_argument("--domain", choices=_DOMAIN_CHOICES, default="auto", help=text)
 
     p = sub.add_parser("eval", help="evaluate a field, metric, kernel, or slice")
     p.add_argument("--what", choices=("field", "metric", "poisson", "slice"),
@@ -401,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--c", type=float, required=True, help="class constant")
     p.add_argument("--grid", default="default")
-    add_domain(p)
+    add_domain(p, "side of the check for a half-space --field: siegel (auto), "
+                  "or ball for its Cayley pushforward")
     p.set_defaults(handler=cmd_member)
 
     p = sub.add_parser("iterate", help="iterate a self-map and classify the orbit")

@@ -47,34 +47,33 @@ class Domain(str, Enum):
 _ONE_DIM = (Domain.DISC, Domain.HALF_PLANE)
 
 
+# Margin of each domain's defining inequality on rows coords[..., k]: positive
+# inside, zero on the boundary.  The flow kernel passes the transposed view y.T
+# of its (n, m) state: the same numbers in the same memory give the same bits.
+_MARGIN = {
+    Domain.DISC: lambda z: 1.0 - np.abs(z[..., 0]),
+    Domain.HALF_PLANE: lambda z: z[..., 0].imag,
+    Domain.BALL: lambda z: 1.0 - np.sqrt(np.sum(np.abs(z) ** 2, axis=-1)),
+    Domain.SIEGEL: lambda z: z[..., 0].imag - (np.abs(z[..., 1:]) ** 2).sum(axis=-1),
+}
+
+
 def interior_margin(domain: Domain, coords: np.ndarray) -> np.ndarray:
     """Signed distance-like margin of the defining inequality.
 
     ``coords`` has shape (..., n); the result drops the last axis.  Positive
     values are interior, zero is the boundary.
     """
-    coords = np.asarray(coords, dtype=complex)
-    if domain == Domain.DISC:
-        return 1.0 - np.abs(coords[..., 0])
-    if domain == Domain.HALF_PLANE:
-        return coords[..., 0].imag
-    if domain == Domain.BALL:
-        return 1.0 - np.sqrt(np.sum(np.abs(coords) ** 2, axis=-1))
-    if domain == Domain.SIEGEL:
-        tail = (np.abs(coords[..., 1:]) ** 2).sum(axis=-1)
-        return coords[..., 0].imag - tail
-    raise ValueError(f"unknown domain {domain!r}")
+    return _MARGIN[domain](np.asarray(coords, dtype=complex))
 
 
-# interior_margin's operations for component-major coordinates c, shape
-# (n, m), as the flow kernel holds its batches: the same numbers in the same
-# memory give the same bits, without the per-call conversion and dispatch.
-COMPONENT_MARGIN = {
-    Domain.DISC: lambda c: 1.0 - np.abs(c[0]),
-    Domain.HALF_PLANE: lambda c: c[0].imag,
-    Domain.BALL: lambda c: 1.0 - np.sqrt(np.sum(np.abs(c) ** 2, axis=0)),
-    Domain.SIEGEL: lambda c: c[0].imag - (np.abs(c[1:]) ** 2).sum(axis=0),
-}
+def _is_interior(domain: Domain, coords: np.ndarray) -> np.ndarray:
+    """Rows of coords (..., n) that are interior: finite, margin > INTERIOR_MARGIN.
+
+    A non-finite row may make numpy warn; callers that can meet one hold
+    ``np.errstate``.
+    """
+    return np.isfinite(coords).all(axis=-1) & (_MARGIN[domain](coords) > INTERIOR_MARGIN)
 
 
 @record
@@ -95,14 +94,14 @@ class DomainPoint:
                 f"{self.domain.value} points are one-dimensional, got n={n}"
             )
         arr = np.array(coords, dtype=complex)
-        if not np.all(np.isfinite(arr)):
+        with np.errstate(all="ignore"):
+            if _is_interior(self.domain, arr):
+                return
+            margin = float(interior_margin(self.domain, arr))
+        if not np.isfinite(arr).all():
             raise DomainViolation("point has non-finite coordinates")
-        margin = float(interior_margin(self.domain, arr))
-        if not margin > INTERIOR_MARGIN:
-            raise DomainViolation(
-                f"point {coords} is not interior to {self.domain.value} "
-                f"(margin {margin:.3e})"
-            )
+        raise DomainViolation(f"point {coords} is not interior to {self.domain.value} "
+                              f"(margin {margin:.3e})")
 
     @property
     def n(self) -> int:
@@ -154,11 +153,8 @@ class TangentVector:
 def poisson_values(domain: Domain, coords: np.ndarray) -> np.ndarray:
     """Pluricomplex Poisson kernel on an array of points, shape (..., n)."""
     coords = np.asarray(coords, dtype=complex)
-    if domain == Domain.SIEGEL:
-        tail = np.sum(np.abs(coords[..., 1:]) ** 2, axis=-1)
-        return -coords[..., 0].imag + tail
-    if domain == Domain.HALF_PLANE:
-        return -coords[..., 0].imag
+    if domain in (Domain.SIEGEL, Domain.HALF_PLANE):
+        return -_MARGIN[domain](coords)
     if domain in (Domain.BALL, Domain.DISC):
         norm_sq = np.sum(np.abs(coords) ** 2, axis=-1)
         return -(1.0 - norm_sq) / np.abs(1.0 - coords[..., 0]) ** 2
@@ -282,7 +278,7 @@ def siegel_norm_sq(coords: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """
     coords = np.asarray(coords, dtype=complex)
     vecs = np.asarray(vecs, dtype=complex)
-    au = coords[..., 0].imag - np.sum(np.abs(coords[..., 1:]) ** 2, axis=-1)
+    au = _MARGIN[Domain.SIEGEL](coords)
     w1 = vecs[..., 0]
     tau = np.sum(np.conj(coords[..., 1:]) * vecs[..., 1:], axis=-1)
     q = (

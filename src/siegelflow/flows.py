@@ -19,11 +19,13 @@ weights fill one slice.  Per-point reductions run along a leading axis.
 A field receives its points as an (m, n) array, the transposed view of the
 (n, m) state, which is not contiguous; it must return an (m, n) result.
 
-Trajectories must stay inside their domain: a step whose endpoint leaves the
-interior (margin <= 1e-12) is rejected and retried at half the step size, and
-sixty consecutive rejections raise StepSizeUnderflow.  For fields in the
-chordal classes this only happens when something is genuinely wrong, since
-their flows increase |u| and therefore move away from the boundary.
+Trajectories must stay inside their domain (``domains._is_interior``): a step
+that leaves it is rejected and retried at half the step size.  Sixty
+consecutive rejections of a point raise StepSizeUnderflow, and so do sixty
+domain exits of a point in one integration, which stop a flow that creeps
+along the boundary.  For fields in the chordal classes this only happens
+when something is genuinely wrong, since their flows increase |u| and
+therefore move away from the boundary.
 
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories.
@@ -38,11 +40,10 @@ import numpy as np
 from ._records import record
 from .analysis import CapacityEstimate, estimate_capacity_1d
 from .domains import (
-    COMPONENT_MARGIN,
-    INTERIOR_MARGIN,
     Domain,
     DomainPoint,
     TangentVector,
+    _is_interior,
     format_complex,
     hyperbolic_norm,
     poisson,
@@ -69,6 +70,7 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _MAX_CONSECUTIVE_REJECTS = 60
+_MAX_DOMAIN_EXITS = 60  # rejected steps of one row that left the domain
 _STEP_GROW_CAP = 5.0
 _STEP_SHRINK_CAP = 0.2
 
@@ -180,8 +182,10 @@ def _advance(
 
     Each row of y0, shape (m, n), has its own time, step size, PI state and
     rejection count, and leaves the stage arrays once it reaches t1, so its
-    result does not depend on the other rows.  Any failing row fails the
-    call.  ``record`` keeps the accepted nodes of a single row (m = 1).
+    result does not depend on the other rows.  Every row must start inside
+    the domain (else DomainViolation, before any field call), and any
+    failing row fails the call.  ``record`` keeps the accepted nodes of a
+    single row (m = 1).
     The state is held component-major (module docstring); ``seg.y`` is
     (m, n) again.
     """
@@ -190,10 +194,11 @@ def _advance(
     n, m = y.shape
     buffer = np.empty(7 * n * m, dtype=complex)
     ks = buffer.reshape(7, n, m)
-    margin = COMPONENT_MARGIN[domain]
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
+        if not _is_interior(domain, y.T).all():
+            raise DomainViolation("flow started at a non-interior point")
         ks[1] = _field_result(eval_fn(y.T), (m, n)).T
         if not np.isfinite(ks[1]).all():
             raise FieldEvaluationError("field is not finite at the initial point")
@@ -211,7 +216,7 @@ def _advance(
         t = np.empty(m)
         t.fill(t0)
         r_prev = np.ones(m)
-        consecutive = np.zeros(m, dtype=int)
+        consecutive, exits = np.zeros((2, m), dtype=int)
         # Finished rows go to ``out`` at their original index; both arrays
         # exist only once rows finish at different iterations.
         live, rows, out = m, None, None
@@ -229,9 +234,7 @@ def _advance(
             y_new = _stages(eval_fn, y, ks, h_step)
 
             # Slot 1 is finite: checked above, or carried from an accepted step.
-            inside = (np.isfinite(ks).all(axis=(0, 1))
-                      & np.isfinite(y_new).all(axis=0)
-                      & (margin(y_new) > INTERIOR_MARGIN))
+            inside = np.isfinite(ks).all(axis=(0, 1)) & _is_interior(domain, y_new.T)
             small = n * live <= _RUNNING_SUM_SIZE
             err = np.abs(_combine(ks, *_ERROR_ROW, small)).max(axis=0)
             accept = inside & (err <= tol)
@@ -259,10 +262,17 @@ def _advance(
                 ks[1] = np.where(accept, ks[6], ks[1])
                 r_prev = np.where(accept, r, r_prev)
                 consecutive = np.where(accept, 0, consecutive + 1)
+                exits += ~inside
                 retried = True
                 seg.accepted += n_accepted
                 seg.rejected += live - n_accepted
                 seg.max_error = max(seg.max_error, float(err[accept].max(initial=0.0)))
+                if (exits >= _MAX_DOMAIN_EXITS).any():
+                    k = int(np.argmax(exits))
+                    raise StepSizeUnderflow(
+                        f"step size underflow: creeping along the boundary of the "
+                        f"{domain.value} near t = {t[k]}; {exits[k]} rejected steps left it"
+                    )
                 if (consecutive >= _MAX_CONSECUTIVE_REJECTS).any():
                     k = int(np.argmax(consecutive))
                     cause = ("error control failed" if inside[k]
@@ -287,8 +297,8 @@ def _advance(
                     rows = np.arange(m)
                 out[rows[done]] = y[:, done].T
                 keep = ~done
-                rows, t, h, r_prev, consecutive = (
-                    a[keep] for a in (rows, t, h, r_prev, consecutive)
+                rows, t, h, r_prev, consecutive, exits = (
+                    a[keep] for a in (rows, t, h, r_prev, consecutive, exits)
                 )
                 live = rows.size
                 y = y[:, keep]
@@ -497,11 +507,6 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
         flat = points.reshape(-1, points.shape[-1])
         if not flat.size:
             return np.empty_like(points)
-        # DomainPoint's rule for every row: finite coordinates and a margin
-        # above INTERIOR_MARGIN (a NaN margin fails the comparison).
-        if not (np.isfinite(flat).all()
-                and COMPONENT_MARGIN[domain](flat.T).min() > INTERIOR_MARGIN):
-            raise DomainViolation("flow map applied to a non-interior point")
         return _advance(field, domain, flat, 0.0, t, tol).y.reshape(points.shape)
 
     return apply
@@ -702,8 +707,8 @@ def iterate_map(
     off to the boundary point at infinity within the budget).
 
     Every iterate must be finite (else FieldEvaluationError) and interior to
-    z0's domain by flow_map's rule, a margin above INTERIOR_MARGIN (else
-    DomainViolation naming the iteration).
+    z0's domain by ``domains._is_interior`` (else DomainViolation naming the
+    iteration).
     """
     if count < 0:
         raise ValueError(f"iteration count must be >= 0, got {count}")
@@ -713,7 +718,6 @@ def iterate_map(
             f"got {divergence_threshold}"
         )
     domain = z0.domain
-    margin = COMPONENT_MARGIN[domain]
     current = z0.as_array()[None, :]
     us = [abs(float(poisson_values(domain, current)[0]))]
     tag = None
@@ -721,11 +725,10 @@ def iterate_map(
     with np.errstate(all="ignore"):
         for _ in range(count):
             image = np.asarray(self_map(current), dtype=complex)
-            if not np.isfinite(image).all():
-                raise FieldEvaluationError("self-map produced non-finite iterate")
             performed += 1
-            # flow_map.apply's interior rule, in the domain of z0.
-            if not margin(image[0]) > INTERIOR_MARGIN:
+            if not _is_interior(domain, image[0]):
+                if not np.isfinite(image).all():
+                    raise FieldEvaluationError("self-map produced non-finite iterate")
                 point = ", ".join(format_complex(c) for c in image[0])
                 raise DomainViolation(
                     f"iterate {performed} ({point}) is not interior to {domain.value}"

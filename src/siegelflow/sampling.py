@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domains import INTERIOR_MARGIN
+from .domains import Domain, _is_interior
 
 
 def halfplane_coords(
@@ -61,8 +61,7 @@ def siegel_coords(
     tilde_norm = np.sqrt(s * height / (1.0 - s))
     out[:, 1:] = direction * tilde_norm[:, None]
     out[:, 0] = x + 1j * (height + tilde_norm**2)
-    margin = out[:, 0].imag - np.sum(np.abs(out[:, 1:]) ** 2, axis=-1)
-    assert np.all(margin > INTERIOR_MARGIN)
+    assert _is_interior(Domain.SIEGEL, out).all()
     return out
 
 
@@ -71,13 +70,13 @@ def tangent_vectors(rng: np.random.Generator, count: int, n: int, scale: float =
     return scale * (rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n)))
 
 
-def herglotz_measures(rng: np.random.Generator, count: int, max_atoms: int = 4) -> list:
-    """Random discrete measures on the real line with nonnegative masses."""
+def herglotz_measures(rng: np.random.Generator, count: int) -> list:
+    """Random discrete measures of 1 to 4 atoms on the real line, positive masses."""
     from .fields import DiscreteMeasure
 
     measures = []
     for _ in range(count):
-        k = int(rng.integers(1, max_atoms + 1))
+        k = int(rng.integers(1, 5))
         us = rng.uniform(-5.0, 5.0, k)
         ms = rng.uniform(0.1, 2.0, k)
         measures.append(DiscreteMeasure(tuple(zip(us.tolist(), ms.tolist()))))

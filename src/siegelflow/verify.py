@@ -96,15 +96,15 @@ def _ok(count: int, worst, limit: float, detail: str = "", ok: bool = True):
     return count, worst, limit, worst <= limit and ok, detail
 
 
-def _rel(actual, expected, floor: float = 1.0) -> np.ndarray:
-    """|actual - expected| scaled by the rowwise magnitude of expected."""
+def _rel(actual, expected) -> np.ndarray:
+    """|actual - expected| scaled by the rowwise magnitude of expected, at least 1."""
     actual = np.asarray(actual)
     expected = np.asarray(expected)
     num = np.abs(actual - expected)
     if expected.ndim > 1:
-        den = np.maximum(np.max(np.abs(expected), axis=-1, keepdims=True), floor)
+        den = np.maximum(np.max(np.abs(expected), axis=-1, keepdims=True), 1.0)
     else:
-        den = np.maximum(np.abs(expected), floor)
+        den = np.maximum(np.abs(expected), 1.0)
     return num / den
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -326,6 +327,22 @@ def test_flow_underflow_exits_3(capsys):
     assert "underflow" in err
 
 
+def test_flow_creeping_along_the_boundary_exits_3(capsys):
+    # z' = z^2 - 1 carries -0.5i to the boundary point -1 of the disc; near
+    # t = 14.06 the steps start to leave the disc, and the integrator stops
+    # after 60 such rejected steps instead of creeping along the margin.
+    argv = ["flow", "--field", "z^2 - 1", "--z0", "-0.5i", "--domain", "disc"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--t", "15")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "underflow" in err and "boundary of the disc" in err
+    code, out, _ = run_cli(capsys, *argv, "--t", "14")
+    assert code == 0
+    assert json.loads(out)["steps_accepted"] == 369
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
 def test_flow_bad_time_exits_2(capsys, t):
     code, out, err = run_cli(capsys, "flow", "--field", "builtin:example2",
@@ -460,6 +477,22 @@ def test_member_small_grid(capsys):
                                "--c", "2", "--grid", "small", "--domain", domain)
         assert code in (0, 1)
         assert json.loads(out)["grid"] == name
+
+
+@pytest.mark.parametrize("field, c, code, verdict", [
+    ("builtin:example2", "2", 0, "consistent"),
+    ("builtin:example1", "7", 1, "violated"),
+])
+def test_member_ball_checks_the_pushforward(capsys, field, c, code, verdict):
+    # --field is a half-space field; --domain ball checks its Cayley pushforward
+    # on the Cayley image of the grid, which holds the ball origin.
+    got, out, err = run_cli(capsys, "member", "--field", field, "--c", c,
+                            "--domain", "ball")
+    assert (got, err) == (code, "")
+    report = json.loads(out)
+    assert report["verdict"] == verdict
+    assert report["domain"] == "ball"
+    assert report["grid"] == "cayley[siegel-grid-v1]"
 
 
 @pytest.mark.parametrize("grid", ["", "huge"])

@@ -48,10 +48,9 @@ def _command(name, *parts):
 TWO_DIM = ["builtin:example1", "builtin:example2", "0; -i*z2/z1", "-1/z1; z2/(2*z1^2)"]
 ONE_DIM = ["builtin:reciprocal", "-1/z", "exp(z)/(1+z^2)",
            'measure:[{"u": -1, "m": 0.5}, {"u": 1, "m": 0.5}]']
-# Disc fields with an attracting interior fixed point (0 and 1/2): a flow
-# that tends to a boundary point creeps along the interior margin for
-# minutes at --t 100, a known integrator fault outside this test's contract.
-DISC = ["-z", "bp:0:1", "bp:0.5:1"]
+# Disc fields with an attracting interior fixed point (0 and 1/2), and one
+# whose flows tend to the boundary point -1 (the integrator stops them, exit 3).
+DISC = ["-z", "bp:0:1", "bp:0.5:1", "z^2 - 1"]
 # (fields, points, domain flags) of one dimension and domain
 CASES = st.sampled_from([
     (TWO_DIM, ["(i, 0.5)", "(2i, 0)", "(1+3i, 0.2-0.7i)"], [[], ["--domain", "siegel"]]),

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from siegelflow import sampling
 from siegelflow.domains import (
-    COMPONENT_MARGIN,
+    INTERIOR_MARGIN,
     Domain,
     DomainPoint,
     TangentVector,
+    _is_interior,
     ball_point,
     bergman_matrix,
     bergman_matrix_array,
@@ -24,6 +25,7 @@ from siegelflow.domains import (
     interior_margin,
     parse_complex,
     poisson,
+    poisson_values,
     pull_tangent_to_siegel,
     push_tangent_to_ball,
     siegel_point,
@@ -296,14 +298,17 @@ def test_cayley_round_trip_property(x, y, frac):
 @pytest.mark.parametrize("domain", list(Domain))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_component_margin_matches_interior_margin_bit_for_bit(rng, domain, n):
-    # The flow kernel holds its points component-major, (n, m); interior_margin
-    # sees the same numbers as (m, n) points.  flow_map's domain check passes
-    # COMPONENT_MARGIN a transposed (m, n) batch.
+    # The flow kernel holds its points component-major, (n, m), and tests the
+    # transposed view y.T; flow_map and DomainPoint test contiguous (m, n)
+    # points.  The one margin table gives both layouts the same bits.
     for m in (1, 2, 7, 300):
         y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         y *= 10.0 ** rng.integers(-3, 4, size=(n, m))
-        kernel = COMPONENT_MARGIN[domain](y)
+        kernel = interior_margin(domain, y.T)
         assert kernel.shape == (m,)
-        for points in (y.T, np.ascontiguousarray(y.T)):
-            assert kernel.tobytes() == interior_margin(domain, points).tobytes()
-            assert kernel.tobytes() == COMPONENT_MARGIN[domain](points.T).tobytes()
+        points = np.ascontiguousarray(y.T)
+        assert kernel.tobytes() == interior_margin(domain, points).tobytes()
+        assert np.array_equal(_is_interior(domain, y.T), kernel > INTERIOR_MARGIN)
+        assert np.array_equal(_is_interior(domain, points), kernel > INTERIOR_MARGIN)
+        if domain in (Domain.SIEGEL, Domain.HALF_PLANE):
+            assert (-kernel).tobytes() == poisson_values(domain, points).tobytes()

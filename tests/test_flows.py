@@ -8,8 +8,11 @@ import pytest
 
 from siegelflow.domains import (
     Domain,
+    DomainPoint,
+    _is_interior,
     disc_point,
     half_plane_point,
+    interior_margin,
     poisson,
     siegel_point,
 )
@@ -354,6 +357,52 @@ def test_flow_map_rejects_non_finite_points(field, bad):
     for points in (np.array([bad]), np.array([[2j, 0.5], bad])):
         with pytest.raises(DomainViolation):
             step(points)
+
+
+# Rows at the edge of the interior rule in each domain, and one interior point
+# to start iterate_map from.  Only the "2e-12" rows are interior.
+_START = {Domain.DISC: (0.3,), Domain.HALF_PLANE: (1j,),
+          Domain.BALL: (0.1, 0.2), Domain.SIEGEL: (1j, 0.5)}
+_EDGE_ROWS = {
+    Domain.DISC: {"nan": [np.nan], "+inf": [np.inf], "-inf": [complex(0, -np.inf)],
+                  "0": [1.0], "5e-13": [1 - 5e-13], "2e-12": [-1 + 2e-12]},
+    Domain.HALF_PLANE: {"nan": [complex(np.nan, 1)], "+inf": [complex(0, np.inf)],
+                        "-inf": [complex(-np.inf, 1)], "0": [2.0],
+                        "5e-13": [complex(3, 5e-13)], "2e-12": [complex(-3, 2e-12)]},
+    Domain.BALL: {"nan": [0.1, np.nan], "+inf": [np.inf, 0.0],
+                  "-inf": [0.1, complex(0, -np.inf)], "0": [0.0, 1j],
+                  "5e-13": [1 - 5e-13, 0.0], "2e-12": [0.0, -1 + 2e-12]},
+    Domain.SIEGEL: {"nan": [complex(np.nan, 1), 0.5], "+inf": [complex(0, np.inf), 0.5],
+                    "-inf": [1j, complex(-np.inf, 0)], "0": [4j, 2.0],
+                    "5e-13": [complex(1, 1 + 5e-13), 1.0],
+                    "2e-12": [complex(-1, 1 + 2e-12), 1j]},
+}
+
+
+@pytest.mark.parametrize("domain, label", [
+    (domain, label) for domain, rows in _EDGE_ROWS.items() for label in rows
+])
+def test_entry_points_agree_on_the_interior_rule(domain, label):
+    row = np.array(_EDGE_ROWS[domain][label], dtype=complex)
+    if label[0].isdigit():
+        assert interior_margin(domain, row) == pytest.approx(float(label), abs=1e-15)
+
+    def accepts(call):
+        try:
+            call()
+        except (DomainViolation, FieldEvaluationError):
+            return False
+        return True
+
+    votes = {
+        "rule": bool(_is_interior(domain, row[None])[0]),
+        "DomainPoint": accepts(lambda: DomainPoint(domain, tuple(row))),
+        "flow_map": accepts(lambda: flow_map(zero_field(row.size), 0.0,
+                                             domain=domain)(row[None])),
+        "iterate_map": accepts(lambda: iterate_map(
+            lambda points: row[None], DomainPoint(domain, _START[domain]), 1)),
+    }
+    assert votes == dict.fromkeys(votes, label == "2e-12")
 
 
 def test_flow_map_matches_scipy_rk45():
