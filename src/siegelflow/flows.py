@@ -76,9 +76,9 @@ _STEP_SHRINK_CAP = 0.2
 
 
 class _Segment:
-    """One integration leg: final rows, counters and a recorded row's nodes."""
+    """One integration leg: final rows and stages, counters, a row's nodes."""
 
-    __slots__ = ("times", "states", "accepted", "rejected", "max_error", "y")
+    __slots__ = ("times", "states", "accepted", "rejected", "max_error", "y", "k")
 
     def __init__(self) -> None:
         self.times: list[float] = []
@@ -87,6 +87,7 @@ class _Segment:
         self.rejected = 0
         self.max_error = 0.0
         self.y: np.ndarray | None = None
+        self.k: np.ndarray | None = None
 
     def record(self, t: float, y: np.ndarray) -> None:
         """Keep row 0 of the component-major state y, shape (n, m)."""
@@ -177,6 +178,7 @@ def _advance(
     t1: float,
     tol: float,
     record: bool = False,
+    k0: np.ndarray | None = None,
 ) -> _Segment:
     """Integrate dy/dt = eval_fn(y) from t0 to t1 with EPUS error control.
 
@@ -187,7 +189,12 @@ def _advance(
     failing row fails the call.  ``record`` keeps the accepted nodes of a
     single row (m = 1).
     The state is held component-major (module docstring); ``seg.y`` is
-    (m, n) again.
+    (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
+    the FSAL stage of the row's last step.
+    ``k0`` carries such stages in: rows and stages an earlier call returned
+    in ``seg.y`` and ``seg.k`` (same field and domain) are interior and
+    finite, so with ``k0`` the start row test and start field call are
+    skipped, and every row takes the steps a fresh start would take.
     """
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
@@ -197,17 +204,20 @@ def _advance(
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
-        if not _is_interior(domain, y.T).all():
-            raise DomainViolation("flow started at a non-interior point")
-        ks[1] = _field_result(eval_fn(y.T), (m, n)).T
-        if not np.isfinite(ks[1]).all():
-            raise FieldEvaluationError("field is not finite at the initial point")
+        if k0 is not None:
+            ks[1] = k0.T
+        else:
+            if not _is_interior(domain, y.T).all():
+                raise DomainViolation("flow started at a non-interior point")
+            ks[1] = _field_result(eval_fn(y.T), (m, n)).T
+            if not np.isfinite(ks[1]).all():
+                raise FieldEvaluationError("field is not finite at the initial point")
         if record:
             seg.record(t0, y)
         floor = 1e-15 * max(1.0, abs(t0), abs(t1))
         t_done = t1 - floor
         if t0 >= t_done:
-            seg.y = y.T.copy()
+            seg.y, seg.k = y.T.copy(), ks[1].T.copy()
             return seg
 
         d0 = np.maximum(np.abs(y).max(axis=0), 1e-6)
@@ -217,8 +227,10 @@ def _advance(
         t.fill(t0)
         r_prev = np.ones(m)
         consecutive, exits = np.zeros((2, m), dtype=int)
-        # Finished rows go to ``out`` at their original index; both arrays
-        # exist only once rows finish at different iterations.
+        # Finished rows go to ``out`` at their original index, their states
+        # to out[0] and their stages to out[1] (two arrays, so a result does
+        # not keep its stages alive); ``rows`` and ``out`` exist only once
+        # rows finish at different iterations.
         live, rows, out = m, None, None
         retried = False  # some row's rejection count may be nonzero
 
@@ -226,14 +238,15 @@ def _advance(
             if h.min() < floor:
                 k = int(np.argmax(h < floor))
                 raise StepSizeUnderflow(
-                    f"step size underflow at t = {t[k]} (h = {h[k]:.3e})"
+                    f"step size underflow at t = {t[k]} (h = {h[k]:.3e} is below "
+                    f"the floor 1e-15 * max(1, |t0|, |t1|) = {floor:.3e})"
                 )
             remaining = t1 - t
             last = h >= remaining * (1.0 - 1e-12)
             h_step = np.where(last, remaining, h)
             y_new = _stages(eval_fn, y, ks, h_step)
 
-            # Slot 1 is finite: checked above, or carried from an accepted step.
+            # Slot 1 is finite: checked above, carried in, or from an accepted step.
             inside = np.isfinite(ks).all(axis=(0, 1)) & _is_interior(domain, y_new.T)
             small = n * live <= _RUNNING_SUM_SIZE
             err = np.abs(_combine(ks, *_ERROR_ROW, small)).max(axis=0)
@@ -286,16 +299,19 @@ def _advance(
             n_done = int(np.count_nonzero(done))
             if n_done == live:
                 if out is None:
-                    seg.y = y.T.copy()
+                    seg.y, seg.k = y.T.copy(), ks[1].T.copy()
                 else:
-                    out[rows] = y.T
-                    seg.y = out
+                    out[0][rows], out[1][rows] = y.T, ks[1].T
+                    seg.y, seg.k = out
                 return seg
             if n_done:
                 if out is None:
-                    out = np.empty((m, n), dtype=complex)
+                    out = np.empty((m, n), dtype=complex), np.empty((m, n), dtype=complex)
                     rows = np.arange(m)
-                out[rows[done]] = y[:, done].T
+                # compress gathers along axis 1 faster than a boolean index.
+                finished = rows[done]
+                out[0][finished] = y.compress(done, axis=1).T
+                out[1][finished] = ks[1].compress(done, axis=1).T
                 keep = ~done
                 rows, t, h, r_prev, consecutive, exits = (
                     a[keep] for a in (rows, t, h, r_prev, consecutive, exits)
@@ -497,17 +513,29 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     The evaluator accepts coordinates of shape (..., n).  Every point keeps
     its own adaptive step size, so a point's image is bit-identical whether
     it is mapped alone or in any batch.
+
+    Called on its own last result, as when iterating Phi_t, the evaluator
+    resumes from the FSAL stages that result ended on, which hold the field
+    at those rows, instead of evaluating the field there again.  The rows
+    are matched bit for bit against a private copy, since a caller may
+    write into the returned array; the images are the same either way.
     """
     _check_time_and_tol(t, tol)
     if domain is None:
         domain = Domain.SIEGEL if field.dimension > 1 else Domain.HALF_PLANE
+    last = (None, None)  # the last result's rows as bytes, and their final stages
 
     def apply(points):
+        nonlocal last
         points = np.asarray(points, dtype=complex)
         flat = points.reshape(-1, points.shape[-1])
         if not flat.size:
             return np.empty_like(points)
-        return _advance(field, domain, flat, 0.0, t, tol).y.reshape(points.shape)
+        rows, stages = last  # one read: concurrent calls never mix two results
+        k0 = stages if rows == flat.tobytes() and stages.shape == flat.shape else None
+        seg = _advance(field, domain, flat, 0.0, t, tol, k0=k0)
+        last = (seg.y.tobytes(), seg.k)
+        return seg.y.reshape(points.shape)
 
     return apply
 

@@ -1,13 +1,14 @@
 """Versioned sampling grids shared by the membership and flow checks.
 
 Every default grid is a named, frozen constant so that reported verdicts and
-witnesses are reproducible across runs and machines.  The registry below is
-printed by ``siegelflow --help``.
+witnesses are reproducible across runs and machines: each is built once per
+process and cached read-only, so a write into it raises ValueError.  The
+registry below is printed by ``siegelflow --help``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -36,7 +37,20 @@ GRID_DESCRIPTIONS = {
 }
 
 
-@lru_cache(maxsize=None)
+def _frozen(build):
+    """Cache build's array, made read-only so no caller can change the grid."""
+
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def cached(*args, **kwargs):
+        points = build(*args, **kwargs)
+        points.setflags(write=False)
+        return points
+
+    return cached
+
+
+@_frozen
 def halfplane_grid() -> np.ndarray:
     """Flat array of half-plane points, shape (4096, 1)."""
     xs = np.concatenate(
@@ -66,7 +80,7 @@ def _siegel_points(xs, ys, fractions, phases, n):
     return rows.reshape(-1, n)
 
 
-@lru_cache(maxsize=None)
+@_frozen
 def siegel_grid(n: int = 2) -> np.ndarray:
     """Default Siegel sampling grid, shape (count, n)."""
     exponents = np.linspace(-2.0, 2.0, 10)
@@ -77,7 +91,7 @@ def siegel_grid(n: int = 2) -> np.ndarray:
     return _siegel_points(xs, ys, fractions, phases, n)
 
 
-@lru_cache(maxsize=None)
+@_frozen
 def siegel_grid_small(n: int = 2) -> np.ndarray:
     xs = (0.0, 0.1, -0.1, 10.0, -10.0)
     ys = np.logspace(-1.0, 3.0, 6)
@@ -86,7 +100,7 @@ def siegel_grid_small(n: int = 2) -> np.ndarray:
     return _siegel_points(xs, ys, fractions, phases, n)
 
 
-@lru_cache(maxsize=None)
+@_frozen
 def horosphere_samples(n: int = 2) -> np.ndarray:
     """Points with |u| = 1 exactly: phi_gamma(x + i), shape (64, n)."""
     magnitudes = np.array([0.5, 1.0, 2.0])

@@ -13,6 +13,7 @@ import pytest
 from siegelflow import cli
 from siegelflow.cli import main, parse_point, resolve_field, resolve_map
 from siegelflow.domains import Domain, parse_complex
+from siegelflow.fields import VectorField
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +328,17 @@ def test_flow_underflow_exits_3(capsys):
     assert "underflow" in err
 
 
+def test_flow_underflow_names_the_step_floor(capsys):
+    # The step floor scales with the times: 1e-15 * 1e20 = 1e5 exceeds the
+    # first step, so the flow stops at once and the message says why.
+    code, out, err = run_cli(capsys, "flow", "--field", "builtin:example2",
+                             "--z0", "(i,0.5)", "--t", "1e20")
+    assert code == 3
+    assert out == ""
+    assert "step size underflow at t = 0.0 (h = 1.000e-02" in err
+    assert "below the floor 1e-15 * max(1, |t0|, |t1|) = 1.000e+05" in err
+
+
 def test_flow_creeping_along_the_boundary_exits_3(capsys):
     # z' = z^2 - 1 carries -0.5i to the boundary point -1 of the disc; near
     # t = 14.06 the steps start to leave the disc, and the integrator stops
@@ -401,6 +413,24 @@ def test_one_point_commands_are_pinned_bit_for_bit(capsys, tmp_path, monkeypatch
         csv = (tmp_path / "traj.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == (
             "22e32f2dc231f39736da4177b893d7e163523a081bba467df9b416494d363e2c")
+
+
+def test_iterated_flow_maps_hand_their_last_stage_on(capsys, monkeypatch):
+    # 300 flow maps over 443 steps: 6 field calls per step and one start
+    # evaluation for the first map only; every later map resumes from the
+    # FSAL stage its predecessor ended on.
+    calls = []
+    call = VectorField.__call__
+
+    def counted(self, points):
+        calls.append(1)
+        return call(self, points)
+
+    monkeypatch.setattr(VectorField, "__call__", counted)
+    code, out, err = run_cli(capsys, "iterate", "--map", "flow1:builtin:example2",
+                             "--z0", "(i, 0.5)", "--n", "300")
+    assert code == 0 and err == ""
+    assert len(calls) == 2659 == 1 + 6 * 443
 
 
 def test_flows_suite_output_is_pinned_bit_for_bit(capsys):

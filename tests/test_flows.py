@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -175,13 +177,7 @@ def test_single_piece_makes_as_many_field_calls_as_autonomous():
     assert len(calls) == autonomous
 
 
-def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
-    # One evaluation at z0, then six stages per attempted step, each through
-    # VectorField.__call__ (where the bench tracer counts field calls).
-    field = parse_field("-1/z^3", 1)
-    z0 = half_plane_point(0.5 + 0.2j)
-    trajectory = integrate_autonomous(field, z0, 3.0)
-    assert trajectory.steps_rejected >= 1
+def _count_field_calls(monkeypatch) -> list:
     calls = []
     call = VectorField.__call__
 
@@ -190,10 +186,93 @@ def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
         return call(self, points)
 
     monkeypatch.setattr(VectorField, "__call__", counted)
+    return calls
+
+
+def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
+    # One evaluation at z0, then six stages per attempted step, each through
+    # VectorField.__call__ (where the bench tracer counts field calls).
+    field = parse_field("-1/z^3", 1)
+    z0 = half_plane_point(0.5 + 0.2j)
+    trajectory = integrate_autonomous(field, z0, 3.0)
+    assert trajectory.steps_rejected >= 1
+    calls = _count_field_calls(monkeypatch)
     image = flow_map(field, 3.0)(z0.as_array()[None, :])
     assert np.array_equal(image[0], trajectory.final_state)
     steps = trajectory.steps_accepted + trajectory.steps_rejected
     assert len(calls) == 1 + 6 * steps
+
+
+@pytest.mark.parametrize("points", [np.array([[1j, 0.5]]), siegel_grid_small(2)[:64]],
+                         ids=["one point", "64 points"])
+def test_a_flow_map_on_its_own_result_resumes_from_the_fsal_stage(monkeypatch, points):
+    # The second call starts from the stages the first one ended on, which
+    # hold the field at its rows, so it skips the start evaluation and gives
+    # a fresh evaluator's images on a copy of those rows, bit for bit.
+    field = builtin("example2")
+    step = flow_map(field, 0.5)
+    image = step(points)
+    calls = _count_field_calls(monkeypatch)
+    twice = step(image)
+    resumed = len(calls)
+    calls.clear()
+    fresh = flow_map(field, 0.5)(image.copy())
+    assert twice.tobytes() == fresh.tobytes()
+    assert resumed == len(calls) - 1
+
+
+@pytest.mark.parametrize("change", ["write into the result", "a different point"])
+def test_a_flow_map_on_anything_but_its_last_result_starts_afresh(monkeypatch, change):
+    field = builtin("example2")
+    z = np.array([[1j, 0.5]])
+    step = flow_map(field, 0.5)
+    image = step(z)
+    if change == "write into the result":
+        image[0, 1] += 0.25
+        points = image
+    else:
+        points = np.array([[2j, 0.5]])
+    calls = _count_field_calls(monkeypatch)
+    got = step(points)
+    made = len(calls)
+    calls.clear()
+    fresh = flow_map(field, 0.5)(points.copy())
+    assert got.tobytes() == fresh.tobytes()
+    assert made == len(calls)
+
+
+def test_threads_sharing_a_flow_map_get_fresh_images():
+    # Each thread iterates its own point through one shared evaluator, so the
+    # kept result changes under it between calls; every image must still be
+    # the one a fresh evaluator gives.
+    field = builtin("example2")
+    step = flow_map(field, 0.3)
+    starts = [np.array([[(1 + k) * 1j, 0.1 * k]]) for k in range(4)]
+    orbits = [[] for _ in starts]
+
+    def walk(k):
+        z = starts[k]
+        for _ in range(15):
+            z = step(z)
+            orbits[k].append(z)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(len(starts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for start, orbit in zip(starts, orbits):
+        assert len(orbit) == 15
+        z = start
+        for image in orbit:
+            z = flow_map(field, 0.3)(z)
+            assert image.tobytes() == z.tobytes()
 
 
 def test_coverage_gap_rejected():

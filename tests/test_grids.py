@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from siegelflow.grids import horosphere_samples, siegel_grid, siegel_grid_small
+from siegelflow.grids import (
+    halfplane_grid,
+    horosphere_samples,
+    siegel_grid,
+    siegel_grid_small,
+)
 
 
 def _siegel_points_loop(xs, ys, fractions, phases, n):
@@ -74,3 +79,17 @@ def test_grids_are_bit_identical_to_the_point_loop(built, loop, n):
     got, want = built(n), loop(n)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: siegel_grid(2), lambda: siegel_grid_small(2),
+    lambda: horosphere_samples(2), lambda: halfplane_grid(),
+])
+def test_cached_grids_are_read_only(grid):
+    # Each grid is one cached array shared by every caller in the process: a
+    # write into it would change every later scan, so it must raise.
+    points = grid()
+    before = points.tobytes()
+    with pytest.raises(ValueError):
+        points[0, 0] = 123
+    assert grid() is points and points.tobytes() == before
