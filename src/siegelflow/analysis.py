@@ -109,21 +109,47 @@ def _verdict(sup: float, c: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional estimates
+# Capacities and the half-plane class
 # ---------------------------------------------------------------------------
 
-def _capacity_estimates(sample, what, y_min, y_max, count) -> list[CapacityEstimate]:
-    """Check the window, then classify the tail of each row of samples.
+def slice_capacities(
+    field: VectorField,
+    gammas,
+    y_min: float = CAPACITY_DEFAULTS["y_min"],
+    y_max: float = CAPACITY_DEFAULTS["y_max"],
+    count: int = CAPACITY_DEFAULTS["count"],
+) -> list[CapacityEstimate]:
+    """Capacity estimates of the slices h_gamma, one per gamma.
 
-    ``sample`` maps the heights y, shape (count,), to the values H(iy) of
-    each row, shape (rows, count).  count >= 8 keeps two samples in the tail.
+    Samples y |h_gamma(iy)| on a geometric grid; the reported value is the
+    maximum over the last quarter of the samples.  The trend is
+    ``converged`` when the tail's relative spread is below 1e-4,
+    ``increasing`` when the tail still grows monotonically by more than 1%,
+    else ``inconclusive``.  Needs finite 0 < y_min < y_max and count >= 8,
+    which keeps two samples in the tail.
+
+    A one-dimensional field is its own only slice, gamma = (), so
+    ``slice_capacities(field, [()])[0]`` is the capacity of a half-plane
+    generator.  One field call on the (G, count, n) stack of points
+    phi_gamma(iy) serves every slice; each estimate equals that of the
+    gamma's slice_field alone bit for bit.
     """
+    params = [GeodesicParam(tuple(np.atleast_1d(g))) for g in gammas]
+    for param in params:
+        param.require_dimension(field.dimension)
     if not (np.isfinite(y_min) and np.isfinite(y_max) and 0 < y_min < y_max):
         raise ValueError(f"need finite 0 < y_min < y_max, got {y_min}, {y_max}")
     if count < 8:
         raise ValueError(f"count must be >= 8 (a two-sample tail), got {count}")
+    if not params:
+        return []
+    directions = np.array([p.gamma for p in params], dtype=complex)[:, None, :]
     ys = np.geomspace(y_min, y_max, count)
-    values = _finite_values(sample, ys, what)
+    what = field.description if field.dimension == 1 else f"slice[{field.description}]"
+    values = _finite_values(
+        lambda ys: slice_parts(field(geodesic_coords(directions, 1j * ys)), directions)[1],
+        ys, what,
+    )
     estimates = []
     for scaled in ys * np.abs(values):
         tail = scaled[-(count // 4):]
@@ -137,58 +163,6 @@ def _capacity_estimates(sample, what, y_min, y_max, count) -> list[CapacityEstim
         samples = tuple((float(y), float(s)) for y, s in zip(ys, scaled))
         estimates.append(CapacityEstimate(float(top), trend, samples))
     return estimates
-
-
-def estimate_capacity_1d(
-    field: VectorField,
-    y_min: float = CAPACITY_DEFAULTS["y_min"],
-    y_max: float = CAPACITY_DEFAULTS["y_max"],
-    count: int = CAPACITY_DEFAULTS["count"],
-) -> CapacityEstimate:
-    """Estimate the capacity of a half-plane field from its vertical tail.
-
-    Samples y |H(iy)| on a geometric grid; the reported value is the maximum
-    over the last quarter of the samples.  The trend is ``converged`` when
-    the tail's relative spread is below 1e-4, ``increasing`` when the tail
-    still grows monotonically by more than 1%, else ``inconclusive``.
-    Needs finite 0 < y_min < y_max and count >= 8.
-    """
-    if field.dimension != 1:
-        raise ArityMismatchError("capacity estimation needs a 1-d field")
-
-    def sample(ys):
-        return field((1j * ys)[:, None])[..., 0][None]
-
-    return _capacity_estimates(sample, field.description, y_min, y_max, count)[0]
-
-
-def slice_capacities(
-    field: VectorField,
-    gammas,
-    y_min: float = CAPACITY_DEFAULTS["y_min"],
-    y_max: float = CAPACITY_DEFAULTS["y_max"],
-    count: int = CAPACITY_DEFAULTS["count"],
-) -> list[CapacityEstimate]:
-    """Capacity estimates of the slices h_gamma, one per gamma.
-
-    One field call on the (G, count, n) stack of points phi_gamma(iy) serves
-    every slice; each estimate equals estimate_capacity_1d of that gamma's
-    slice_field bit for bit.
-    """
-    params = [GeodesicParam(tuple(np.atleast_1d(g))) for g in gammas]
-    for param in params:
-        param.require_dimension(field.dimension)
-    if not params:
-        return []
-    directions = np.array([p.gamma for p in params], dtype=complex)[:, None, :]
-
-    def sample(ys):
-        values = field(geodesic_coords(directions, 1j * ys))
-        return slice_parts(values, directions)[1]
-
-    return _capacity_estimates(
-        sample, f"slice[{field.description}]", y_min, y_max, count
-    )
 
 
 def check_pointwise_1d(field: VectorField, c: float) -> MembershipReport:

@@ -182,16 +182,16 @@ def cmd_capacity(args) -> int:
     _check_at_most(args.count, MAX_SAMPLE_COUNT, "--count")
     field = resolve_field(args.field)
     window = {"y_min": args.y_min, "y_max": args.y_max, "count": args.count}
-    if args.one_dim:
-        if field.dimension != 1:
-            raise ArityMismatchError("--one-dim needs a one-dimensional field")
-        data = analysis.estimate_capacity_1d(field, **window).to_json()
+    if field.dimension == 1:
+        if args.slices is not None:
+            raise ArityMismatchError("--slices needs a field of dimension n > 1")
+        data = analysis.slice_capacities(field, [()], **window)[0].to_json()
         data["value"] = _f15(data["value"])
         data["samples"] = [[_f15(y), _f15(s)] for y, s in data["samples"]]
         _print_json(data)
         return 0
     if args.slices is None:
-        raise ValueError("choose --one-dim or --slices GAMMAS")
+        raise ArityMismatchError(f"a field of dimension {field.dimension} needs --slices")
     gammas = [_parse_gamma(token) for token in args.slices.split(",")]
     estimates = analysis.slice_capacities(field, gammas, **window)
     _print_json([
@@ -369,9 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="estimate capacities from vertical tails")
     p.add_argument("--field", required=True)
-    p.add_argument("--one-dim", action="store_true", dest="one_dim",
-                   help="treat the field as a half-plane generator")
-    p.add_argument("--slices", help="comma-separated geodesic parameters")
+    p.add_argument("--slices", help="comma-separated geodesic parameters; "
+                   "needed for n > 1, refused for n = 1")
     p.add_argument("--y-min", type=float, default=analysis.CAPACITY_DEFAULTS["y_min"])
     p.add_argument("--y-max", type=float, default=analysis.CAPACITY_DEFAULTS["y_max"])
     p.add_argument("--count", type=int, default=analysis.CAPACITY_DEFAULTS["count"],

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from ._records import record
-from .analysis import CapacityEstimate, estimate_capacity_1d
+from .analysis import CapacityEstimate, slice_capacities
 from .domains import (
     Domain,
     DomainPoint,
@@ -317,10 +317,10 @@ def _advance(
                     a[keep] for a in (rows, t, h, r_prev, consecutive, exits)
                 )
                 live = rows.size
-                y = y[:, keep]
+                y = y.compress(keep, axis=1)
                 # Only slot 1 carries over; shrink the stage buffer in place,
                 # keeping it contiguous over the first 7 * n * live numbers.
-                ks1 = ks[1][:, keep]
+                ks1 = ks[1].compress(keep, axis=1)
                 ks = buffer[:7 * n * live].reshape(7, n, live)
                 ks[1] = ks1
 
@@ -788,9 +788,11 @@ def iterate_map(
 def extract_capacity(self_map) -> CapacityEstimate:
     """Capacity of a 1-d self-map via the tail of y |f(iy) - iy|, 1 <= y <= 1e5.
 
-    The window stops below the raw estimator's y_max because computing
-    f(iy) - iy at height y loses about y * ulp(y) to cancellation; beyond
-    y ~ 1e5 the roundoff noise would dominate the tail for double precision.
+    This is the n = 1 case of :func:`slice_capacities`, at gamma = (), applied
+    to the displacement f - id in the self-map window.  The window stops below
+    the field estimator's y_max because computing f(iy) - iy at height y loses
+    about y * ulp(y) to cancellation; beyond y ~ 1e5 the roundoff noise would
+    dominate the tail for double precision.
     """
     displacement = _minus_identity(self_map, 1, "self-map displacement")
-    return estimate_capacity_1d(displacement, y_max=1e5)
+    return slice_capacities(displacement, [()], y_max=1e5)[0]

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._records import record
 from .domains import Domain, DomainPoint
-from .errors import ArityMismatchError, DomainViolation
+from .errors import ArityMismatchError, DomainViolation, FieldEvaluationError
 from .fields import VectorField
 
 
@@ -161,12 +161,18 @@ def slice_field(field: VectorField, param: GeodesicParam) -> VectorField:
 
 
 def slice_value(field: VectorField, param: GeodesicParam, zeta: complex) -> complex:
-    """Value of the slice h_gamma at one half-plane parameter."""
+    """Value of the slice h_gamma at one half-plane parameter; must be finite."""
     zeta = complex(zeta)
     if zeta.imag <= 0:
         raise DomainViolation(f"slice parameter needs Im(zeta) > 0, got {zeta}")
+    sliced = slice_field(field, param)
     with np.errstate(all="ignore"):
-        return complex(slice_field(field, param)(np.array([[zeta]]))[0, 0])
+        value = complex(sliced(np.array([[zeta]]))[0, 0])
+    if not np.isfinite(value):
+        raise FieldEvaluationError(
+            f"{sliced.description} is not finite at zeta = {zeta}, gamma = {param.gamma}"
+        )
+    return value
 
 
 def split_tangent(point: DomainPoint, value) -> SliceDecomposition:

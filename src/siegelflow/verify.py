@@ -294,7 +294,7 @@ def _g_cauchy_capacity(rng):
     measures = sampling.herglotz_measures(rng, 3)
     worst = 0.0
     for measure in measures:
-        estimate = analysis.estimate_capacity_1d(fields.cauchy_transform(measure))
+        estimate = analysis.slice_capacities(fields.cauchy_transform(measure), [()])[0]
         worst = max(worst, abs(estimate.value - measure.total_mass))
     return _ok(len(measures), worst, 1e-6)
 
@@ -315,7 +315,7 @@ def _g_pointwise_self_consistency(rng):
     verdicts = []
     for measure in measures:
         field = fields.cauchy_transform(measure)
-        c = analysis.estimate_capacity_1d(field).value
+        c = analysis.slice_capacities(field, [()])[0].value
         report = analysis.check_pointwise_1d(field, c)
         verdicts.append(report.verdict)
         worst = max(worst, (report.sup_observed - c) / c)

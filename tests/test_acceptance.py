@@ -14,9 +14,9 @@ import pytest
 
 from siegelflow import sampling
 from siegelflow.analysis import (
-    estimate_capacity_1d,
     horosphere_inequality_check,
     membership_siegel,
+    slice_capacities,
 )
 from siegelflow.domains import (
     Domain,
@@ -67,8 +67,8 @@ def test_criterion_01_example1_slices_and_membership():
     field = builtin("example1")
     values = []
     for gamma, expected in (((1.0,), 2.0), ((2.0,), 8.0)):
-        est = estimate_capacity_1d(slice_field(field, GeodesicParam(gamma)),
-                                   y_max=1e6)
+        est = slice_capacities(slice_field(field, GeodesicParam(gamma)), [()],
+                               y_max=1e6)[0]
         assert est.value == pytest.approx(expected, rel=1e-5)
         values.append(est.value)
     report = membership_siegel(field, 7.0)
@@ -86,7 +86,7 @@ def test_criterion_02_example2_slices_and_grid_sup():
     field = builtin("example2")
     values = []
     for gamma in ((0.0,), (1.0,), (1 + 1j,)):
-        est = estimate_capacity_1d(slice_field(field, GeodesicParam(gamma)))
+        est = slice_capacities(slice_field(field, GeodesicParam(gamma)), [()])[0]
         assert est.value == pytest.approx(1.0, rel=1e-5)
         values.append(est.value)
     report = membership_siegel(field, 2.0)
@@ -245,7 +245,7 @@ def test_criterion_06_capacity_from_flows():
     measures = sampling.herglotz_measures(rng, 3)
     worst_static = 0.0
     for m in measures:
-        est = estimate_capacity_1d(cauchy_transform(m))
+        est = slice_capacities(cauchy_transform(m), [()])[0]
         worst_static = max(worst_static, abs(est.value - m.total_mass))
     assert worst_static < 1e-6
     m = measures[0]

@@ -5,14 +5,14 @@ import pytest
 
 from siegelflow import sampling
 from siegelflow.analysis import (
+    CAPACITY_DEFAULTS,
     check_pointwise_1d,
-    estimate_capacity_1d,
     horosphere_inequality_check,
     membership_ball,
     membership_siegel,
     slice_capacities,
 )
-from siegelflow.errors import ArityMismatchError
+from siegelflow.errors import ArityMismatchError, FieldEvaluationError
 from siegelflow.fields import (
     DiscreteMeasure,
     builtin,
@@ -25,8 +25,13 @@ from siegelflow.flows import displacement_field, flow_map
 from siegelflow.geodesics import GeodesicParam, slice_field
 
 
+def capacity(field, **window):
+    """The capacity estimate of a 1-d field: its only slice, gamma = ()."""
+    return slice_capacities(field, [()], **window)[0]
+
+
 def test_capacity_of_reciprocal_is_one():
-    est = estimate_capacity_1d(builtin("reciprocal"))
+    est = capacity(builtin("reciprocal"))
     assert est.value == pytest.approx(1.0, rel=1e-12)
     assert est.trend == "converged"
     assert len(est.samples) == 64
@@ -34,37 +39,37 @@ def test_capacity_of_reciprocal_is_one():
 
 def test_capacity_equals_total_mass(rng):
     for m in sampling.herglotz_measures(rng, 3):
-        est = estimate_capacity_1d(cauchy_transform(m))
+        est = capacity(cauchy_transform(m))
         assert est.value == pytest.approx(m.total_mass, abs=1e-6)
 
 
 def test_capacity_trend_flags():
     # constant drift: y |i| = y grows without bound
-    est = estimate_capacity_1d(parse_field("i", 1))
+    est = capacity(parse_field("i", 1))
     assert est.trend == "increasing"
-    est = estimate_capacity_1d(parse_field("0", 1))
+    est = capacity(parse_field("0", 1))
     assert est.trend == "converged"
     assert est.value == 0.0
 
 
 def test_capacity_rejects_bad_windows():
     with pytest.raises(ValueError):
-        estimate_capacity_1d(builtin("reciprocal"), y_min=10.0, y_max=1.0)
+        capacity(builtin("reciprocal"), y_min=10.0, y_max=1.0)
     for window in ({"y_max": np.inf}, {"y_min": np.nan}, {"y_max": np.nan}):
         with pytest.raises(ValueError, match="finite"):
-            estimate_capacity_1d(builtin("reciprocal"), **window)
+            capacity(builtin("reciprocal"), **window)
     with pytest.raises(ArityMismatchError):
-        estimate_capacity_1d(builtin("example1"))
+        capacity(builtin("example1"))
 
 
 @pytest.mark.parametrize("count", [0, 1, 7])
 def test_capacity_needs_two_tail_samples(count):
     with pytest.raises(ValueError, match="count"):
-        estimate_capacity_1d(builtin("reciprocal"), count=count)
+        capacity(builtin("reciprocal"), count=count)
 
 
 def test_capacity_smallest_count_keeps_a_two_sample_tail():
-    est = estimate_capacity_1d(builtin("reciprocal"), count=8)
+    est = capacity(builtin("reciprocal"), count=8)
     assert len(est.samples) == 8
     assert est.trend == "converged"
 
@@ -134,14 +139,36 @@ def test_slice_capacities_equal_each_slice_alone(spec):
     ]
     stacked = slice_capacities(field, gammas, y_max=1e6, count=40)
     for gamma, estimate in zip(gammas, stacked):
-        alone = estimate_capacity_1d(
-            slice_field(field, GeodesicParam(gamma)), y_max=1e6, count=40
+        alone = slice_capacities(
+            slice_field(field, GeodesicParam(gamma)), [()], y_max=1e6, count=40
         )
-        assert estimate == alone
+        assert [estimate] == alone
+
+
+def test_one_dimensional_slice_is_the_field_itself():
+    # At n = 1 the samples are y |H(iy)| sampled directly, bit for bit.
+    field = parse_field("exp(i*z)/(2+z^2) - 3/z", 1)
+    ys = np.geomspace(CAPACITY_DEFAULTS["y_min"], CAPACITY_DEFAULTS["y_max"],
+                      CAPACITY_DEFAULTS["count"])
+    with np.errstate(all="ignore"):
+        direct = ys * np.abs(field((1j * ys)[:, None])[:, 0])
+    assert capacity(field).samples == tuple(zip(ys.tolist(), direct.tolist()))
+
+
+def test_non_finite_capacity_samples_name_the_field():
+    # A 1-d field is reported by its own description, a slice as slice[...].
+    with pytest.raises(FieldEvaluationError) as one:
+        capacity(parse_field("exp(z)/(1+z^2)", 1))
+    assert str(one.value) == "exp(z1)/(1 + z1^2) produced non-finite values"
+    with pytest.raises(FieldEvaluationError) as two:
+        slice_capacities(parse_field("1/(1+z1^2); 0", 2), [(0.0,)])
+    assert str(two.value) == "slice[1/(1 + z1^2); 0] produced non-finite values"
 
 
 def test_slice_capacities_checks_each_gamma():
     assert slice_capacities(builtin("example2"), []) == []
+    with pytest.raises(ValueError, match="finite"):
+        slice_capacities(builtin("example2"), [], y_max=np.inf)
     with pytest.raises(ArityMismatchError):
         slice_capacities(builtin("example2"), [(1.0,), (1.0, 2.0)])
     with pytest.raises(ValueError, match="count"):

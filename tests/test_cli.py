@@ -165,16 +165,43 @@ def test_eval_singularity_exits_3(capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("field, gamma, zeta", [
+    ("1/(z1-2*i); 0", "0", "2i"),           # a pole at phi_0(2i) = (2i, 0)
+    ("builtin:example2", "1e200", "i"),     # ||gamma||^2 overflows
+])
+def test_eval_non_finite_slice_exits_3(capsys, field, gamma, zeta):
+    code, out, err = run_cli(capsys, "eval", "--what", "slice", "--field", field,
+                             "--gamma", gamma, "--zeta", zeta)
+    assert code == 3
+    assert out == ""
+    assert "is not finite at" in err
+
+
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------
 
 def test_capacity_one_dim(capsys):
-    code, out, _ = run_cli(capsys, "capacity", "--field", "-1/z", "--one-dim")
+    code, out, _ = run_cli(capsys, "capacity", "--field", "-1/z")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(1.0, rel=1e-12)
     assert payload["trend"] == "converged"
+
+
+# SHA-256 of the stdout of capacity on a one-dimensional field, taken from
+# the separate half-plane estimator (then behind --one-dim) that the n = 1
+# slice replaced: the field's dimension picks the mode, and no byte moved.
+@pytest.mark.parametrize("argv, digest", [
+    (["--field", "-1/z"],
+     "a8a9bec8ed11ef29d82f59087613e3256b22c6747dc4261894167cf0b210e944"),
+    (["--field", "builtin:reciprocal", "--count", "8", "--y-max", "1e5"],
+     "ef81fcfe04e3c14f18ae1c2213cca9bdb34c7e1431373bfcd3e8fcd0aa7110ca"),
+])
+def test_capacity_of_a_one_dimensional_field_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, "capacity", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_capacity_slices(capsys):
@@ -202,8 +229,7 @@ def test_capacity_slices_batch_matches_single_slices(capsys):
 
 @pytest.mark.parametrize("count", ["0", "7"])
 def test_capacity_small_count_exits_2(capsys, count):
-    code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", "--one-dim",
-                             "--count", count)
+    code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", "--count", count)
     assert code == 2
     assert out == ""
     assert "count" in err
@@ -213,7 +239,7 @@ def _never_called(*args, **kwargs):
     raise AssertionError("the bound must be checked before any field is built")
 
 
-@pytest.mark.parametrize("mode", [("--one-dim",), ("--slices", "1")])
+@pytest.mark.parametrize("mode", [(), ("--slices", "1")])
 def test_capacity_count_above_bound_exits_2(capsys, monkeypatch, mode):
     monkeypatch.setattr(cli, "resolve_field", _never_called)
     code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", *mode,
@@ -240,9 +266,9 @@ def test_help_states_the_work_bounds(capsys):
         assert flag in out and str(bound) in out
 
 
-@pytest.mark.parametrize("mode", [("--one-dim",), ("--slices", "1")])
+@pytest.mark.parametrize("mode", [(), ("--slices", "1")])
 def test_capacity_infinite_window_exits_2(capsys, mode):
-    field = "-1/z" if mode[0] == "--one-dim" else "builtin:example2"
+    field = "builtin:example2" if mode else "-1/z"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "capacity", "--field", field, *mode,
@@ -254,9 +280,25 @@ def test_capacity_infinite_window_exits_2(capsys, mode):
 
 
 def test_capacity_needs_a_mode(capsys):
-    code, _, err = run_cli(capsys, "capacity", "--field", "-1/z")
+    # The field's dimension picks the mode: n > 1 needs --slices.
+    code, out, err = run_cli(capsys, "capacity", "--field", "builtin:example2")
     assert code == 2
-    assert "one-dim" in err
+    assert out == ""
+    assert "--slices" in err
+
+
+def test_capacity_refuses_slices_of_a_one_dimensional_field(capsys):
+    code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", "--slices", "1")
+    assert code == 2
+    assert out == ""
+    assert "--slices" in err
+
+
+def test_capacity_has_no_one_dim_flag(capsys):
+    code, out, err = run_cli(capsys, "capacity", "--field", "-1/z", "--one-dim")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --one-dim" in err
 
 
 # ---------------------------------------------------------------------------

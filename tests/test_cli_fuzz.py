@@ -85,7 +85,7 @@ COMMANDS = st.one_of(
     ),
     _command(
         "capacity", _flag("--field", ONE_DIM, BAD_FIELDS + TWO_DIM),
-        _mostly([["--one-dim"]], [[], ["--slices", "0"]]),
+        _mostly([[]], [["--slices", "0"]]),
         _maybe("--y-min", *HEIGHTS), _maybe("--y-max", *HEIGHTS),
         _maybe("--count", *COUNTS),
     ),
