@@ -35,6 +35,11 @@ from .errors import ArityMismatchError, DomainViolation
 # A point counts as interior only when its defining inequality holds with
 # this much room; boundary-adjacent inputs are rejected rather than trusted.
 INTERIOR_MARGIN = 1e-12
+_MARGIN_FLOOR = np.array(INTERIOR_MARGIN)  # 0-d: no Python-float conversion per call
+
+# np.sum and ndarray.sum reach this reduction through Python-level wrappers,
+# which cost more than the loop on the few numbers of one integrator step.
+_sum = np.add.reduce
 
 
 class Domain(str, Enum):
@@ -53,8 +58,8 @@ _ONE_DIM = (Domain.DISC, Domain.HALF_PLANE)
 _MARGIN = {
     Domain.DISC: lambda z: 1.0 - np.abs(z[..., 0]),
     Domain.HALF_PLANE: lambda z: z[..., 0].imag,
-    Domain.BALL: lambda z: 1.0 - np.sqrt(np.sum(np.abs(z) ** 2, axis=-1)),
-    Domain.SIEGEL: lambda z: z[..., 0].imag - (np.abs(z[..., 1:]) ** 2).sum(axis=-1),
+    Domain.BALL: lambda z: 1.0 - np.sqrt(_sum(np.abs(z) ** 2, axis=-1)),
+    Domain.SIEGEL: lambda z: z[..., 0].imag - _sum(np.abs(z[..., 1:]) ** 2, axis=-1),
 }
 
 
@@ -70,10 +75,15 @@ def interior_margin(domain: Domain, coords: np.ndarray) -> np.ndarray:
 def _is_interior(domain: Domain, coords: np.ndarray) -> np.ndarray:
     """Rows of coords (..., n) that are interior: finite, margin > INTERIOR_MARGIN.
 
+    Only the first coordinate needs its own finiteness test: the ball and
+    Siegel margins take |z_k| of every other coordinate, which a non-finite
+    z_k turns into inf or NaN, so the margin is -inf or NaN and fails the
+    bound; disc and half-plane points have no other coordinate.
+
     A non-finite row may make numpy warn; callers that can meet one hold
     ``np.errstate``.
     """
-    return np.isfinite(coords).all(axis=-1) & (_MARGIN[domain](coords) > INTERIOR_MARGIN)
+    return np.isfinite(coords[..., 0]) & (_MARGIN[domain](coords) > _MARGIN_FLOOR)
 
 
 @record

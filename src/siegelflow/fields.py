@@ -37,7 +37,14 @@ from .errors import (
 
 
 class VectorField:
-    """An evaluatable holomorphic map z -> C^n."""
+    """An evaluatable holomorphic map z -> C^n.
+
+    A flow map's image of a point is bit-identical in any batch only when the
+    evaluator applies the same numpy operations to each row, whatever the
+    batch size, into contiguous temporaries.  Writing a result through a
+    strided ``out=`` view may make numpy pick another loop, and with it
+    other bits, for some batch sizes.
+    """
 
     def __init__(self, dimension: int, evaluator, description: str = "field"):
         if dimension < 1:
@@ -126,12 +133,15 @@ def example1() -> VectorField:
 
 def example2() -> VectorField:
     """H(z) = (-1/z1, z2/(2 z1^2)): a uniformly bounded generator."""
+    # 0-d complex operands: numpy would convert a Python float and cast it to
+    # complex in every call, to these same numbers, for the same loops.
+    minus_one, two = np.array(-1.0 + 0j), np.array(2.0 + 0j)
 
     def evaluator(points):
         out = np.empty(points.shape, dtype=complex)
         z1 = points[..., 0]
-        out[..., 0] = -1.0 / z1
-        out[..., 1] = points[..., 1] / (2.0 * z1 * z1)
+        out[..., 0] = minus_one / z1
+        out[..., 1] = points[..., 1] / (two * z1 * z1)
         return out
 
     return VectorField(2, evaluator, "(-1/z1, z2/(2*z1^2))")

@@ -71,8 +71,25 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 _MAX_CONSECUTIVE_REJECTS = 60
 _MAX_DOMAIN_EXITS = 60  # rejected steps of one row that left the domain
-_STEP_GROW_CAP = 5.0
-_STEP_SHRINK_CAP = 0.2
+
+# The step loop's float operands are 0-d float64 arrays, not Python floats:
+# numpy converts a Python float afresh in every ufunc call.  Both select the
+# same float64 loop, so no result changes by a bit.
+_STEP_GROW_CAP = np.array(5.0)
+_STEP_SHRINK_CAP = np.array(0.2)
+_SAFETY = np.array(0.9)  # safety factor of the step-size controller
+_ALPHA = np.array(-0.175)  # PI exponent of this step's error ratio
+_BETA = np.array(0.1)  # PI exponent of the previous step's error ratio
+_R_FLOOR = np.array(1e-10)  # error-ratio floor, keeps r**_ALPHA finite
+_NEAR_ONE = np.array(1.0 - 1e-12)  # a step this close to the rest ends the leg
+
+# Reductions: ndarray.max/all/any reach these ufunc methods through
+# Python-level wrappers, which cost more than the loop on the few numbers of a
+# one-row step.  A whole-array test on a 1-d array reads the entry at its
+# argmin or argmax instead: a[a.argmin()] is a.min(), which for a mask is
+# a.all(), and a[a.argmax()] is a.max() or a.any(); that costs about a quarter
+# of a ufunc reduction of one number.  np.count_nonzero runs only on rejection.
+_max, _all, _any = np.maximum.reduce, np.logical_and.reduce, np.logical_or.reduce
 
 
 class _Segment:
@@ -118,6 +135,9 @@ def _row(weights) -> tuple:
     pairs = tuple(sorted((_SLOT[j], w) for j, w in enumerate(weights) if w != 0.0))
     lo, hi = pairs[0][0], pairs[-1][0] + 1
     assert hi - lo == len(pairs), "a row's weights must fill one slot slice"
+    # Complex weights: numpy would cast float ones to complex, to these same
+    # numbers, in every product with a stage.
+    pairs = tuple((j, np.array(complex(w))) for j, w in pairs)
     column = np.array([w for _, w in pairs])[:, None, None] if len(pairs) > 1 else None
     return lo, hi, pairs, column
 
@@ -159,6 +179,7 @@ def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> np.ndarray:
     (m,).  Slot 6 is the field at y_new (FSAL).
     """
     shape, small = y.shape[::-1], y.size <= _RUNNING_SUM_SIZE
+    h = np.asarray(h, dtype=complex)  # cast once, not in each stage's y_i *= h
     for slot, lo, hi, pairs, column in _STAGE_PLAN:
         y_i = _combine(ks, lo, hi, pairs, column, small)
         y_i *= h
@@ -186,8 +207,10 @@ def _advance(
     rejection count, and leaves the stage arrays once it reaches t1, so its
     result does not depend on the other rows.  Every row must start inside
     the domain (else DomainViolation, before any field call), and any
-    failing row fails the call.  ``record`` keeps the accepted nodes of a
-    single row (m = 1).
+    failing row fails the call.  A row whose step falls below
+    1e-15 * max(1, |t|) at its own time t raises StepSizeUnderflow; a span
+    shorter than 1e-15 * max(1, |t0|, |t1|) takes no step.  ``record``
+    keeps the accepted nodes of a single row (m = 1).
     The state is held component-major (module docstring); ``seg.y`` is
     (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
     the FSAL stage of the row's last step.
@@ -207,25 +230,30 @@ def _advance(
         if k0 is not None:
             ks[1] = k0.T
         else:
-            if not _is_interior(domain, y.T).all():
+            if not _all(_is_interior(domain, y.T)):
                 raise DomainViolation("flow started at a non-interior point")
             ks[1] = _field_result(eval_fn(y.T), (m, n)).T
-            if not np.isfinite(ks[1]).all():
+            if not _all(np.isfinite(ks[1]), axis=None):
                 raise FieldEvaluationError("field is not finite at the initial point")
         if record:
             seg.record(t0, y)
+        # Every row's time stays in [t0, t1], so this floor bounds each row's
+        # own floor, 1e-15 * max(1, |t|); only a step below it is checked row
+        # by row.
         floor = 1e-15 * max(1.0, abs(t0), abs(t1))
-        t_done = t1 - floor
-        if t0 >= t_done:
+        if t0 >= t1 - floor:
             seg.y, seg.k = y.T.copy(), ks[1].T.copy()
             return seg
+        t_done = np.array(t1 - floor)  # 0-d: compared in every step
+        t1, tol = np.array(t1), np.array(tol)  # 0-d: operands in every step
 
-        d0 = np.maximum(np.abs(y).max(axis=0), 1e-6)
-        d1 = np.maximum(np.abs(ks[1]).max(axis=0), 1e-16)
+        d0 = np.maximum(_max(np.abs(y), axis=0), 1e-6)
+        d1 = np.maximum(_max(np.abs(ks[1]), axis=0), 1e-16)
         h = np.minimum(t1 - t0, 0.01 * d0 / d1)
         t = np.empty(m)
         t.fill(t0)
-        r_prev = np.ones(m)
+        r_prev = np.empty(m)
+        r_prev.fill(1.0)
         consecutive, exits = np.zeros((2, m), dtype=int)
         # Finished rows go to ``out`` at their original index, their states
         # to out[0] and their stages to out[1] (two arrays, so a result does
@@ -235,39 +263,48 @@ def _advance(
         retried = False  # some row's rejection count may be nonzero
 
         while True:
-            if h.min() < floor:
-                k = int(np.argmax(h < floor))
-                raise StepSizeUnderflow(
-                    f"step size underflow at t = {t[k]} (h = {h[k]:.3e} is below "
-                    f"the floor 1e-15 * max(1, |t0|, |t1|) = {floor:.3e})"
-                )
+            if h[h.argmin()] < floor:
+                row_floor = 1e-15 * np.maximum(1.0, np.abs(t))
+                below = h < row_floor
+                if _any(below):
+                    k = int(np.argmax(below))
+                    raise StepSizeUnderflow(
+                        f"step size underflow at t = {t[k]} (h = {h[k]:.3e} is below "
+                        f"the floor 1e-15 * max(1, |t|) = {row_floor[k]:.3e})"
+                    )
             remaining = t1 - t
-            last = h >= remaining * (1.0 - 1e-12)
-            h_step = np.where(last, remaining, h)
+            last = h >= remaining * _NEAR_ONE
+            ends = last[last.argmax()]  # only a row's final step is clipped
+            h_step = h
+            if ends:
+                h_step = h.copy()
+                np.copyto(h_step, remaining, where=last)
             y_new = _stages(eval_fn, y, ks, h_step)
 
             # Slot 1 is finite: checked above, carried in, or from an accepted step.
-            inside = np.isfinite(ks).all(axis=(0, 1)) & _is_interior(domain, y_new.T)
+            inside = _all(np.isfinite(ks), axis=(0, 1)) & _is_interior(domain, y_new.T)
             small = n * live <= _RUNNING_SUM_SIZE
-            err = np.abs(_combine(ks, *_ERROR_ROW, small)).max(axis=0)
+            err = _max(np.abs(_combine(ks, *_ERROR_ROW, small)), axis=0)
             accept = inside & (err <= tol)
-            n_accepted = int(np.count_nonzero(accept))
 
-            r = np.maximum(err / tol, 1e-10)
-            fac = np.maximum(_STEP_SHRINK_CAP, 0.9 * r**-0.175 * r_prev**0.1)
+            r = np.maximum(err / tol, _R_FLOOR)
+            fac = np.maximum(_STEP_SHRINK_CAP, _SAFETY * r**_ALPHA * r_prev**_BETA)
             h_grow = h_step * np.minimum(_STEP_GROW_CAP, fac)
-            t_new = np.where(last, t1, t + h_step)
-            if n_accepted == live:
+            t_new = t + h_step
+            if ends:
+                np.copyto(t_new, t1, where=last)
+            if accept[accept.argmin()]:
                 t, y, h, r_prev = t_new, y_new, h_grow, r
                 ks[1] = ks[6]
                 if retried:
                     consecutive[:] = 0
                     retried = False
                 seg.accepted += live
-                seg.max_error = max(seg.max_error, float(err.max()))
+                seg.max_error = max(seg.max_error, float(err[err.argmax()]))
                 if record:
                     seg.record(float(t[0]), y)
             else:
+                n_accepted = int(np.count_nonzero(accept))
                 h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
                 h = np.where(accept, h_grow, np.where(inside, h_shrink, 0.5 * h_step))
                 t = np.where(accept, t_new, t)
@@ -279,14 +316,14 @@ def _advance(
                 retried = True
                 seg.accepted += n_accepted
                 seg.rejected += live - n_accepted
-                seg.max_error = max(seg.max_error, float(err[accept].max(initial=0.0)))
-                if (exits >= _MAX_DOMAIN_EXITS).any():
+                seg.max_error = max(seg.max_error, float(_max(err[accept], initial=0.0)))
+                if _any(exits >= _MAX_DOMAIN_EXITS):
                     k = int(np.argmax(exits))
                     raise StepSizeUnderflow(
                         f"step size underflow: creeping along the boundary of the "
                         f"{domain.value} near t = {t[k]}; {exits[k]} rejected steps left it"
                     )
-                if (consecutive >= _MAX_CONSECUTIVE_REJECTS).any():
+                if _any(consecutive >= _MAX_CONSECUTIVE_REJECTS):
                     k = int(np.argmax(consecutive))
                     cause = ("error control failed" if inside[k]
                              else "trajectory left the domain")
@@ -296,33 +333,33 @@ def _advance(
                     )
 
             done = t >= t_done
-            n_done = int(np.count_nonzero(done))
-            if n_done == live:
+            if not done[done.argmax()]:
+                continue
+            if done[done.argmin()]:
                 if out is None:
                     seg.y, seg.k = y.T.copy(), ks[1].T.copy()
                 else:
                     out[0][rows], out[1][rows] = y.T, ks[1].T
                     seg.y, seg.k = out
                 return seg
-            if n_done:
-                if out is None:
-                    out = np.empty((m, n), dtype=complex), np.empty((m, n), dtype=complex)
-                    rows = np.arange(m)
-                # compress gathers along axis 1 faster than a boolean index.
-                finished = rows[done]
-                out[0][finished] = y.compress(done, axis=1).T
-                out[1][finished] = ks[1].compress(done, axis=1).T
-                keep = ~done
-                rows, t, h, r_prev, consecutive, exits = (
-                    a[keep] for a in (rows, t, h, r_prev, consecutive, exits)
-                )
-                live = rows.size
-                y = y.compress(keep, axis=1)
-                # Only slot 1 carries over; shrink the stage buffer in place,
-                # keeping it contiguous over the first 7 * n * live numbers.
-                ks1 = ks[1].compress(keep, axis=1)
-                ks = buffer[:7 * n * live].reshape(7, n, live)
-                ks[1] = ks1
+            if out is None:
+                out = np.empty((m, n), dtype=complex), np.empty((m, n), dtype=complex)
+                rows = np.arange(m)
+            # compress gathers along axis 1 faster than a boolean index.
+            finished = rows[done]
+            out[0][finished] = y.compress(done, axis=1).T
+            out[1][finished] = ks[1].compress(done, axis=1).T
+            keep = ~done
+            rows, t, h, r_prev, consecutive, exits = (
+                a[keep] for a in (rows, t, h, r_prev, consecutive, exits)
+            )
+            live = rows.size
+            y = y.compress(keep, axis=1)
+            # Only slot 1 carries over; shrink the stage buffer in place,
+            # keeping it contiguous over the first 7 * n * live numbers.
+            ks1 = ks[1].compress(keep, axis=1)
+            ks = buffer[:7 * n * live].reshape(7, n, live)
+            ks[1] = ks1
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +798,7 @@ def iterate_map(
                 raise DomainViolation(
                     f"iterate {performed} ({point}) is not interior to {domain.value}"
                 )
-            step = float(np.abs(image - current).max())
+            step = float(_max(np.abs(image - current), axis=None))
             current = image
             us.append(abs(float(poisson_values(domain, current)[0])))
             if us[-1] > divergence_threshold:

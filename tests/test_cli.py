@@ -370,15 +370,37 @@ def test_flow_underflow_exits_3(capsys):
     assert "underflow" in err
 
 
-def test_flow_underflow_names_the_step_floor(capsys):
-    # The step floor scales with the times: 1e-15 * 1e20 = 1e5 exceeds the
-    # first step, so the flow stops at once and the message says why.
-    code, out, err = run_cli(capsys, "flow", "--field", "builtin:example2",
-                             "--z0", "(i,0.5)", "--t", "1e20")
+def test_flow_underflow_names_the_step_floor(capsys, tmp_path):
+    # A row's step floor is 1e-15 * max(1, |t|) at its own time.  At
+    # t = 1e12 the floor is 1e-3, and -1/z at 1e-5 i starts with a step of
+    # 0.01 * |z| / |z'| = 1e-12, so the flow stops there and says why.
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps([
+        {"t0": 0, "t1": 1e12, "field": "0"},
+        {"t0": 1e12, "t1": 1e12 + 1, "field": "-1/z"},
+    ]))
+    code, out, err = run_cli(capsys, "flow", "--driver", str(pieces),
+                             "--z0", "0.00001i", "--t", "1000000000001")
     assert code == 3
     assert out == ""
-    assert "step size underflow at t = 0.0 (h = 1.000e-02" in err
-    assert "below the floor 1e-15 * max(1, |t0|, |t1|) = 1.000e+05" in err
+    assert "step size underflow at t = 1000000000000.0 (h = 1.000e-12" in err
+    assert "below the floor 1e-15 * max(1, |t|) = 1.000e-03" in err
+
+
+@pytest.mark.parametrize("argv, z1, t", [
+    (["flow", "--field", "builtin:example2", "--z0", "(0.0001i, 0)", "--t", "1e5"],
+     1e-4j, 1e5),
+    (["flow", "--field", "-1/z", "--z0", "0.00001i", "--t", "1e7"], 1e-5j, 1e7),
+    (["iterate", "--map", "flow1e6:-1/z", "--z0", "0.00001i", "--n", "2"], 1e-5j, 2e6),
+], ids=["flow-example2", "flow-reciprocal", "iterate-reciprocal"])
+def test_small_first_steps_of_long_flows_are_above_their_floor(capsys, argv, z1, t):
+    # The first steps this near the real axis are below 1e-15 * t, but not
+    # below the floor at the row's own time, 1e-15 * max(1, |t|).
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    data = json.loads(out)
+    got = parse_complex((data.get("endpoint") or data["final"])[0])
+    assert abs(got - np.sqrt(z1 * z1 - 2.0 * t)) <= 1e-10 * t
 
 
 def test_flow_creeping_along_the_boundary_exits_3(capsys):

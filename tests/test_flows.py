@@ -24,7 +24,14 @@ from siegelflow.errors import (
     FieldEvaluationError,
     StepSizeUnderflow,
 )
-from siegelflow.fields import VectorField, builtin, parse_field, zero_field
+from siegelflow.fields import (
+    DiscreteMeasure,
+    VectorField,
+    builtin,
+    cauchy_transform,
+    parse_field,
+    zero_field,
+)
 from siegelflow.flows import (
     DEFAULT_TOL,
     MONOTONICITY_SLACK,
@@ -303,28 +310,50 @@ def test_flow_map_lockstep_matches_single_runs():
         assert np.array_equal(batch[k], single)
 
 
+def _batch_field(name: str) -> VectorField:
+    """A built-in field by name, a two-atom Cauchy transform, or a parsed field."""
+    if name == "cauchy":
+        return cauchy_transform(DiscreteMeasure(((-1.0, 0.5), (2.0, 1.5))))
+    if name in ("example1", "example2", "reciprocal"):
+        return builtin(name)
+    return parse_field(name)
+
+
+# The parsed fields are the ones the benchmark's orbit workload flows, so
+# every field kind the benchmark runs is here: a change to any of their
+# evaluators that makes a row's bits depend on its batch fails this test.
 @pytest.mark.parametrize("name, grid", [
     ("example2", siegel_grid_small(2)),
     ("reciprocal", halfplane_grid()[::37]),
+    ("example1", siegel_grid_small(2)),
+    pytest.param("-1/z1; z2/(2*z1^2)", siegel_grid_small(2), id="parsed-example2"),
+    pytest.param("0; -i*z2/z1", siegel_grid_small(2), id="parsed-example1"),
+    ("cauchy", halfplane_grid()[::37]),
 ])
 def test_flow_map_batch_is_bit_identical_to_each_point_alone(name, grid):
     # Low points (Im z1 <= 0.1) take far more steps than high ones; each keeps
     # its own step control, so batching changes no bit of any endpoint.
     assert grid[:, 0].imag.min() <= 0.1 and grid[:, 0].imag.max() >= 100
     t = 1.0
-    step = flow_map(builtin(name), t)
+    step = flow_map(_batch_field(name), t)
     batch = step(grid)
     alone = np.array([step(point[None, :])[0] for point in grid])
     assert np.array_equal(batch, alone)
     assert np.array_equal(step(grid[::-1])[::-1], batch)
 
-    # Closed form: z1(t) = sqrt(z1^2 - 2t), z2(t) = z2 sqrt(z1 / z1(t)).
     z1 = grid[:, 0]
-    z1t = np.sqrt(z1 * z1 - 2.0 * t)
-    z1t = np.where(z1t.imag < 0, -z1t, z1t)
-    exact = z1t[:, None]
-    if grid.shape[1] == 2:
-        exact = np.stack([z1t, grid[:, 1] * np.sqrt(z1 / z1t)], axis=1)
+    if name == "cauchy":
+        return  # no closed form
+    if name in ("example1", "0; -i*z2/z1"):
+        # z1 stays put, z2(t) = z2 exp(-i t / z1).
+        exact = np.stack([z1, grid[:, 1] * np.exp(-1j * t / z1)], axis=1)
+    else:
+        # z1(t) = sqrt(z1^2 - 2t), z2(t) = z2 sqrt(z1 / z1(t)).
+        z1t = np.sqrt(z1 * z1 - 2.0 * t)
+        z1t = np.where(z1t.imag < 0, -z1t, z1t)
+        exact = z1t[:, None]
+        if grid.shape[1] == 2:
+            exact = np.stack([z1t, grid[:, 1] * np.sqrt(z1 / z1t)], axis=1)
     assert np.max(np.abs(batch - exact)) <= 10 * DEFAULT_TOL * t
 
 
@@ -518,6 +547,43 @@ def test_spans_below_the_step_floor_take_no_step():
     split = integrate_loewner((first, (0.3, 1.0, parse_field("-2/z", 1))), z0, 0.1 + 0.2)
     whole = integrate_loewner((first,), z0, 0.3)
     assert np.array_equal(split.final_state, whole.final_state)
+
+
+def _with_numpy_wrapper_frames(run):
+    """run() and the Python frames it opens in numpy's _methods.py or count_nonzero.
+
+    ndarray.min/max/all/any/sum reach their ufunc reductions through Python
+    functions in _methods.py, and np.count_nonzero is a Python function too.
+    """
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        filename = frame.f_code.co_filename
+        if event == "call" and "numpy" in filename and (
+                filename.endswith("_methods.py") or "count_nonzero" in frame.f_code.co_name):
+            frames += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, frames
+
+
+def test_the_step_loop_opens_no_numpy_wrapper_frames():
+    # The step loop reduces through ufunc methods and argmin/argmax, so these
+    # wrappers' frames do not grow with the number of steps.
+    field, z0 = builtin("example2"), siegel_point(1j, 0.5)
+    steps, frames = [], []
+    for t in (1.0, 5.0):
+        trajectory, count = _with_numpy_wrapper_frames(
+            lambda: integrate_autonomous(field, z0, t))
+        steps.append(trajectory.steps_accepted + trajectory.steps_rejected)
+        frames.append(count)
+    assert steps[1] > steps[0]
+    assert frames[1] == frames[0]
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
