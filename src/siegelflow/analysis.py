@@ -1,17 +1,17 @@
 """Generator-class membership checks and capacity estimation.
 
-A holomorphic H : H -> closure(H) on the half-plane belongs to the chordal
-class with constant c exactly when Im(z) |H(z)| <= c everywhere, and the
-smallest such constant (the capacity of H) is the limit of y |H(iy)| as
-y -> infinity.  On the Siegel half-space the class with constant c is cut out
-by the metric inequality
+A field H belongs to the class with constant c exactly when the hyperbolic
+length of H(z) obeys
 
-    ||H(z)||_{H_n, z} <= c / u(z)^2,
+    u(z)^2 ||H(z)||_z <= c
 
-which this module tests by taking suprema over the versioned grids of
-:mod:`siegelflow.grids`.  Verdicts are reported with the sampled supremum and
-the witness point attaining it; "consistent" means no sampled violation, it
-is not a proof of membership.
+everywhere.  :func:`membership` is the one scan of that inequality, over a
+versioned grid of :mod:`siegelflow.grids` on the half-plane (n = 1), the
+Siegel half-space or the ball.  On the half-plane u = Im z and ||H||_z =
+|H| / Im z, so it reads Im(z) |H(z)| <= c, and the smallest such c (the
+capacity of H) is the limit of y |H(iy)| as y -> infinity.  Verdicts are
+reported with the sampled supremum and the witness point attaining it;
+"consistent" means no sampled violation, it is not a proof of membership.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .domains import (
 from .errors import ArityMismatchError, FieldEvaluationError
 from .fields import VectorField
 from .geodesics import GeodesicParam, geodesic_coords, slice_parts
-from .grids import SIEGEL_GRID_V1, HALFPLANE_GRID_V1, halfplane_grid, siegel_grid_by_name
+from .grids import SIEGEL_GRID_V1, grid_by_name
 
 # Relative slack applied to every sampled inequality before declaring a
 # violation; absorbs harmless last-digit rounding.
@@ -109,7 +109,7 @@ def _verdict(sup: float, c: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Capacities and the half-plane class
+# Capacities
 # ---------------------------------------------------------------------------
 
 def slice_capacities(
@@ -165,78 +165,48 @@ def slice_capacities(
     return estimates
 
 
-def check_pointwise_1d(field: VectorField, c: float) -> MembershipReport:
-    """Test Im(z) |H(z)| <= c on the versioned half-plane grid.
-
-    Also verifies Im(H) >= -1e-12 (H must map into the closed half-plane);
-    failures are reported in ``notes`` without affecting the supremum-based
-    verdict rule.
-    """
-    if field.dimension != 1:
-        raise ArityMismatchError("check_pointwise_1d needs a 1-d field")
-    c = _class_constant(c)
-    points = halfplane_grid()
-    values = _finite_values(field, points, field.description)[..., 0]
-    scaled = points[:, 0].imag * np.abs(values)
-    index = int(np.argmax(scaled))
-    notes = []
-    worst_im = float(np.min(values.imag))
-    if worst_im < -1e-12:
-        at = points[int(np.argmin(values.imag)), 0]
-        notes.append(
-            f"Im(H) = {worst_im:.3e} < 0 at {format_complex(at)}; "
-            "H does not map the half-plane into its closure"
-        )
-    return MembershipReport(
-        constant_c=c,
-        sup_observed=float(scaled[index]),
-        witness=(complex(points[index, 0]),),
-        witness_domain=Domain.HALF_PLANE,
-        verdict=_verdict(float(scaled[index]), c),
-        grid_name=HALFPLANE_GRID_V1,
-        notes=tuple(notes),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Siegel and ball membership
+# Class membership
 # ---------------------------------------------------------------------------
 
-def _membership(
-    field: VectorField, c: float, points: np.ndarray, domain: Domain, grid_name: str
+def membership(
+    field: VectorField, c: float, domain: Domain | None = None, grid: str = "default"
 ) -> MembershipReport:
-    """Sampled sup of u(z)^2 ||H(z)||_z over ``points`` of ``domain``."""
+    """Test u(z)^2 ||H(z)||_z <= c on a named grid of ``domain``.
+
+    ``domain=None`` is the half-plane for a 1-d field and the Siegel
+    half-space for n > 1.  On the half-plane u = Im z and ||H||_z = |H|/Im z,
+    so the scan is Im(z) |H(z)| <= c; there a note also reports any Im(H) <
+    -1e-12, where H leaves the closed half-plane, without affecting the
+    verdict.  ``Domain.BALL`` scans the Cayley image of the Siegel grid with
+    a ball field, e.g. the pushforward of a half-space one; with the default
+    grids that is the exact transport of the Siegel scan.
+    """
+    if domain is None:
+        domain = Domain.SIEGEL if field.dimension > 1 else Domain.HALF_PLANE
+    if domain == Domain.DISC:
+        raise ValueError("membership has no disc grid; use the half-plane")
+    if domain == Domain.HALF_PLANE and field.dimension != 1:
+        raise ArityMismatchError("half-plane membership needs a 1-d field")
+    points, grid_name = grid_by_name(grid, field.dimension)
+    if domain == Domain.BALL:
+        points, grid_name = cayley_ball_coords(points), f"cayley[{grid_name}]"
     c = _class_constant(c)
     values = _finite_values(field, points, field.description)
     u = poisson_values(domain, points)
     scaled = (u * u) * np.sqrt(hyperbolic_norm_sq_array(domain, points, values))
     index = int(np.argmax(scaled))
     sup = float(scaled[index])
+    notes = ()
+    if domain == Domain.HALF_PLANE and np.min(values.imag) < -1e-12:
+        lowest = int(np.argmin(values.imag))
+        notes = (
+            f"Im(H) = {values[lowest, 0].imag:.3e} < 0 at "
+            f"{format_complex(points[lowest, 0])}; "
+            "H does not map the half-plane into its closure",
+        )
     return MembershipReport(
-        c, sup, tuple(points[index]), domain, _verdict(sup, c), grid_name
-    )
-
-
-def membership_siegel(
-    field: VectorField, c: float, grid: str = SIEGEL_GRID_V1
-) -> MembershipReport:
-    """Test u(z)^2 ||H(z)||_{H_n,z} <= c on a named grid."""
-    points, grid_name = siegel_grid_by_name(grid, field.dimension)
-    return _membership(field, c, points, Domain.SIEGEL, grid_name)
-
-
-def membership_ball(
-    field: VectorField, c: float, grid: str = SIEGEL_GRID_V1
-) -> MembershipReport:
-    """Ball-side membership test on the Cayley image of a Siegel grid.
-
-    The inequality is u_B(w)^2 ||G(w)||_{B_n,w} <= c; with the default grids
-    this is the exact transport of :func:`membership_siegel`, so the two
-    verdicts must agree for G = pushforward of H.
-    """
-    points, grid_name = siegel_grid_by_name(grid, field.dimension)
-    return _membership(
-        field, c, cayley_ball_coords(points), Domain.BALL, f"cayley[{grid_name}]"
+        c, sup, tuple(points[index]), domain, _verdict(sup, c), grid_name, notes
     )
 
 
@@ -259,7 +229,7 @@ def horosphere_inequality_check(
     and its witness; ``ok`` means that margin is at least
     -HOROSPHERE_INEQUALITY_SLACK.
     """
-    points, grid_name = siegel_grid_by_name(grid, displacement.dimension)
+    points, grid_name = grid_by_name(grid, displacement.dimension)
     values = _finite_values(displacement, points, displacement.description)
     lhs = np.sum(np.abs(values[..., 1:]) ** 2, axis=-1)
     rhs = np.abs(slice_parts(values, points[..., 1:])[1])

@@ -263,7 +263,7 @@ def cmd_flow(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run(args.suite, args.seed)
-    print(report.render())
+    _print_json(report.to_json())
     return 0 if report.passed else 1
 
 
@@ -275,19 +275,11 @@ def cmd_member(args) -> int:
             f"--domain {args.domain} does not apply to a {field.dimension}-dimensional "
             f"field; choose from {', '.join(allowed)}"
         )
-    if field.dimension == 1:
-        if args.grid not in ("default", grids.HALFPLANE_GRID_V1):
-            raise ValueError(
-                f"--grid {args.grid} does not apply to a 1-dimensional field; "
-                f"choose default or {grids.HALFPLANE_GRID_V1}"
-            )
-        report = analysis.check_pointwise_1d(field, args.c)
-    elif args.domain == "ball":
+    if args.domain == "ball":
         # --field is a half-space field; the ball side checks its Cayley pushforward.
-        report = analysis.membership_ball(fields.pushforward_to_ball(field), args.c,
-                                          grid=args.grid)
-    else:
-        report = analysis.membership_siegel(field, args.c, grid=args.grid)
+        field = fields.pushforward_to_ball(field)
+    report = analysis.membership(field, args.c, _DOMAIN_BY_NAME.get(args.domain),
+                                 args.grid)
     _print_json(report.to_json())
     return 0 if report.verdict == "consistent" else 1
 

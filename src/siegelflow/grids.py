@@ -118,8 +118,19 @@ def horosphere_samples(n: int = 2) -> np.ndarray:
     return points.reshape(-1, n)
 
 
-def siegel_grid_by_name(name: str, n: int = 2) -> tuple[np.ndarray, str]:
-    """Points of a registered Siegel grid and its version id."""
+def grid_by_name(name: str, n: int = 2) -> tuple[np.ndarray, str]:
+    """Points of a registered grid in dimension n and its version id.
+
+    n = 1 has the one half-plane grid; n > 1 the Siegel grids, 'default' and
+    'small'.
+    """
+    if n == 1:
+        if name in ("default", HALFPLANE_GRID_V1):
+            return halfplane_grid(), HALFPLANE_GRID_V1
+        raise KeyError(
+            f"unknown half-plane grid {name!r}; n = 1 takes --grid default "
+            f"or {HALFPLANE_GRID_V1}"
+        )
     if name in ("default", SIEGEL_GRID_V1):
         return siegel_grid(n), SIEGEL_GRID_V1
     if name in ("small", SIEGEL_GRID_SMALL_V1):

@@ -46,7 +46,8 @@ class GroupResult:
         return {
             "name": self.name,
             "count": self.count,
-            "worst": self.worst,
+            # strict JSON: a group that raised has no measured worst
+            "worst": self.worst if math.isfinite(self.worst) else None,
             "limit": self.limit,
             "passed": self.passed,
             "detail": self.detail,
@@ -91,9 +92,9 @@ class RunReport:
 
 
 def _ok(count: int, worst, limit: float, detail: str = "", ok: bool = True):
-    """A group's result tuple; it passes when worst <= limit and ``ok`` holds."""
+    """A group's result tuple; it passes when a finite worst <= limit and ``ok`` holds."""
     worst = float(worst)
-    return count, worst, limit, worst <= limit and ok, detail
+    return count, worst, limit, math.isfinite(worst) and worst <= limit and ok, detail
 
 
 def _rel(actual, expected) -> np.ndarray:
@@ -316,7 +317,7 @@ def _g_pointwise_self_consistency(rng):
     for measure in measures:
         field = fields.cauchy_transform(measure)
         c = analysis.slice_capacities(field, [()])[0].value
-        report = analysis.check_pointwise_1d(field, c)
+        report = analysis.membership(field, c)
         verdicts.append(report.verdict)
         worst = max(worst, (report.sup_observed - c) / c)
     return _ok(len(measures), worst, analysis.INEQUALITY_SLACK,
@@ -337,9 +338,9 @@ def _g_worked_example_slices(rng):
 
 
 def _g_membership_verdicts(rng):
-    bounded = analysis.membership_siegel(fields.example2(), 2.0)
-    unbounded = analysis.membership_siegel(fields.example1(), 7.0)
-    trivial = analysis.membership_siegel(fields.zero_field(2), 0.0)
+    bounded = analysis.membership(fields.example2(), 2.0)
+    unbounded = analysis.membership(fields.example1(), 7.0)
+    trivial = analysis.membership(fields.zero_field(2), 0.0)
     tail = abs(unbounded.witness[1])
     verdicts = (bounded.verdict, unbounded.verdict, trivial.verdict)
     detail = f"verdicts {'/'.join(verdicts)}, violation witness |z~| = {tail:g}"
@@ -351,8 +352,8 @@ def _g_cayley_verdict_agreement(rng):
     worst = 0.0
     agree = True
     for field, c in ((fields.example2(), 2.0), (fields.example1(), 7.0)):
-        half = analysis.membership_siegel(field, c)
-        ball = analysis.membership_ball(fields.pushforward_to_ball(field), c)
+        half = analysis.membership(field, c)
+        ball = analysis.membership(fields.pushforward_to_ball(field), c, Domain.BALL)
         worst = max(
             worst, abs(ball.sup_observed - half.sup_observed) / half.sup_observed
         )
@@ -597,6 +598,8 @@ def _run_group(name: str, fn, rng) -> GroupResult:
 
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
     """Run one named suite with per-group seeded generators."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"verify seed must be a non-negative integer, got {seed}")
     if name not in _SUITE_TABLES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suite_index = SUITE_NAMES.index(name)

@@ -15,7 +15,7 @@ import pytest
 from siegelflow import sampling
 from siegelflow.analysis import (
     horosphere_inequality_check,
-    membership_siegel,
+    membership,
     slice_capacities,
 )
 from siegelflow.domains import (
@@ -71,7 +71,7 @@ def test_criterion_01_example1_slices_and_membership():
                                y_max=1e6)[0]
         assert est.value == pytest.approx(expected, rel=1e-5)
         values.append(est.value)
-    report = membership_siegel(field, 7.0)
+    report = membership(field, 7.0)
     assert report.verdict == "violated"
     assert abs(report.witness[1]) >= 2.0
     elapsed = time.perf_counter() - start
@@ -89,7 +89,7 @@ def test_criterion_02_example2_slices_and_grid_sup():
         est = slice_capacities(slice_field(field, GeodesicParam(gamma)), [()])[0]
         assert est.value == pytest.approx(1.0, rel=1e-5)
         values.append(est.value)
-    report = membership_siegel(field, 2.0)
+    report = membership(field, 2.0)
     sup_sq = report.sup_observed ** 2
     assert sup_sq <= 4.0 * (1 + 1e-9)
     elapsed = time.perf_counter() - start

@@ -6,12 +6,11 @@ import pytest
 from siegelflow import sampling
 from siegelflow.analysis import (
     CAPACITY_DEFAULTS,
-    check_pointwise_1d,
     horosphere_inequality_check,
-    membership_ball,
-    membership_siegel,
+    membership,
     slice_capacities,
 )
+from siegelflow.domains import Domain
 from siegelflow.errors import ArityMismatchError, FieldEvaluationError
 from siegelflow.fields import (
     DiscreteMeasure,
@@ -75,21 +74,21 @@ def test_capacity_smallest_count_keeps_a_two_sample_tail():
 
 
 def test_pointwise_1d_verdicts():
-    ok = check_pointwise_1d(builtin("reciprocal"), 1.0)
+    ok = membership(builtin("reciprocal"), 1.0)
     assert ok.verdict == "consistent"
     assert ok.sup_observed <= 1.0 * (1 + 1e-9)
-    bad = check_pointwise_1d(builtin("reciprocal"), 0.5)
+    bad = membership(builtin("reciprocal"), 0.5)
     assert bad.verdict == "violated"
     assert abs(bad.witness[0]) > 0
 
 
 def test_pointwise_1d_flags_wrong_range():
-    report = check_pointwise_1d(parse_field("-i", 1), 10.0)
+    report = membership(parse_field("-i", 1), 10.0)
     assert any("does not map" in note for note in report.notes)
 
 
 def test_membership_example1_witness():
-    report = membership_siegel(builtin("example1"), 7.0)
+    report = membership(builtin("example1"), 7.0)
     assert report.verdict == "violated"
     assert report.sup_observed == pytest.approx(7500.0, rel=1e-12)
     assert abs(report.witness[1]) >= 2.0
@@ -97,22 +96,22 @@ def test_membership_example1_witness():
 
 
 def test_membership_example2_consistent():
-    report = membership_siegel(builtin("example2"), 2.0)
+    report = membership(builtin("example2"), 2.0)
     assert report.verdict == "consistent"
     # true supremum of u^2 ||H|| is sqrt(256/243) < 4/3
     assert report.sup_observed <= np.sqrt(256 / 243) + 1e-9
 
 
 def test_membership_zero_field_class_zero():
-    report = membership_siegel(zero_field(2), 0.0)
+    report = membership(zero_field(2), 0.0)
     assert report.verdict == "consistent"
     assert report.sup_observed == 0.0
 
 
 def test_ball_membership_agrees_with_siegel():
     field = builtin("example2")
-    siegel = membership_siegel(field, 2.0)
-    ball = membership_ball(pushforward_to_ball(field), 2.0)
+    siegel = membership(field, 2.0)
+    ball = membership(pushforward_to_ball(field), 2.0, Domain.BALL)
     assert ball.verdict == siegel.verdict
     assert ball.sup_observed == pytest.approx(siegel.sup_observed, rel=1e-9)
 
@@ -124,7 +123,7 @@ def test_slice_capacities_and_pointwise_checks():
     assert values[0] == pytest.approx(2.0, rel=1e-5)
     assert values[1] == pytest.approx(8.0, rel=1e-5)
     for gamma in gammas:
-        report = check_pointwise_1d(slice_field(field, GeodesicParam(gamma)), 8.0)
+        report = membership(slice_field(field, GeodesicParam(gamma)), 8.0)
         assert report.verdict == "consistent"
 
 
@@ -178,11 +177,20 @@ def test_slice_capacities_checks_each_gamma():
 @pytest.mark.parametrize("c", [np.nan, np.inf, -1.0])
 def test_membership_rejects_bad_class_constants(c):
     with pytest.raises(ValueError, match="class constant c"):
-        membership_siegel(builtin("example2"), c)
+        membership(builtin("example2"), c)
     with pytest.raises(ValueError, match="class constant c"):
-        membership_ball(pushforward_to_ball(builtin("example2")), c)
+        membership(pushforward_to_ball(builtin("example2")), c, Domain.BALL)
     with pytest.raises(ValueError, match="class constant c"):
-        check_pointwise_1d(builtin("reciprocal"), c)
+        membership(builtin("reciprocal"), c)
+
+
+def test_membership_domain_defaults_by_dimension_and_refuses_the_disc():
+    assert membership(builtin("reciprocal"), 1.0).witness_domain == Domain.HALF_PLANE
+    assert membership(builtin("example2"), 2.0).witness_domain == Domain.SIEGEL
+    with pytest.raises(ValueError, match="disc"):
+        membership(builtin("reciprocal"), 1.0, Domain.DISC)
+    with pytest.raises(ArityMismatchError):
+        membership(builtin("example2"), 2.0, Domain.HALF_PLANE)
 
 
 def test_horosphere_inequality_for_flow_displacement():

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siegelflow import cli
+from siegelflow import cli, grids
 from siegelflow.cli import main, parse_point, resolve_field, resolve_map
 from siegelflow.domains import Domain, parse_complex
 from siegelflow.fields import VectorField
@@ -559,6 +559,48 @@ def test_member_one_dim_route(capsys):
         assert json.loads(out)["grid"] == "halfplane-grid-v1"
 
 
+# SHA-256 of member stdout on the Siegel and ball sides; the half-plane
+# case of the same scan may round differently, these bytes may not move.
+@pytest.mark.parametrize("argv, digest", [
+    (["builtin:example2", "--c", "2", "--domain", "siegel"],
+     "f411425c5f393610d55c75c853d1ff7cde7529b6eb23133b51f316ce6b74d67a"),
+    (["builtin:example2", "--c", "2", "--domain", "ball"],
+     "3d9761750ed3b30e892f05d5357d042e2ea388f4e4862eeded31f204b6e215f0"),
+    (["builtin:example1", "--c", "7", "--domain", "siegel"],
+     "c7f573f6787c61983087758afe534348362218f81eacf1d6b7ddcc2578a2496c"),
+    (["builtin:example1", "--c", "7", "--domain", "ball"],
+     "b696fbb6382eb52963de921a37a818bd4ba2d9afee2d2715e1ffb1ce5cc0bc8b"),
+    (["builtin:example2", "--c", "2", "--domain", "siegel", "--grid", "small"],
+     "5496818b538288ec15d147d6779ecb651778767ba77e109868fa6192c9eaaf66"),
+    (["builtin:example2", "--c", "2", "--domain", "ball", "--grid", "small"],
+     "7c6b2cead5a23da518817ae61da8bc7ac5e360574710f01be59a03a682733d9f"),
+])
+def test_member_siegel_and_ball_output_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, "member", "--field", *argv)
+    assert err == ""
+    assert code == (1 if argv[0] == "builtin:example1" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("-1/z", 0),
+    ("-2/z", 1),
+    ('measure:[{"u": -1, "m": 0.5}, {"u": 1, "m": 0.5}]', 0),
+])
+def test_member_one_dim_sup_is_the_half_plane_form(capsys, spec, code):
+    # On the half-plane u^2 ||H||_z is Im z |H(z)|; the scan may round it
+    # differently, by a few ulps, but not change the verdict at c = 1.
+    got, out, err = run_cli(capsys, "member", "--field", spec, "--c", "1")
+    assert (got, err) == (code, "")
+    points = grids.halfplane_grid()
+    values = resolve_field(spec)(points)[:, 0]
+    expected = float(np.max(points[:, 0].imag * np.abs(values)))
+    report = json.loads(out)
+    assert abs(report["sup"] - expected) <= 4 * np.spacing(expected)
+    assert report["verdict"] == ("consistent" if code == 0 else "violated")
+    assert report["grid"] == "halfplane-grid-v1"
+
+
 def test_member_small_grid(capsys):
     code, out, _ = run_cli(capsys, "member", "--field", "builtin:example2",
                            "--c", "2", "--grid", "small")
@@ -708,6 +750,32 @@ def test_verify_output_byte_identical_across_processes():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_verify_negative_seed_exits_2_naming_the_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "verify seed must be a non-negative integer, got -1" in err
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def test_verify_prints_strict_json_when_a_group_raises(capsys, monkeypatch):
+    # A group that raises has no measured worst: null, never Infinity.
+    import siegelflow.domains as domains
+
+    def explode(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(domains, "poisson_values", explode)
+    code, out, err = run_cli(capsys, "verify", "--suite", "metric", "--seed", "7")
+    assert (code, err) == (1, "")
+    payload = json.loads(out, parse_constant=_reject_constant)
+    failed = [g for g in payload["suites"][0]["groups"] if not g["passed"]]
+    assert failed and all(g["worst"] is None for g in failed)
 
 
 def test_help_lists_grids(capsys):

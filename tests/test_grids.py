@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from siegelflow.grids import (
+    grid_by_name,
     halfplane_grid,
     horosphere_samples,
     siegel_grid,
@@ -93,3 +94,17 @@ def test_cached_grids_are_read_only(grid):
     with pytest.raises(ValueError):
         points[0, 0] = 123
     assert grid() is points and points.tobytes() == before
+
+
+def test_grid_by_name_picks_the_grid_by_dimension():
+    # n = 1 has the one half-plane grid; n > 1 the Siegel grids.
+    for name in ("default", "halfplane-grid-v1"):
+        points, grid_id = grid_by_name(name, 1)
+        assert points is halfplane_grid() and grid_id == "halfplane-grid-v1"
+    assert grid_by_name("small", 3)[0] is siegel_grid_small(3)
+    points, grid_id = grid_by_name("siegel-grid-v1", 2)
+    assert points is siegel_grid(2) and grid_id == "siegel-grid-v1"
+    with pytest.raises(KeyError, match="--grid"):
+        grid_by_name("small", 1)
+    with pytest.raises(KeyError, match="unknown Siegel grid"):
+        grid_by_name("halfplane-grid-v1", 2)

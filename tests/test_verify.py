@@ -35,6 +35,11 @@ def test_unknown_suite_rejected():
         run_suite("nonsense", 0)
 
 
+def test_negative_seed_is_named():
+    with pytest.raises(ValueError, match="verify seed must be a non-negative integer, got -1"):
+        run("all", -1)
+
+
 def test_render_is_deterministic():
     a = run("all", 7).render()
     b = run("all", 7).render()
@@ -78,6 +83,9 @@ def test_group_exception_becomes_failure(monkeypatch):
     assert not report.passed
     details = [g.detail for s in report.suites for g in s.groups if not g.passed]
     assert any("injected" in d for d in details)
+    # the failed group has no finite worst, and its JSON form says null
+    failed = [g.to_json() for s in report.suites for g in s.groups if not g.passed]
+    assert all(g["worst"] is None and g["passed"] is False for g in failed)
 
 
 def test_a_violated_bound_is_measured_not_lost(monkeypatch):
