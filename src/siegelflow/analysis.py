@@ -22,7 +22,6 @@ from ._records import record
 from .domains import (
     Domain,
     cayley_ball_coords,
-    format_complex,
     hyperbolic_norm_sq_array,
     poisson_values,
 )
@@ -46,13 +45,6 @@ class CapacityEstimate:
     trend: str  # converged | increasing | inconclusive
     samples: tuple[tuple[float, float], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "trend": self.trend,
-            "samples": [[y, s] for y, s in self.samples],
-        }
-
 
 @record
 class MembershipReport:
@@ -65,17 +57,6 @@ class MembershipReport:
     verdict: str  # consistent | violated
     grid_name: str
     notes: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "c": self.constant_c,
-            "sup": self.sup_observed,
-            "witness": [format_complex(c) for c in self.witness],
-            "domain": self.witness_domain.value,
-            "verdict": self.verdict,
-            "grid": self.grid_name,
-            "notes": list(self.notes),
-        }
 
 
 @record
@@ -200,9 +181,10 @@ def membership(
     notes = ()
     if domain == Domain.HALF_PLANE and np.min(values.imag) < -1e-12:
         lowest = int(np.argmin(values.imag))
+        z = points[lowest, 0]  # Im z > 0 on a half-plane grid
         notes = (
             f"Im(H) = {values[lowest, 0].imag:.3e} < 0 at "
-            f"{format_complex(points[lowest, 0])}; "
+            f"{z.real:.15g}+{z.imag:.15g}i; "
             "H does not map the half-plane into its closure",
         )
     return MembershipReport(

@@ -5,6 +5,10 @@ can additionally write a trajectory CSV).  Exit codes: 0 success, 1 a
 verification or inequality failure, 2 usage/parse/domain errors, 3 numerical
 failures such as step-size underflow.
 
+This is the one module that reads and writes text: the other modules return
+plain records, and the JSON, the trajectory CSV and the measure and driver
+file formats all live here.
+
 Field specifications accepted by --field (and inside driver files):
 
   builtin:NAME          one of the built-in fields (example1, example2,
@@ -109,7 +113,7 @@ def resolve_field(spec: str, dimension: int | None = None,
         body = spec[len("measure:"):]
         if body.startswith("@"):
             body = Path(body[1:]).read_text(encoding="utf-8")
-        field = fields.cauchy_transform(fields.DiscreteMeasure.from_json(body))
+        field = fields.cauchy_transform(_measure(body))
     elif spec.startswith("bp:"):
         parts = spec.split(":", 2)
         if len(parts) != 3:
@@ -185,10 +189,12 @@ def cmd_capacity(args) -> int:
     if field.dimension == 1:
         if args.slices is not None:
             raise ArityMismatchError("--slices needs a field of dimension n > 1")
-        data = analysis.slice_capacities(field, [()], **window)[0].to_json()
-        data["value"] = _f15(data["value"])
-        data["samples"] = [[_f15(y), _f15(s)] for y, s in data["samples"]]
-        _print_json(data)
+        estimate = analysis.slice_capacities(field, [()], **window)[0]
+        _print_json({
+            "value": _f15(estimate.value),
+            "trend": estimate.trend,
+            "samples": [[_f15(y), _f15(s)] for y, s in estimate.samples],
+        })
         return 0
     if args.slices is None:
         raise ArityMismatchError(f"a field of dimension {field.dimension} needs --slices")
@@ -203,6 +209,31 @@ def cmd_capacity(args) -> int:
         for gamma, estimate in zip(gammas, estimates)
     ])
     return 0
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _measure(body: str) -> fields.DiscreteMeasure:
+    """Parse the body of a measure: spec, a JSON list of {"u": U, "m": M} atoms.
+
+    Any other shape, or a non-numeric (or bool) u or m, raises ValueError
+    naming the offending atom.
+    """
+    data = json.loads(body)
+    if not isinstance(data, list):
+        raise ValueError('a measure must be a JSON list of {"u": U, "m": M} atoms')
+    atoms = []
+    for index, entry in enumerate(data):
+        if not (isinstance(entry, dict)
+                and all(_is_number(entry.get(key)) for key in ("u", "m"))):
+            raise ValueError(
+                f"measure atom {index} must be an object with numeric u and m, "
+                f"got {entry!r}"
+            )
+        atoms.append((entry["u"], entry["m"]))
+    return fields.DiscreteMeasure(tuple(atoms))
 
 
 def _driver_pieces(path: str, dimension: int) -> tuple:
@@ -224,8 +255,7 @@ def _driver_pieces(path: str, dimension: int) -> tuple:
         if missing:
             raise ValueError(f"{where} lacks {', '.join(missing)}")
         times = (piece["t0"], piece["t1"])
-        if not all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                   for t in times):
+        if not all(_is_number(t) for t in times):
             raise ValueError(f"{where} needs numeric t0 and t1")
         if not isinstance(piece["field"], str):
             raise ValueError(f"{where} needs a string field")
@@ -246,7 +276,7 @@ def cmd_flow(args) -> int:
         field = resolve_field(args.field, z0.n)
         trajectory = flows.integrate_autonomous(field, z0, args.t, tol=args.tol)
     if args.out is not None:
-        trajectory.to_csv(args.out)
+        _write_csv(args.out, trajectory)
     summary = {
         "t": _f15(args.t),
         "endpoint": [format_complex(c) for c in trajectory.final_state],
@@ -261,9 +291,43 @@ def cmd_flow(args) -> int:
     return 0
 
 
+def _write_csv(path: str, trajectory: flows.Trajectory) -> None:
+    """Write `t, re(z1), im(z1), ..., u` rows for external plotting."""
+    header = ["t"]
+    for k in range(1, trajectory.dimension + 1):
+        header += [f"re_z{k}", f"im_z{k}"]
+    header.append("u")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for t, row, u in zip(trajectory.times, trajectory.states, trajectory.u_values()):
+            cells = [f"{t:.17g}"]
+            for value in row:
+                cells += [f"{value.real:.17g}", f"{value.imag:.17g}"]
+            cells.append(f"{u:.17g}")
+            handle.write(",".join(cells) + "\n")
+
+
 def cmd_verify(args) -> int:
     report = verify.run(args.suite, args.seed)
-    _print_json(report.to_json())
+    _print_json({
+        "seed": report.seed,
+        "passed": report.passed,
+        "suites": [
+            {"suite": suite.suite, "passed": suite.passed, "groups": [
+                {
+                    "name": group.name,
+                    "count": group.count,
+                    # strict JSON: a group that raised has no measured worst
+                    "worst": group.worst if np.isfinite(group.worst) else None,
+                    "limit": group.limit,
+                    "passed": group.passed,
+                    "detail": group.detail,
+                }
+                for group in suite.groups
+            ]}
+            for suite in report.suites
+        ],
+    })
     return 0 if report.passed else 1
 
 
@@ -280,7 +344,15 @@ def cmd_member(args) -> int:
         field = fields.pushforward_to_ball(field)
     report = analysis.membership(field, args.c, _DOMAIN_BY_NAME.get(args.domain),
                                  args.grid)
-    _print_json(report.to_json())
+    _print_json({
+        "c": report.constant_c,
+        "sup": report.sup_observed,
+        "witness": [format_complex(c) for c in report.witness],
+        "domain": report.witness_domain.value,
+        "verdict": report.verdict,
+        "grid": report.grid_name,
+        "notes": list(report.notes),
+    })
     return 0 if report.verdict == "consistent" else 1
 
 
@@ -295,7 +367,13 @@ def cmd_iterate(args) -> int:
     diagnostic = flows.iterate_map(
         self_map, z0, args.n, divergence_threshold=args.threshold
     )
-    _print_json(diagnostic.to_json())
+    _print_json({
+        "tag": diagnostic.tag,
+        "iterations": diagnostic.iterations,
+        "u_initial": float(diagnostic.u_magnitudes[0]),
+        "u_final": float(diagnostic.u_magnitudes[-1]),
+        "final": [format_complex(c) for c in diagnostic.final],
+    })
     return 0
 
 
@@ -426,12 +504,15 @@ def main(argv=None) -> int:
     except (StepSizeUnderflow, FieldEvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message; print the message.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
     except (
         ExpressionSyntaxError,
         ArityMismatchError,
         DomainViolation,
         CoverageGap,
-        KeyError,
         ValueError,
         OSError,
         json.JSONDecodeError,

@@ -321,21 +321,14 @@ def hyperbolic_norm_sq_array(
 
 
 def hyperbolic_norm(tangent: TangentVector) -> float:
-    """Hyperbolic length of a tangent vector.
+    """Hyperbolic length of a tangent vector: one row of ``hyperbolic_norm_sq_array``.
 
-    Disc and half-plane take the closed forms 2|v|/(1-|z|^2) and |v|/Im(z)
-    from ``hyperbolic_norm_sq_array``.  Siegel points evaluate
-    ``bergman_norm_sq``, the literal quadratic form of the metric matrix;
-    ball vectors are transported to the half-space through the Cayley map
-    first.
+    The row keeps its batch axis: numpy's 0-d complex arithmetic rounds
+    differently from its array loops, so a 1-d call would not match a batch.
     """
     point = tangent.base
-    z, v = point.as_array(), tangent.as_array()
-    if point.domain in _ONE_DIM:
-        return float(np.sqrt(hyperbolic_norm_sq_array(point.domain, z, v)))
-    if point.domain == Domain.BALL:
-        z, v = cayley_siegel_coords(z), pull_tangent_to_siegel(z, v)
-    return float(np.sqrt(bergman_norm_sq(z, v)))
+    rows = point.as_array()[None], tangent.as_array()[None]
+    return float(np.sqrt(hyperbolic_norm_sq_array(point.domain, *rows)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ Herglotz factor p.
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -177,10 +176,6 @@ def builtin(name: str) -> VectorField:
 # Measures and Cauchy transforms
 # ---------------------------------------------------------------------------
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @record
 class DiscreteMeasure:
     """Finitely many point masses m_k >= 0 at real locations u_k."""
@@ -199,31 +194,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(sum(m for _, m in self.atoms))
-
-    def to_json(self) -> list[dict]:
-        return [{"u": u, "m": m} for u, m in self.atoms]
-
-    @classmethod
-    def from_json(cls, data) -> "DiscreteMeasure":
-        """Build from a list of {"u": location, "m": mass} objects.
-
-        Any other shape, or a non-numeric (or bool) u or m, raises ValueError
-        naming the offending atom.
-        """
-        if isinstance(data, str):
-            data = json.loads(data)
-        if not isinstance(data, list):
-            raise ValueError('a measure must be a JSON list of {"u": U, "m": M} atoms')
-        atoms = []
-        for index, entry in enumerate(data):
-            if not (isinstance(entry, dict)
-                    and all(_is_number(entry.get(key)) for key in ("u", "m"))):
-                raise ValueError(
-                    f"measure atom {index} must be an object with numeric u and m, "
-                    f"got {entry!r}"
-                )
-            atoms.append((entry["u"], entry["m"]))
-        return cls(tuple(atoms))
 
 
 def cauchy_transform(measure: DiscreteMeasure) -> VectorField:

@@ -392,23 +392,6 @@ class Trajectory:
     def u_values(self) -> np.ndarray:
         return poisson_values(self.domain, self.states)
 
-    def to_csv(self, path) -> None:
-        """Write `t, re(z1), im(z1), ..., u` rows for external plotting."""
-        n = self.dimension
-        header = ["t"]
-        for k in range(1, n + 1):
-            header += [f"re_z{k}", f"im_z{k}"]
-        header.append("u")
-        us = self.u_values()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for t, row, u in zip(self.times, self.states, us):
-                cells = [f"{t:.17g}"]
-                for value in row:
-                    cells += [f"{value.real:.17g}", f"{value.imag:.17g}"]
-                cells.append(f"{u:.17g}")
-                handle.write(",".join(cells) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # Public integrators
@@ -745,15 +728,6 @@ class IterationDiagnostic:
     u_magnitudes: np.ndarray
     final: tuple[complex, ...]
     iterations: int
-
-    def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "iterations": self.iterations,
-            "u_initial": float(self.u_magnitudes[0]),
-            "u_final": float(self.u_magnitudes[-1]),
-            "final": [format_complex(c) for c in self.final],
-        }
 
 
 # Iterates this close together (max-norm) count as converged.

@@ -35,7 +35,7 @@ import numpy as np
 from ._records import record
 from .domains import Domain, DomainPoint
 from .errors import ArityMismatchError, DomainViolation, FieldEvaluationError
-from .fields import VectorField
+from .fields import VectorField, eval_field
 
 
 @record
@@ -194,7 +194,8 @@ def split_tangent(point: DomainPoint, value) -> SliceDecomposition:
 
 
 def decompose(field: VectorField, point: DomainPoint) -> SliceDecomposition:
-    """Split the field value H(point) along the geodesic through the point."""
-    with np.errstate(all="ignore"):
-        values = field(point.as_array())
-    return split_tangent(point, values)
+    """Split the field value H(point) along the geodesic through the point.
+
+    A value that is not finite raises FieldEvaluationError, as in ``eval_field``.
+    """
+    return split_tangent(point, eval_field(field, point))

@@ -3,9 +3,10 @@
 Four suites (metric, geodesics, classes, flows) each run a fixed list of
 groups.  A group draws its samples from its own seeded generator, evaluates
 one identity, fixture, or inequality family, and reports the worst deviation
-next to the tolerance it must stay under.  For a fixed seed the rendered
-report is byte-identical from run to run: no timestamps, no environment
-probes, and every float comes from the same deterministic computation.
+next to the tolerance it must stay under.  For a fixed seed the report is
+identical from run to run, so the JSON that ``siegelflow verify`` prints from
+it is too: no timestamps, no environment probes, and every float comes from
+the same deterministic computation.
 
 Each group evaluates its identity as one array computation over all of its
 samples.  Metric and geodesic quantities are always reached through the
@@ -19,7 +20,6 @@ raises must fail the groups that use it.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -42,17 +42,6 @@ class GroupResult:
     passed: bool
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "count": self.count,
-            # strict JSON: a group that raised has no measured worst
-            "worst": self.worst if math.isfinite(self.worst) else None,
-            "limit": self.limit,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 @record
 class SuiteReport:
@@ -63,13 +52,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(group.passed for group in self.groups)
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "groups": [group.to_json() for group in self.groups],
-        }
-
 
 @record
 class RunReport:
@@ -79,16 +61,6 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(suite.passed for suite in self.suites)
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "passed": self.passed,
-            "suites": [suite.to_json() for suite in self.suites],
-        }
-
-    def render(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def _ok(count: int, worst, limit: float, detail: str = "", ok: bool = True):

@@ -506,6 +506,25 @@ def test_flows_suite_output_is_pinned_bit_for_bit(capsys):
         "5b5ef973f96a2841c9c2e0789c8ae8129a7dfe3b6785a1182a252e30a5c8ce09")
 
 
+# SHA-256 of stdout taken while the records still rendered themselves: the
+# JSON now built in cli from their fields must not move a byte.
+@pytest.mark.parametrize("argv, code, digest", [
+    (["verify", "--suite", "all", "--seed", "7"], 0,
+     "5ee8684ba879cb9c9cd13df5f5f8086e161aaf5164c7dc6bb83e508ec5c14cff"),
+    (["capacity", "--field", "builtin:example1", "--slices", "1,2,1+i",
+      "--y-max", "1e6"], 0,
+     "e56e880f03f47a2909c4d7f225895d00f189cce66e449f4950ad427a4db9361c"),
+    (["member", "--field", "-i", "--c", "1"], 1,
+     "1b1e6f13bb42edbb930515681741cd385b565adbaecb4f9210625f15563dfc8c"),
+    (["iterate", "--map", "z/2", "--z0", "0.3", "--domain", "disc", "--n", "200"], 0,
+     "8a82e7c7372ce7d6e3e4045baa49cd34b460d7a399f4c3db190e9d7cc42b8fe1"),
+])
+def test_record_output_is_pinned_bit_for_bit(capsys, argv, code, digest):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_repeated_main_calls_start_from_fresh_arguments(capsys, tmp_path):
     flow = ["flow", "--field", "builtin:example2", "--z0", "(i, 0.5)", "--t", "1"]
     code, out, _ = run_cli(capsys, *flow, "--out", str(tmp_path / "traj.csv"))
@@ -796,6 +815,16 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error:") and "745. GiB" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--field", "builtin:example2", "--c", "2", "--grid", "nope"],
+    ["eval", "--field", "builtin:nope", "--at", "(i,0.5)"],
+])
+def test_lookup_errors_print_their_message_unquoted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown")
 
 
 def test_unknown_builtin_exits_2(capsys):

@@ -205,11 +205,29 @@ def test_bergman_norm_sq_is_the_quadratic_form(rng):
     z = sampling.siegel_coords(rng, 200, 3)
     w = sampling.tangent_vectors(rng, 200, 3)
     got = bergman_norm_sq(z, w)
+    sq = hyperbolic_norm_sq_array(Domain.SIEGEL, z, w)
     for k in range(200):
         g = bergman_matrix_array(z[k])
         assert got[k] == (w[k] @ g @ np.conj(w[k])).real
+        # the point function is one row of the array kernel, bit for bit
         p = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-        assert hyperbolic_norm(TangentVector(p, tuple(w[k]))) == np.sqrt(got[k])
+        assert hyperbolic_norm(TangentVector(p, tuple(w[k]))) == np.sqrt(sq[k])
+
+
+@pytest.mark.parametrize("domain, coords", [
+    (Domain.DISC, lambda rng: sampling.ball_coords(rng, 300, 1)),
+    (Domain.HALF_PLANE, lambda rng: sampling.halfplane_coords(rng, 300)),
+    (Domain.SIEGEL, lambda rng: sampling.siegel_coords(rng, 300, 2)),
+    (Domain.BALL, lambda rng: sampling.ball_coords(rng, 300, 2)),
+])
+def test_hyperbolic_norm_is_one_row_of_the_batch_kernel(rng, domain, coords):
+    # A point's length does not depend on the batch it is computed in.
+    z = coords(rng)
+    w = sampling.tangent_vectors(rng, 300, z.shape[1])
+    batch = np.sqrt(hyperbolic_norm_sq_array(domain, z, w))
+    for k in range(300):
+        tangent = TangentVector(DomainPoint(domain, tuple(z[k])), tuple(w[k]))
+        assert hyperbolic_norm(tangent) == batch[k]
 
 
 def test_bergman_matrix_is_hermitian_positive(rng):
@@ -242,10 +260,9 @@ def test_norm_via_matrix_equals_expanded_form(rng):
     z = sampling.siegel_coords(rng, 200, 2)
     w = sampling.tangent_vectors(rng, 200, 2)
     sq = hyperbolic_norm_sq_array(Domain.SIEGEL, z, w)
+    direct = bergman_norm_sq(z, w)
     for k in range(200):
-        p = DomainPoint(Domain.SIEGEL, tuple(z[k]))
-        direct = hyperbolic_norm(TangentVector(p, tuple(w[k]))) ** 2
-        assert direct == pytest.approx(sq[k], rel=1e-11)
+        assert direct[k] == pytest.approx(sq[k], rel=1e-11)
 
 
 def test_tangent_push_pull_round_trip(rng):

@@ -1,11 +1,13 @@
 """Vector fields: builtins, parsed fields, measures, and pushforwards."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from siegelflow import sampling
+from siegelflow.cli import resolve_field
 from siegelflow.domains import (
     Domain,
     ball_point,
@@ -99,8 +101,10 @@ def test_measure_validation_and_mass():
 
 def test_measure_json_round_trip():
     m = DiscreteMeasure(((-1.0, 0.5), (2.0, 0.25)))
-    again = DiscreteMeasure.from_json(m.to_json())
-    assert again.atoms == m.atoms
+    atoms = [{"u": u, "m": mass} for u, mass in m.atoms]
+    again = resolve_field("measure:" + json.dumps(atoms))
+    points = np.array([[1j], [2 + 0.5j], [-3 + 1e3j]])
+    assert np.array_equal(again(points), cauchy_transform(m)(points))
 
 
 def test_cauchy_transform_oracle():

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from siegelflow.cli import main
 from siegelflow.domains import (
     Domain,
     DomainPoint,
@@ -78,14 +79,16 @@ def test_reciprocal_flow_endpoint():
         assert abs(complex(traj.final_state[0]) - expected) < 1e-10
 
 
-def test_trajectory_diagnostics_and_csv(tmp_path):
+def test_trajectory_diagnostics_and_csv(tmp_path, capsys):
     traj = integrate_autonomous(builtin("reciprocal"), half_plane_point(1j), 1.0)
     assert traj.steps_accepted > 0
     assert traj.max_local_error <= DEFAULT_TOL
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0)
     out = tmp_path / "traj.csv"
-    traj.to_csv(str(out))
+    assert main(["flow", "--field", "builtin:reciprocal", "--z0", "i", "--t", "1",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
     lines = out.read_text().splitlines()
     assert lines[0] == "t,re_z1,im_z1,u"
     assert len(lines) == len(traj.times) + 1

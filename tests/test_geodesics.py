@@ -13,7 +13,8 @@ from siegelflow.domains import (
     poisson,
     siegel_point,
 )
-from siegelflow.fields import builtin, eval_field
+from siegelflow.errors import FieldEvaluationError
+from siegelflow.fields import builtin, eval_field, parse_field
 from siegelflow.geodesics import (
     GeodesicParam,
     decompose,
@@ -127,6 +128,13 @@ def test_decompose_oracle_along_axis():
     np.testing.assert_allclose(dec.tangential, [1j, 0.0], atol=1e-15)
     np.testing.assert_allclose(dec.orthogonal, [0.0, 0.0], atol=1e-15)
     assert dec.slice_value == pytest.approx(1j, rel=1e-14)
+
+
+def test_decompose_reports_a_singular_field():
+    # 1/(z1 - 2i) has a pole at z1 = 2i: no slice value, as in eval_field
+    field = parse_field("1/(z1-2*i); 0")
+    with pytest.raises(FieldEvaluationError, match="singular"):
+        decompose(field, siegel_point(2j, 0))
 
 
 def test_decomposition_pythagoras(rng):
