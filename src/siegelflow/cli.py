@@ -113,7 +113,7 @@ def resolve_field(spec: str, dimension: int | None = None,
         body = spec[len("measure:"):]
         if body.startswith("@"):
             body = Path(body[1:]).read_text(encoding="utf-8")
-        field = fields.cauchy_transform(_measure(body))
+        field = fields.cauchy_transform(_measure(body, f"{origin} {spec!r}"))
     elif spec.startswith("bp:"):
         parts = spec.split(":", 2)
         if len(parts) != 3:
@@ -215,13 +215,22 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _measure(body: str) -> fields.DiscreteMeasure:
+def _json(text: str, source: str):
+    """Decode JSON; a syntax error raises ValueError naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON in {source}: {exc}") from None
+
+
+def _measure(body: str, source: str) -> fields.DiscreteMeasure:
     """Parse the body of a measure: spec, a JSON list of {"u": U, "m": M} atoms.
 
-    Any other shape, or a non-numeric (or bool) u or m, raises ValueError
-    naming the offending atom.
+    A JSON syntax error raises ValueError naming ``source``, the spec and
+    where it came from.  Any other shape, or a non-numeric (or bool) u or m,
+    raises ValueError naming the offending atom.
     """
-    data = json.loads(body)
+    data = _json(body, source)
     if not isinstance(data, list):
         raise ValueError('a measure must be a JSON list of {"u": U, "m": M} atoms')
     atoms = []
@@ -241,9 +250,9 @@ def _driver_pieces(path: str, dimension: int) -> tuple:
 
     The file must hold a JSON list of objects, each with numeric "t0" and
     "t1" and a string "field"; anything else raises ValueError naming the
-    file and the piece index.
+    file and the piece index, and so does a JSON syntax error in the file.
     """
-    spec = json.loads(Path(path).read_text(encoding="utf-8"))
+    spec = _json(Path(path).read_text(encoding="utf-8"), f"driver file {path}")
     if not isinstance(spec, list):
         raise ValueError(f"driver file {path} must hold a JSON list of pieces")
     pieces = []
@@ -515,7 +524,6 @@ def main(argv=None) -> int:
         CoverageGap,
         ValueError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

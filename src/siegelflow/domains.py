@@ -50,6 +50,7 @@ class Domain(str, Enum):
 
 
 _ONE_DIM = (Domain.DISC, Domain.HALF_PLANE)
+_HALF_SPACES = (Domain.SIEGEL, Domain.HALF_PLANE)  # where u is minus the margin
 
 
 # Margin of each domain's defining inequality on rows coords[..., k]: positive
@@ -72,8 +73,10 @@ def interior_margin(domain: Domain, coords: np.ndarray) -> np.ndarray:
     return _MARGIN[domain](np.asarray(coords, dtype=complex))
 
 
-def _is_interior(domain: Domain, coords: np.ndarray) -> np.ndarray:
+def _is_interior(domain: Domain, coords: np.ndarray, margin=None) -> np.ndarray:
     """Rows of coords (..., n) that are interior: finite, margin > INTERIOR_MARGIN.
+
+    ``margin`` is the domain's margin at coords, when the caller has it.
 
     Only the first coordinate needs its own finiteness test: the ball and
     Siegel margins take |z_k| of every other coordinate, which a non-finite
@@ -83,7 +86,20 @@ def _is_interior(domain: Domain, coords: np.ndarray) -> np.ndarray:
     A non-finite row may make numpy warn; callers that can meet one hold
     ``np.errstate``.
     """
-    return np.isfinite(coords[..., 0]) & (_MARGIN[domain](coords) > _MARGIN_FLOOR)
+    if margin is None:
+        margin = _MARGIN[domain](coords)
+    return np.isfinite(coords[..., 0]) & (margin > _MARGIN_FLOOR)
+
+
+def _interior_and_poisson(domain: Domain, coords: np.ndarray):
+    """``_is_interior`` and ``poisson_values`` of complex rows coords (..., n).
+
+    On the half-space and the half-plane u is minus the margin, so both come
+    from one margin computation there.
+    """
+    margin = _MARGIN[domain](coords)
+    u = -margin if domain in _HALF_SPACES else poisson_values(domain, coords)
+    return _is_interior(domain, coords, margin), u
 
 
 @record
@@ -163,17 +179,21 @@ class TangentVector:
 def poisson_values(domain: Domain, coords: np.ndarray) -> np.ndarray:
     """Pluricomplex Poisson kernel on an array of points, shape (..., n)."""
     coords = np.asarray(coords, dtype=complex)
-    if domain in (Domain.SIEGEL, Domain.HALF_PLANE):
+    if domain in _HALF_SPACES:
         return -_MARGIN[domain](coords)
     if domain in (Domain.BALL, Domain.DISC):
-        norm_sq = np.sum(np.abs(coords) ** 2, axis=-1)
+        norm_sq = _sum(np.abs(coords) ** 2, axis=-1)
         return -(1.0 - norm_sq) / np.abs(1.0 - coords[..., 0]) ** 2
     raise ValueError(f"unknown domain {domain!r}")
 
 
 def poisson(point: DomainPoint) -> float:
-    """Poisson kernel at a point; strictly negative on the interior."""
-    return float(poisson_values(point.domain, point.as_array()))
+    """Poisson kernel at a point; strictly negative on the interior.
+
+    One row of ``poisson_values`` that keeps its batch axis, as in
+    ``hyperbolic_norm``.
+    """
+    return float(poisson_values(point.domain, point.as_array()[None])[0])
 
 
 # ---------------------------------------------------------------------------

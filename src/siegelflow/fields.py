@@ -35,6 +35,9 @@ from .errors import (
 )
 
 
+_COMPLEX = np.dtype(complex)  # a singleton, so `is` tells an array's dtype apart
+
+
 class VectorField:
     """An evaluatable holomorphic map z -> C^n.
 
@@ -62,7 +65,8 @@ class VectorField:
         their evaluations and report non-finite values through their own
         checks.
         """
-        points = np.asarray(points, dtype=complex)
+        if type(points) is not np.ndarray or points.dtype is not _COMPLEX:
+            points = np.asarray(points, dtype=complex)
         if points.shape[-1] != self.dimension:
             raise ArityMismatchError(
                 f"points have dimension {points.shape[-1]}, "
@@ -75,13 +79,18 @@ class VectorField:
 
 
 def eval_field(field: VectorField, point: DomainPoint) -> tuple[complex, ...]:
-    """Evaluate at an interior point, demanding a finite result."""
+    """Evaluate at an interior point, demanding a finite result.
+
+    The point is one row that keeps its batch axis: numpy's 0-d complex
+    arithmetic rounds differently from its array loops, so a 1-d call would
+    not match the point's row in a batch.
+    """
     if point.n != field.dimension:
         raise ArityMismatchError(
             f"point dimension {point.n} != field dimension {field.dimension}"
         )
     with np.errstate(all="ignore"):
-        values = field(point.as_array())
+        values = field(point.as_array()[None])[0]
     if not np.all(np.isfinite(values)):
         raise FieldEvaluationError(
             f"{field.description} is singular at {point.coords}"
@@ -94,7 +103,7 @@ def _from_components(components, dimension, description):
 
     def evaluator(points):
         shape = points.shape[:-1]
-        out = np.empty(shape + (dimension,), dtype=complex)
+        out = np.empty(shape + (dimension,), dtype=_COMPLEX)
         for k, program in enumerate(programs):
             # expressions.evaluate stays the one entry point into the
             # expression layer, where the bench tracer times it.
@@ -121,10 +130,12 @@ def zero_field(dimension: int) -> VectorField:
 def example1() -> VectorField:
     """H(z) = (0, -i z2/z1): slice capacities 2|gamma|^2, unbounded over gamma."""
 
+    minus_i = np.array(-1j)  # 0-d complex, as in example2
+
     def evaluator(points):
-        out = np.empty(points.shape, dtype=complex)
+        out = np.empty(points.shape, dtype=_COMPLEX)
         out[..., 0] = 0.0
-        out[..., 1] = -1j * points[..., 1] / points[..., 0]
+        out[..., 1] = minus_i * points[..., 1] / points[..., 0]
         return out
 
     return VectorField(2, evaluator, "(0, -i*z2/z1)")
@@ -137,7 +148,7 @@ def example2() -> VectorField:
     minus_one, two = np.array(-1.0 + 0j), np.array(2.0 + 0j)
 
     def evaluator(points):
-        out = np.empty(points.shape, dtype=complex)
+        out = np.empty(points.shape, dtype=_COMPLEX)
         z1 = points[..., 0]
         out[..., 0] = minus_one / z1
         out[..., 1] = points[..., 1] / (two * z1 * z1)
@@ -148,9 +159,10 @@ def example2() -> VectorField:
 
 def reciprocal_1d() -> VectorField:
     """H(z) = -1/z, the Cauchy transform of the unit point mass at 0."""
+    minus_one = np.array(-1.0 + 0j)  # 0-d complex, as in example2
 
     def evaluator(points):
-        return -1.0 / points
+        return minus_one / points
 
     return VectorField(1, evaluator, "-1/z")
 
@@ -202,14 +214,16 @@ def cauchy_transform(measure: DiscreteMeasure) -> VectorField:
     The total mass is the capacity of the field: the smallest c with
     |H(z)| <= c / Im(z).
     """
-    locations = np.array([u for u, _ in measure.atoms], dtype=float)
-    masses = np.array([m for _, m in measure.atoms], dtype=float)
+    # Complex, as example2's constants: numpy would cast the real atoms to
+    # these same complex numbers in every call.
+    locations = np.array([u for u, _ in measure.atoms], dtype=complex)
+    masses = np.array([m for _, m in measure.atoms], dtype=complex)
 
     def evaluator(points):
         z = points[..., 0]
         if locations.size == 0:
             return np.zeros(points.shape, dtype=complex)
-        values = np.sum(masses / (locations - z[..., None]), axis=-1)
+        values = np.add.reduce(masses / (locations - z[..., None]), axis=-1)
         return values[..., None]
 
     return VectorField(1, evaluator, f"cauchy({len(measure.atoms)} atoms)")

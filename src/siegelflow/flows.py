@@ -43,6 +43,7 @@ from .domains import (
     Domain,
     DomainPoint,
     TangentVector,
+    _interior_and_poisson,
     _is_interior,
     format_complex,
     hyperbolic_norm,
@@ -50,7 +51,7 @@ from .domains import (
     poisson_values,
 )
 from .errors import CoverageGap, DomainViolation, FieldEvaluationError, StepSizeUnderflow
-from .fields import VectorField
+from .fields import _COMPLEX, VectorField
 from .grids import HOROSPHERE_SAMPLES_V1, horosphere_samples
 
 DEFAULT_TOL = 1e-10
@@ -90,6 +91,22 @@ _NEAR_ONE = np.array(1.0 - 1e-12)  # a step this close to the rest ends the leg
 # a.all(), and a[a.argmax()] is a.max() or a.any(); that costs about a quarter
 # of a ufunc reduction of one number.  np.count_nonzero runs only on rejection.
 _max, _all, _any = np.maximum.reduce, np.logical_and.reduce, np.logical_or.reduce
+
+# A running maximum of per-row step errors: appending a step's err to a list
+# costs a small fraction of reducing it, so the list is reduced once it holds
+# this many steps, and once more when the rows change or the call ends.
+_ERRORS_HELD = 64
+
+
+def _peak(errors: list, peak: float) -> float:
+    """The larger of peak and every entry of the equal-shaped arrays in errors.
+
+    Empties the list.
+    """
+    if errors:
+        peak = max(peak, float(_max(errors, axis=None)))
+        errors.clear()
+    return peak
 
 
 class _Segment:
@@ -142,53 +159,53 @@ def _row(weights) -> tuple:
     return lo, hi, pairs, column
 
 
-_STAGE_PLAN = tuple((_SLOT[i], *_row(row)) for i, row in enumerate(_A[1:], 1))
-_ERROR_ROW = _row(_E)
-_COMPLEX = np.dtype(complex)  # a singleton, so `is` tells it apart
+# The six stage rows, each with the slot its stage fills, then the error row
+# with slot None: it sums the stages into the error estimate and fills none.
+_PLAN = tuple((_SLOT[i], *_row(row)) for i, row in enumerate(_A[1:], 1)) + (
+    (None, *_row(_E)),)
 
 # Stages of at most this many numbers (n * m) sum faster in one running-sum
 # call than in a loop of in-place additions.  On (7, n, m) stage buffers
 # (n = 1 and 2, numpy 2.4.6, 2-core VM) the two cross near 80-112 numbers.
 # Both add the same terms in the same order, so their sums are identical.
 _RUNNING_SUM_SIZE = 64
+_accumulate = np.add.accumulate
 
 
-def _combine(ks: np.ndarray, lo: int, hi: int, pairs, column, small: bool) -> np.ndarray:
-    """sum_j w_j ks[j] over slots lo:hi, summed elementwise left to right.
-
-    The fixed order of the additions makes each row's result independent of
-    the other rows; a BLAS contraction would not guarantee that.  Slot order
-    swaps k0 and k1 in a row's first addition, which is exact either way.
-    """
-    if column is None:
-        return ks[lo] * pairs[0][1]
-    if small:
-        return np.add.accumulate(ks[lo:hi] * column, axis=0)[-1]
-    (j, w), *rest = pairs
-    acc = ks[j] * w
-    for j, w in rest:
-        acc += ks[j] * w
-    return acc
-
-
-def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> np.ndarray:
-    """Fill stages 1-6 of one Dormand-Prince step from rows y; return y_new.
+def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """Fill stages 1-6 of one Dormand-Prince step from rows y.
 
     Everything is component-major: ``y`` is (n, m) and ``ks`` (7, n, m)
-    holds the field at y in slot 1; ``h`` is a scalar or one step per row,
-    (m,).  Slot 6 is the field at y_new (FSAL).
+    holds the field at y in slot 1; ``h`` is a 0-d array or one step per
+    row, (m,).  Slot 6 is the field at y_new (FSAL).  Returns y_new and the
+    error estimate per unit step, sum_j E_j k_j, both (n, m).
+
+    Each weighted sum adds its terms elementwise, left to right, so each
+    row's result is independent of the other rows; a BLAS contraction would
+    not guarantee that.  Slot order swaps k0 and k1 in a row's first
+    addition, which is exact either way.
     """
     shape, small = y.shape[::-1], y.size <= _RUNNING_SUM_SIZE
-    h = np.asarray(h, dtype=complex)  # cast once, not in each stage's y_i *= h
-    for slot, lo, hi, pairs, column in _STAGE_PLAN:
-        y_i = _combine(ks, lo, hi, pairs, column, small)
-        y_i *= h
-        y_i += y
+    h = h.astype(_COMPLEX)  # cast once, not in each stage's product with h
+    for slot, lo, hi, pairs, column in _PLAN:
+        if column is None:
+            acc = ks[lo] * pairs[0][1]
+        elif small:
+            acc = _accumulate(ks[lo:hi] * column)[-1]
+        else:
+            (j, w), *rest = pairs
+            acc = ks[j] * w
+            for j, w in rest:
+                acc += ks[j] * w
+        if slot is None:
+            return y_i, acc
+        acc *= h
+        acc += y
+        y_i = acc  # the stage's point, y + h sum_j a_ij k_j
         k = eval_fn(y_i.T)
         if type(k) is not np.ndarray or k.dtype is not _COMPLEX or k.shape != shape:
             k = _field_result(k, shape)
         ks[slot] = k.T
-    return y_i
 
 
 def _advance(
@@ -218,11 +235,22 @@ def _advance(
     in ``seg.y`` and ``seg.k`` (same field and domain) are interior and
     finite, so with ``k0`` the start row test and start field call are
     skipped, and every row takes the steps a fresh start would take.
+
+    Each step tests finiteness once on the whole live stage buffer
+    (``np.isfinite``, then the entry at its argmin); only when some entry is
+    not finite does it reduce per row, to reject just those rows' steps.
+    ``seg.max_error``, the largest error per unit step over every row's
+    accepted steps, is a running maximum: the per-row errors of steps that
+    every row accepted wait in a list of at most ``_ERRORS_HELD`` arrays,
+    which is reduced into it when full, when rows finish and at the end, so
+    its memory is O(rows), not O(steps).  A step that rejects some row adds
+    the accepted rows' errors at once.
     """
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
     n, m = y.shape
     buffer = np.empty(7 * n * m, dtype=complex)
+    stages = buffer  # the live rows' stages, flat; ks is the same numbers
     ks = buffer.reshape(7, n, m)
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
@@ -261,6 +289,7 @@ def _advance(
         # rows finish at different iterations.
         live, rows, out = m, None, None
         retried = False  # some row's rejection count may be nonzero
+        errors = []  # err of steps that every row accepted, not yet in seg.max_error
 
         while True:
             if h[h.argmin()] < floor:
@@ -278,13 +307,16 @@ def _advance(
             h_step = h
             if ends:
                 h_step = h.copy()
-                np.copyto(h_step, remaining, where=last)
-            y_new = _stages(eval_fn, y, ks, h_step)
+                h_step[last] = remaining[last]
+            y_new, e = _stages(eval_fn, y, ks, h_step)
 
-            # Slot 1 is finite: checked above, carried in, or from an accepted step.
-            inside = _all(np.isfinite(ks), axis=(0, 1)) & _is_interior(domain, y_new.T)
-            small = n * live <= _RUNNING_SUM_SIZE
-            err = _max(np.abs(_combine(ks, *_ERROR_ROW, small)), axis=0)
+            # Slot 1 is finite (checked above, carried in, or from an accepted
+            # step), so a non-finite entry is one of this step's stages.
+            finite = np.isfinite(stages)
+            inside = _is_interior(domain, y_new.T)
+            if not finite[finite.argmin()]:
+                inside &= _all(finite.reshape(7, n, live), axis=(0, 1))
+            err = _max(np.abs(e), axis=0)
             accept = inside & (err <= tol)
 
             r = np.maximum(err / tol, _R_FLOOR)
@@ -292,7 +324,7 @@ def _advance(
             h_grow = h_step * np.minimum(_STEP_GROW_CAP, fac)
             t_new = t + h_step
             if ends:
-                np.copyto(t_new, t1, where=last)
+                t_new[last] = t1
             if accept[accept.argmin()]:
                 t, y, h, r_prev = t_new, y_new, h_grow, r
                 ks[1] = ks[6]
@@ -300,7 +332,9 @@ def _advance(
                     consecutive[:] = 0
                     retried = False
                 seg.accepted += live
-                seg.max_error = max(seg.max_error, float(err[err.argmax()]))
+                errors.append(err)
+                if len(errors) == _ERRORS_HELD:
+                    seg.max_error = _peak(errors, seg.max_error)
                 if record:
                     seg.record(float(t[0]), y)
             else:
@@ -335,6 +369,7 @@ def _advance(
             done = t >= t_done
             if not done[done.argmax()]:
                 continue
+            seg.max_error = _peak(errors, seg.max_error)  # before err's shape changes
             if done[done.argmin()]:
                 if out is None:
                     seg.y, seg.k = y.T.copy(), ks[1].T.copy()
@@ -358,7 +393,8 @@ def _advance(
             # Only slot 1 carries over; shrink the stage buffer in place,
             # keeping it contiguous over the first 7 * n * live numbers.
             ks1 = ks[1].compress(keep, axis=1)
-            ks = buffer[:7 * n * live].reshape(7, n, live)
+            stages = buffer[:7 * n * live]
+            ks = stages.reshape(7, n, live)
             ks[1] = ks1
 
 
@@ -514,10 +550,11 @@ def integrate_fixed_steps(
         raise ValueError(f"steps must be positive, got {steps}")
     y = z0.as_array()[:, None]
     ks = np.empty((7,) + y.shape, dtype=complex)
+    h = np.array(t_final / steps)
     with np.errstate(all="ignore"):
         ks[1] = _field_result(field(y.T), y.shape[::-1]).T
         for _ in range(steps):
-            y = _stages(field, y, ks, t_final / steps)
+            y, _ = _stages(field, y, ks, h)
             ks[1] = ks[6]
     return y[:, 0]
 
@@ -765,7 +802,8 @@ def iterate_map(
         for _ in range(count):
             image = np.asarray(self_map(current), dtype=complex)
             performed += 1
-            if not _is_interior(domain, image[0]):
+            inside, u = _interior_and_poisson(domain, image)
+            if not inside[0]:
                 if not np.isfinite(image).all():
                     raise FieldEvaluationError("self-map produced non-finite iterate")
                 point = ", ".join(format_complex(c) for c in image[0])
@@ -774,7 +812,7 @@ def iterate_map(
                 )
             step = float(_max(np.abs(image - current), axis=None))
             current = image
-            us.append(abs(float(poisson_values(domain, current)[0])))
+            us.append(abs(float(u[0])))
             if us[-1] > divergence_threshold:
                 tag = "diverges_to_infinity"
                 break

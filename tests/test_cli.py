@@ -138,6 +138,28 @@ def test_malformed_measure_json_exits_2(capsys, body):
     assert err.startswith("error:") and "measure" in err
 
 
+def test_a_json_syntax_error_names_its_source(capsys, tmp_path):
+    # The decoder's message alone names neither the flag nor the file.
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text("[1, 2")
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps([{"t0": 0, "t1": 1, "field": "measure:[1,2"}]))
+    cases = [
+        (["member", "--field", "measure:[1,2", "--c", "1"], "--field 'measure:[1,2'"),
+        (["iterate", "--map", "flow1:measure:[1,2", "--z0", "i", "--n", "2"],
+         "--map field 'measure:[1,2'"),
+        (["flow", "--driver", str(truncated), "--z0", "i", "--t", "1"],
+         f"driver file {truncated}"),
+        (["flow", "--driver", str(pieces), "--z0", "i", "--t", "1"],
+         f"field of piece 0 in {pieces} 'measure:[1,2'"),
+    ]
+    for argv, source in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad JSON in {source}: Expecting ',' delimiter")
+
+
 def test_eval_syntax_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--field", "z +", "--at", "i")
     assert code == 2

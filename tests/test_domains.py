@@ -230,6 +230,20 @@ def test_hyperbolic_norm_is_one_row_of_the_batch_kernel(rng, domain, coords):
         assert hyperbolic_norm(tangent) == batch[k]
 
 
+@pytest.mark.parametrize("domain, coords", [
+    (Domain.DISC, lambda rng: sampling.ball_coords(rng, 2000, 1)),
+    (Domain.HALF_PLANE, lambda rng: sampling.halfplane_coords(rng, 2000)),
+    (Domain.SIEGEL, lambda rng: sampling.siegel_coords(rng, 2000, 2)),
+    (Domain.BALL, lambda rng: sampling.ball_coords(rng, 2000, 2)),
+])
+def test_poisson_is_one_row_of_the_batch_kernel(rng, domain, coords):
+    # A point's kernel value does not depend on the batch it is computed in.
+    z = coords(rng)
+    batch = poisson_values(domain, z)
+    for k in range(z.shape[0]):
+        assert poisson(DomainPoint(domain, tuple(z[k]))) == batch[k]
+
+
 def test_bergman_matrix_is_hermitian_positive(rng):
     z = sampling.siegel_coords(rng, 200, 2)
     for row in z:

@@ -155,6 +155,16 @@ def test_pushforward_round_trip(rng):
     np.testing.assert_allclose(back, field(z), rtol=0, atol=1e-11)
 
 
+def test_eval_field_is_one_row_of_the_batch_kernel(rng):
+    # A point's field value does not depend on the batch it is computed in;
+    # a 1-d evaluation would run numpy's 0-d complex arithmetic instead.
+    w = sampling.ball_coords(rng, 2000, 2)
+    field = pushforward_to_ball(builtin("example2"))
+    batch = field(w)
+    for k in range(w.shape[0]):
+        assert eval_field(field, ball_point(*w[k])) == tuple(batch[k])
+
+
 def test_pushforward_is_the_jacobian_action(rng):
     from siegelflow.domains import push_tangent_to_ball
 

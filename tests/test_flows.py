@@ -553,10 +553,13 @@ def test_spans_below_the_step_floor_take_no_step():
 
 
 def _with_numpy_wrapper_frames(run):
-    """run() and the Python frames it opens in numpy's _methods.py or count_nonzero.
+    """run() and the Python frames it opens in numpy's call wrappers.
 
     ndarray.min/max/all/any/sum reach their ufunc reductions through Python
-    functions in _methods.py, and np.count_nonzero is a Python function too.
+    functions in _methods.py; C functions such as np.copyto and np.where
+    call a Python dispatcher in _core/multiarray.py first; and
+    np.count_nonzero is a Python function too.  np.errstate's frames in
+    _ufunc_config.py are not counted.
     """
     frames = 0
 
@@ -564,7 +567,8 @@ def _with_numpy_wrapper_frames(run):
         nonlocal frames
         filename = frame.f_code.co_filename
         if event == "call" and "numpy" in filename and (
-                filename.endswith("_methods.py") or "count_nonzero" in frame.f_code.co_name):
+                filename.endswith(("_methods.py", "multiarray.py"))
+                or "count_nonzero" in frame.f_code.co_name):
             frames += 1
 
     sys.setprofile(profile)
@@ -586,6 +590,21 @@ def test_the_step_loop_opens_no_numpy_wrapper_frames():
         steps.append(trajectory.steps_accepted + trajectory.steps_rejected)
         frames.append(count)
     assert steps[1] > steps[0]
+    assert frames[1] == frames[0]
+
+
+def test_iterated_flow_maps_open_no_numpy_wrapper_frames():
+    # Each map's last step clips h and t by boolean assignment, not
+    # np.copyto, and the iterate loop reduces through ufunc methods, so these
+    # wrappers' frames do not grow with the number of maps.
+    z0 = siegel_point(1j, 0.5)
+    frames = []
+    for count in (10, 40):
+        step = flow_map(builtin("example2"), 1.0)
+        diagnostic, frame_count = _with_numpy_wrapper_frames(
+            lambda: iterate_map(step, z0, count))
+        assert diagnostic.iterations == count
+        frames.append(frame_count)
     assert frames[1] == frames[0]
 
 
