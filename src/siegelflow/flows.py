@@ -11,6 +11,10 @@ A batch of points runs through one stage kernel with per-point step control:
 every point keeps its own time, step size and controller state, and stages
 are evaluated only on the points still in flight.  A point's result is
 therefore bit-identical whether it is integrated alone or in any batch.
+Points may also have their own end times: integrations of one field, in one
+domain and at one tolerance, that start at one time but stop at different
+ones share the kernel's steps, and each point still ends bit-identical to
+its own run.
 
 The kernel stores a batch of m points in n dimensions component-major,
 contiguous: the state as an (n, m) array and the stages as one (7, n, m)
@@ -38,7 +42,7 @@ import math
 import numpy as np
 
 from ._records import record
-from .analysis import CapacityEstimate, slice_capacities
+from .analysis import CapacityEstimate, _class_constant, slice_capacities
 from .domains import (
     Domain,
     DomainPoint,
@@ -129,9 +133,9 @@ class _Segment:
         self.states.append(y[:, 0])
 
 
-def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL) -> None:
+def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL, name: str = "time") -> None:
     if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {t}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
@@ -213,7 +217,7 @@ def _advance(
     domain: Domain,
     y0: np.ndarray,
     t0: float,
-    t1: float,
+    t1: float | np.ndarray,
     tol: float,
     record: bool = False,
     k0: np.ndarray | None = None,
@@ -221,13 +225,17 @@ def _advance(
     """Integrate dy/dt = eval_fn(y) from t0 to t1 with EPUS error control.
 
     Each row of y0, shape (m, n), has its own time, step size, PI state and
-    rejection count, and leaves the stage arrays once it reaches t1, so its
-    result does not depend on the other rows.  Every row must start inside
-    the domain (else DomainViolation, before any field call), and any
-    failing row fails the call.  A row whose step falls below
-    1e-15 * max(1, |t|) at its own time t raises StepSizeUnderflow; a span
-    shorter than 1e-15 * max(1, |t0|, |t1|) takes no step.  ``record``
-    keeps the accepted nodes of a single row (m = 1).
+    rejection count, and leaves the stage arrays once it reaches its end, so
+    its result does not depend on the other rows.  ``t1`` is one end time or
+    an (m,) array of per-row end times, each >= t0; a float runs as m equal
+    ends, through the same per-row code.  Row i's end has the floor
+    1e-15 * max(1, |t0|, |t1[i]|): a row whose span is under it takes no
+    step, and every row stops once its time is within it of its end, its
+    last step clipped to land on that end.  Every row must start inside the
+    domain (else DomainViolation, before any field call), and any failing
+    row fails the call.  A row whose step falls below 1e-15 * max(1, |t|)
+    at its own time t raises StepSizeUnderflow.  ``record`` keeps the
+    accepted nodes of a single row (m = 1).
     The state is held component-major (module docstring); ``seg.y`` is
     (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
     the FSAL stage of the row's last step.
@@ -265,19 +273,19 @@ def _advance(
                 raise FieldEvaluationError("field is not finite at the initial point")
         if record:
             seg.record(t0, y)
-        # Every row's time stays in [t0, t1], so this floor bounds each row's
-        # own floor, 1e-15 * max(1, |t|); only a step below it is checked row
-        # by row.
-        floor = 1e-15 * max(1.0, abs(t0), abs(t1))
-        if t0 >= t1 - floor:
-            seg.y, seg.k = y.T.copy(), ks[1].T.copy()
-            return seg
-        t_done = np.array(t1 - floor)  # 0-d: compared in every step
-        t1, tol = np.array(t1), np.array(tol)  # 0-d: operands in every step
+        t_end = np.empty(m)
+        t_end[:] = t1
+        # A row's time stays in [t0, t_end], so its end's floor bounds its own
+        # floor, 1e-15 * max(1, |t|), and the largest end floor bounds every
+        # row's; only a step below that is checked row by row.
+        row_floors = 1e-15 * np.maximum(max(1.0, abs(t0)), np.abs(t_end))
+        t_done = t_end - row_floors
+        floor = row_floors[row_floors.argmax()]
+        tol = np.array(tol)  # 0-d: an operand in every step
 
         d0 = np.maximum(_max(np.abs(y), axis=0), 1e-6)
         d1 = np.maximum(_max(np.abs(ks[1]), axis=0), 1e-16)
-        h = np.minimum(t1 - t0, 0.01 * d0 / d1)
+        h = np.minimum(t_end - t0, 0.01 * d0 / d1)
         t = np.empty(m)
         t.fill(t0)
         r_prev = np.empty(m)
@@ -292,6 +300,36 @@ def _advance(
         errors = []  # err of steps that every row accepted, not yet in seg.max_error
 
         while True:
+            done = t >= t_done
+            if done[done.argmax()]:
+                seg.max_error = _peak(errors, seg.max_error)  # before err's shape changes
+                if done[done.argmin()]:
+                    if out is None:
+                        seg.y, seg.k = y.T.copy(), ks[1].T.copy()
+                    else:
+                        out[0][rows], out[1][rows] = y.T, ks[1].T
+                        seg.y, seg.k = out
+                    return seg
+                if out is None:
+                    out = np.empty((m, n), dtype=complex), np.empty((m, n), dtype=complex)
+                    rows = np.arange(m)
+                # compress gathers along axis 1 faster than a boolean index.
+                finished = rows[done]
+                out[0][finished] = y.compress(done, axis=1).T
+                out[1][finished] = ks[1].compress(done, axis=1).T
+                keep = ~done
+                rows, t, h, r_prev, consecutive, exits, t_end, t_done = (
+                    a[keep] for a in (rows, t, h, r_prev, consecutive, exits, t_end, t_done)
+                )
+                live = rows.size
+                y = y.compress(keep, axis=1)
+                # Only slot 1 carries over; shrink the stage buffer in place,
+                # keeping it contiguous over the first 7 * n * live numbers.
+                ks1 = ks[1].compress(keep, axis=1)
+                stages = buffer[:7 * n * live]
+                ks = stages.reshape(7, n, live)
+                ks[1] = ks1
+
             if h[h.argmin()] < floor:
                 row_floor = 1e-15 * np.maximum(1.0, np.abs(t))
                 below = h < row_floor
@@ -301,7 +339,7 @@ def _advance(
                         f"step size underflow at t = {t[k]} (h = {h[k]:.3e} is below "
                         f"the floor 1e-15 * max(1, |t|) = {row_floor[k]:.3e})"
                     )
-            remaining = t1 - t
+            remaining = t_end - t
             last = h >= remaining * _NEAR_ONE
             ends = last[last.argmax()]  # only a row's final step is clipped
             h_step = h
@@ -324,7 +362,7 @@ def _advance(
             h_grow = h_step * np.minimum(_STEP_GROW_CAP, fac)
             t_new = t + h_step
             if ends:
-                t_new[last] = t1
+                t_new[last] = t_end[last]
             if accept[accept.argmin()]:
                 t, y, h, r_prev = t_new, y_new, h_grow, r
                 ks[1] = ks[6]
@@ -365,37 +403,6 @@ def _advance(
                         f"{cause} near t = {t[k]}; "
                         f"{consecutive[k]} consecutive rejections"
                     )
-
-            done = t >= t_done
-            if not done[done.argmax()]:
-                continue
-            seg.max_error = _peak(errors, seg.max_error)  # before err's shape changes
-            if done[done.argmin()]:
-                if out is None:
-                    seg.y, seg.k = y.T.copy(), ks[1].T.copy()
-                else:
-                    out[0][rows], out[1][rows] = y.T, ks[1].T
-                    seg.y, seg.k = out
-                return seg
-            if out is None:
-                out = np.empty((m, n), dtype=complex), np.empty((m, n), dtype=complex)
-                rows = np.arange(m)
-            # compress gathers along axis 1 faster than a boolean index.
-            finished = rows[done]
-            out[0][finished] = y.compress(done, axis=1).T
-            out[1][finished] = ks[1].compress(done, axis=1).T
-            keep = ~done
-            rows, t, h, r_prev, consecutive, exits = (
-                a[keep] for a in (rows, t, h, r_prev, consecutive, exits)
-            )
-            live = rows.size
-            y = y.compress(keep, axis=1)
-            # Only slot 1 carries over; shrink the stage buffer in place,
-            # keeping it contiguous over the first 7 * n * live numbers.
-            ks1 = ks[1].compress(keep, axis=1)
-            stages = buffer[:7 * n * live]
-            ks = stages.reshape(7, n, live)
-            ks[1] = ks1
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +645,10 @@ def semigroup_check(
     """Euclidean distance between Phi_{t+s}(z0) and Phi_t(Phi_s(z0)).
 
     ``passed`` means the residual is at most 10 * DEFAULT_TOL * (t + s).
+    A t or s that is negative or not finite raises ValueError naming it.
     """
+    _check_time_and_tol(t, name="t")
+    _check_time_and_tol(s, name="s")
     joint = integrate_autonomous(field, z0, t + s).final_state
     inner = integrate_autonomous(field, z0, s).final_point()
     outer = integrate_autonomous(field, inner, t).final_state
@@ -701,8 +711,9 @@ def displacement_bound_check(
     where the integral of sqrt(1 + c^2 s^2) is evaluated in closed form;
     ``passed`` means the norm is at most the bound plus DISPLACEMENT_SLACK.
     The bound is calibrated for |u(z0)| >= 1; a point below that raises
-    DomainViolation.
+    DomainViolation.  A c that is negative or not finite raises ValueError.
     """
+    c = _class_constant(c)
     u = poisson(z0)
     if abs(u) < 1.0 - 1e-12:
         raise DomainViolation(
@@ -736,8 +747,10 @@ def horosphere_image_check(self_map, c: float) -> HorosphereImageReport:
 
     `self_map` is any batch evaluator of shape (..., 2) -> (..., 2), e.g. a
     flow map or a parsed expression pair.  ``passed`` means the largest
-    value is at most 1 + c + HOROSPHERE_IMAGE_SLACK.
+    value is at most 1 + c + HOROSPHERE_IMAGE_SLACK.  A c that is negative
+    or not finite raises ValueError.
     """
+    c = _class_constant(c)
     points = horosphere_samples(2)
     with np.errstate(all="ignore"):
         images = np.asarray(self_map(points), dtype=complex)

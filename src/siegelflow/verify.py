@@ -366,10 +366,11 @@ def _g_fixture_endpoints(rng):
     expected = np.array([2j, 0.7 * np.exp(-1j / 2j)])
     errors.append(float(np.max(np.abs(end - expected))))
 
-    for start in (2j, 1 + 2j):
-        end = flows.integrate_autonomous(
-            fields.reciprocal_1d(), domains.half_plane_point(start), 1.0
-        ).final_state[0]
+    # Both half-plane starts share one flow map call; the closed form stays
+    # on Python scalars, whose np.sqrt rounds unlike the array loop's.
+    starts = (2j, 1 + 2j)
+    ends = flows.flow_map(fields.reciprocal_1d(), 1.0)(np.array(starts)[:, None])
+    for start, end in zip(starts, ends[:, 0]):
         errors.append(abs(end - np.sqrt(start**2 - 2.0)))
 
     return _ok(len(errors), max(errors), 1e-8)
@@ -430,16 +431,33 @@ def _g_displacement_bound(rng):
     return _ok(count, worst, flows.DISPLACEMENT_SLACK, "worst is (norm - bound)")
 
 
+def _known_at(points, images):
+    """The self-map known only at ``points``, which it sends to ``images``."""
+    def self_map(pts):
+        if not np.array_equal(pts, points):
+            raise ValueError("self-map called off the points it is known at")
+        return images
+    return self_map
+
+
 def _g_horosphere_checks(rng):
-    displacement = flows.displacement_field(fields.example2(), 1.0)
+    # One flow map call carries the grid and the horosphere samples; each
+    # row's image is the one a call on its own points gives, bit for bit.
+    field = fields.example2()
+    grid, samples = grids.siegel_grid_small(), grids.horosphere_samples(2)
+    images = flows.flow_map(field, 1.0)(np.concatenate([grid, samples]))
+    displacement = fields.VectorField(
+        2, _known_at(grid, images[:len(grid)] - grid),
+        f"flow[t=1] - id ({field.description})",
+    )
     inequality = analysis.horosphere_inequality_check(displacement, grid="small")
-    image = flows.horosphere_image_check(flows.flow_map(fields.example2(), 1.0), 2.0)
+    image = flows.horosphere_image_check(_known_at(samples, images[len(grid):]), 2.0)
     worst = max(-inequality.worst_margin, image.worst_value - image.limit)
     detail = (
         f"orthogonality margin {inequality.worst_margin:.3e}, "
         f"image |u| max {image.worst_value:.6f} of {image.limit:g}"
     )
-    return _ok(grids.siegel_grid_small().shape[0] + image.count, worst,
+    return _ok(len(grid) + image.count, worst,
                flows.HOROSPHERE_IMAGE_SLACK, detail, inequality.ok and image.passed)
 
 
@@ -453,11 +471,15 @@ def _g_loewner_restart(rng):
     ).final_state[0]
     endpoint_error = abs(staged - 1j * math.sqrt(7.0))
 
-    whole = flows.integrate_loewner([(0.0, 2.0, one)], z0, 2.0, tol=1e-13)
-    split = flows.integrate_loewner(
-        [(0.0, 0.7, one), (0.7, 2.0, one)], z0, 2.0, tol=1e-13
-    )
-    restart_gap = abs(whole.final_state[0] - split.final_state[0])
+    # The unsplit run over [0, 2] and the split run's first piece over
+    # [0, 0.7] share one call, with per-row end times; the second piece
+    # restarts from the first one's endpoint, as integrate_loewner does.
+    whole, first = flows._advance(
+        one, Domain.HALF_PLANE, np.array([z0.as_array()] * 2), 0.0,
+        np.array([2.0, 0.7]), 1e-13,
+    ).y
+    split = flows._advance(one, Domain.HALF_PLANE, first[None], 0.7, 2.0, 1e-13).y[0]
+    restart_gap = abs(whole[0] - split[0])
 
     plain = flows.integrate_autonomous(one, z0, 2.0).final_state[0]
     single = flows.integrate_loewner([(0.0, 2.0, one)], z0, 2.0).final_state[0]
@@ -478,8 +500,18 @@ def _g_flow_capacity(rng):
         estimate = flows.extract_capacity(flows.flow_map(field, t))
         errors.append(abs(estimate.value - t * measure.total_mass))
     step = flows.flow_map(fields.reciprocal_1d(), 1.0)
-    cap_one = flows.extract_capacity(step).value
-    cap_two = flows.extract_capacity(lambda pts: step(step(pts))).value
+    window = []  # the points extract_capacity maps, and step's images of them
+
+    def recorded(pts):
+        images = step(pts)
+        window.append((pts, images))
+        return images
+
+    cap_one = flows.extract_capacity(recorded).value
+    # step o step maps the same window: its inner step is known there, and
+    # the outer one resumes from the FSAL stages those images ended on.
+    inner = _known_at(*window[0])
+    cap_two = flows.extract_capacity(lambda pts: step(inner(pts))).value
     errors.append(abs(2.0 * cap_one - cap_two))
     detail = f"composite capacity {cap_two:.6f} vs parts {cap_one:.6f} + {cap_one:.6f}"
     return _ok(len(errors), max(errors), 1e-3, detail)

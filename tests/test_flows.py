@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import sys
 import threading
 
@@ -375,6 +376,35 @@ def test_flow_map_endpoints_are_pinned_bit_for_bit(name, grid, digest):
     assert hashlib.sha256(np.ascontiguousarray(endpoints).tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("uniform", [False, True], ids=["mixed ends", "one end"])
+def test_a_pooled_advance_gives_each_row_its_solo_run(uniform):
+    # Per-row end times from t0 = 0.5: row 0 rejects a step and runs longest,
+    # rows 1, 2 and 4 stop at other iterations, and row 3's span, 4.4e-16,
+    # is under its floor of 1e-15, so it takes no step.
+    field = parse_field("-1/z^3", 1)
+    t0 = 0.5
+    starts = np.array([[0.5 + 0.2j], [1 + 1j], [2j], [0.3 + 0.4j], [-1 + 3j]])
+    ends = np.full(5, 1.7) if uniform else np.array([3.5, 1.7, 2.9, t0 + 4e-16, 1.2])
+    solo = [_advance(field, Domain.HALF_PLANE, starts[i:i + 1], t0, float(ends[i]),
+                     DEFAULT_TOL) for i in range(len(starts))]
+    pooled = _advance(field, Domain.HALF_PLANE, starts, t0, ends, DEFAULT_TOL)
+    for i, seg in enumerate(solo):
+        assert pooled.y[i].tobytes() == seg.y[0].tobytes(), i
+        assert pooled.k[i].tobytes() == seg.k[0].tobytes(), i
+    assert pooled.accepted == sum(seg.accepted for seg in solo)
+    assert pooled.rejected == sum(seg.rejected for seg in solo)
+    assert pooled.max_error == max(seg.max_error for seg in solo)
+    if uniform:
+        # A float end runs the same per-row code as m equal ends.
+        scalar = _advance(field, Domain.HALF_PLANE, starts, t0, 1.7, DEFAULT_TOL)
+        assert (scalar.y.tobytes(), scalar.accepted, scalar.rejected) == (
+            pooled.y.tobytes(), pooled.accepted, pooled.rejected)
+    else:
+        assert solo[0].rejected >= 1
+        assert solo[3].accepted == 0 and solo[3].y.tobytes() == starts[3].tobytes()
+        assert len({seg.accepted for seg in solo}) == len(solo)
+
+
 @pytest.mark.parametrize("stage", [1, 3, 6])
 def test_a_non_finite_stage_rejects_only_that_rows_step(stage):
     field = builtin("example2")
@@ -642,6 +672,17 @@ def test_semigroup_law_residuals():
         assert report.residual < 1e-9
 
 
+@pytest.mark.parametrize("t, s, message", [
+    (-1.0, 0.5, "t must be finite and nonnegative, got -1.0"),
+    (0.5, -0.25, "s must be finite and nonnegative, got -0.25"),
+    (math.nan, 0.5, "t must be finite and nonnegative, got nan"),
+    (0.5, math.inf, "s must be finite and nonnegative, got inf"),
+])
+def test_semigroup_check_names_the_bad_time(t, s, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        semigroup_check(builtin("reciprocal"), half_plane_point(1 + 1j), t, s)
+
+
 def test_julia_monotonicity_reports():
     report = julia_monotonicity(builtin("example2"), siegel_point(1j, 0.5), 1.0)
     assert report.passed
@@ -694,6 +735,15 @@ def test_horosphere_image_check_reports_a_violation():
     assert report.limit == 1.1
     assert report.worst_value == pytest.approx(1.6847, abs=1e-4)
     assert report.count == 64
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -2.0])
+def test_displacement_and_horosphere_checks_reject_bad_constants(c):
+    message = re.escape(f"class constant c must be finite and >= 0, got {c}")
+    with pytest.raises(ValueError, match=message):
+        displacement_bound_check(builtin("example2"), c, siegel_point(2j, 0.0), 1.0)
+    with pytest.raises(ValueError, match=message):
+        horosphere_image_check(flow_map(builtin("example2"), 1.0), c)
 
 
 # ---------------------------------------------------------------------------
