@@ -14,7 +14,8 @@ therefore bit-identical whether it is integrated alone or in any batch.
 Points may also have their own end times: integrations of one field, in one
 domain and at one tolerance, that start at one time but stop at different
 ones share the kernel's steps, and each point still ends bit-identical to
-its own run.
+its own run.  A recorded integration keeps every point's accepted nodes, so
+trajectories pool the same way endpoints do.
 
 The kernel stores a batch of m points in n dimensions component-major,
 contiguous: the state as an (n, m) array and the stages as one (7, n, m)
@@ -87,6 +88,7 @@ _ALPHA = np.array(-0.175)  # PI exponent of this step's error ratio
 _BETA = np.array(0.1)  # PI exponent of the previous step's error ratio
 _R_FLOOR = np.array(1e-10)  # error-ratio floor, keeps r**_ALPHA finite
 _NEAR_ONE = np.array(1.0 - 1e-12)  # a step this close to the rest ends the leg
+_EPS = np.array(1e-15)  # relative floor of a row's end time
 
 # Reductions: ndarray.max/all/any reach these ufunc methods through
 # Python-level wrappers, which cost more than the loop on the few numbers of a
@@ -114,23 +116,31 @@ def _peak(errors: list, peak: float) -> float:
 
 
 class _Segment:
-    """One integration leg: final rows and stages, counters, a row's nodes."""
+    """One integration leg: final rows and stages, counters, every row's nodes."""
 
-    __slots__ = ("times", "states", "accepted", "rejected", "max_error", "y", "k")
+    __slots__ = ("nodes", "accepted", "rejected", "max_error", "y", "k")
 
     def __init__(self) -> None:
-        self.times: list[float] = []
-        self.states: list[np.ndarray] = []
+        # (rows, t, y) per recorded node set: the original indices of the
+        # rows it holds (None for all m rows, in order), their times (r,)
+        # and their component-major states (n, r).
+        self.nodes: list[tuple[np.ndarray | None, np.ndarray, np.ndarray]] = []
         self.accepted = 0
         self.rejected = 0
         self.max_error = 0.0
         self.y: np.ndarray | None = None
         self.k: np.ndarray | None = None
 
-    def record(self, t: float, y: np.ndarray) -> None:
-        """Keep row 0 of the component-major state y, shape (n, m)."""
-        self.times.append(t)
-        self.states.append(y[:, 0])
+    def trajectory(self, row: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``row``'s recorded nodes in order: times (N,) and states (N, n)."""
+        index, times, states = zip(*self.nodes)
+        times, states = np.concatenate(times), np.concatenate(states, axis=1)
+        if len(self.y) > 1:  # else every node is row 0's
+            every = np.arange(len(self.y))
+            index = np.concatenate([every if rows is None else rows for rows in index])
+            pick = np.flatnonzero(index == row)
+            times, states = times.take(pick), states.take(pick, axis=1)
+        return times, states.T.copy()
 
 
 def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL, name: str = "time") -> None:
@@ -234,8 +244,11 @@ def _advance(
     last step clipped to land on that end.  Every row must start inside the
     domain (else DomainViolation, before any field call), and any failing
     row fails the call.  A row whose step falls below 1e-15 * max(1, |t|)
-    at its own time t raises StepSizeUnderflow.  ``record`` keeps the
-    accepted nodes of a single row (m = 1).
+    at its own time t raises StepSizeUnderflow.  ``record`` keeps every
+    row's start and accepted nodes in ``seg.nodes``, read back one row at a
+    time by ``seg.trajectory``: a step that every live row accepted adds its
+    ``t`` and ``y`` with the live rows' original indices, and a step that
+    rejects some row adds just the accepted rows.
     The state is held component-major (module docstring); ``seg.y`` is
     (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
     the FSAL stage of the row's last step.
@@ -271,14 +284,18 @@ def _advance(
             ks[1] = _field_result(eval_fn(y.T), (m, n)).T
             if not _all(np.isfinite(ks[1]), axis=None):
                 raise FieldEvaluationError("field is not finite at the initial point")
+        t = np.empty(m)
+        t.fill(t0)
         if record:
-            seg.record(t0, y)
+            seg.nodes.append((None, t, y))
         t_end = np.empty(m)
         t_end[:] = t1
         # A row's time stays in [t0, t_end], so its end's floor bounds its own
         # floor, 1e-15 * max(1, |t|), and the largest end floor bounds every
-        # row's; only a step below that is checked row by row.
-        row_floors = 1e-15 * np.maximum(max(1.0, abs(t0)), np.abs(t_end))
+        # row's; only a step below that is checked row by row.  An end below
+        # t0 takes no step whatever its floor, and for t_end >= t0,
+        # max(1, |t0|, t_end) is max(1, |t0|, |t_end|).
+        row_floors = _EPS * np.maximum(t_end, max(1.0, abs(t0)))
         t_done = t_end - row_floors
         floor = row_floors[row_floors.argmax()]
         tol = np.array(tol)  # 0-d: an operand in every step
@@ -286,8 +303,6 @@ def _advance(
         d0 = np.maximum(_max(np.abs(y), axis=0), 1e-6)
         d1 = np.maximum(_max(np.abs(ks[1]), axis=0), 1e-16)
         h = np.minimum(t_end - t0, 0.01 * d0 / d1)
-        t = np.empty(m)
-        t.fill(t0)
         r_prev = np.empty(m)
         r_prev.fill(1.0)
         consecutive, exits = np.zeros((2, m), dtype=int)
@@ -374,7 +389,10 @@ def _advance(
                 if len(errors) == _ERRORS_HELD:
                     seg.max_error = _peak(errors, seg.max_error)
                 if record:
-                    seg.record(float(t[0]), y)
+                    # A few-row y is a view of _stages' running sums, six
+                    # times its size.  Several rows keep a copy; one row
+                    # keeps the view and saves a copy per step.
+                    seg.nodes.append((rows, t, y if live == 1 else y.copy()))
             else:
                 n_accepted = int(np.count_nonzero(accept))
                 h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
@@ -389,6 +407,9 @@ def _advance(
                 seg.accepted += n_accepted
                 seg.rejected += live - n_accepted
                 seg.max_error = max(seg.max_error, float(_max(err[accept], initial=0.0)))
+                if record and n_accepted:
+                    index = np.flatnonzero(accept) if rows is None else rows[accept]
+                    seg.nodes.append((index, t[accept], y[:, accept]))
                 if _any(exits >= _MAX_DOMAIN_EXITS):
                     k = int(np.argmax(exits))
                     raise StepSizeUnderflow(
@@ -448,20 +469,22 @@ def _flow_line(pieces, z0: DomainPoint, t_final: float, tol: float) -> Trajector
     previous endpoint and drops its first node, which repeats that endpoint.
     """
     y = z0.as_array()[None, :]
-    segments = []
+    segments, times, states = [], [], []
     for t_start, t_end, field in pieces:
         start, stop = max(t_start, 0.0), min(t_end, t_final)
         if segments and stop <= start:
             continue
         seg = _advance(field, z0.domain, y, start, stop, tol, record=True)
-        if segments:
-            del seg.times[0], seg.states[0]
+        seg_times, seg_states = seg.trajectory()
+        skip = 1 if segments else 0
+        times.append(seg_times[skip:])
+        states.append(seg_states[skip:])
         segments.append(seg)
         y = seg.y
     return Trajectory(
         domain=z0.domain,
-        times=np.asarray([t for seg in segments for t in seg.times], dtype=float),
-        states=np.asarray([row for seg in segments for row in seg.states], dtype=complex),
+        times=np.concatenate(times),
+        states=np.concatenate(states),
         steps_accepted=sum(seg.accepted for seg in segments),
         steps_rejected=sum(seg.rejected for seg in segments),
         max_local_error=max(seg.max_error for seg in segments),
@@ -652,6 +675,12 @@ def semigroup_check(
     joint = integrate_autonomous(field, z0, t + s).final_state
     inner = integrate_autonomous(field, z0, s).final_point()
     outer = integrate_autonomous(field, inner, t).final_state
+    return _semigroup_report(joint, outer, t, s)
+
+
+def _semigroup_report(joint: np.ndarray, outer: np.ndarray, t: float, s: float
+                      ) -> ResidualReport:
+    """Judge Phi_{t+s}(z0) = joint against Phi_t(Phi_s(z0)) = outer."""
     residual = float(np.linalg.norm(joint - outer))
     allowance = 10.0 * DEFAULT_TOL * (t + s)
     return ResidualReport(residual, allowance, residual <= allowance)
@@ -675,11 +704,17 @@ def julia_monotonicity(
     -MONOTONICITY_SLACK, i.e. |u| never decreased beyond the slack.
     """
     trajectory = integrate_autonomous(field, z0, t_final)
-    us = np.abs(trajectory.u_values())
+    return _monotonicity_report(trajectory.domain, trajectory.times, trajectory.states)
+
+
+def _monotonicity_report(domain: Domain, times: np.ndarray, states: np.ndarray
+                         ) -> MonotonicityReport:
+    """Judge |u| at a flow line's nodes, times (N,) and states (N, n)."""
+    us = np.abs(poisson_values(domain, states))
     increments = np.diff(us)
     min_increment = float(np.min(increments)) if increments.size else 0.0
     return MonotonicityReport(
-        times=trajectory.times,
+        times=times,
         u_magnitudes=us,
         min_increment=min_increment,
         passed=min_increment >= -MONOTONICITY_SLACK,
@@ -713,13 +748,25 @@ def displacement_bound_check(
     The bound is calibrated for |u(z0)| >= 1; a point below that raises
     DomainViolation.  A c that is negative or not finite raises ValueError.
     """
+    c, u = _displacement_start(c, z0)
+    endpoint = integrate_autonomous(field, z0, t).final_state
+    return _displacement_report(c, u, z0, endpoint, t)
+
+
+def _displacement_start(c: float, z0: DomainPoint) -> tuple[float, float]:
+    """The checked class constant c and u(z0), for a z0 the bound is calibrated for."""
     c = _class_constant(c)
     u = poisson(z0)
     if abs(u) < 1.0 - 1e-12:
         raise DomainViolation(
             f"displacement bound needs |u(z0)| >= 1, got {abs(u)}"
         )
-    endpoint = integrate_autonomous(field, z0, t).final_state
+    return c, u
+
+
+def _displacement_report(c: float, u: float, z0: DomainPoint, endpoint: np.ndarray,
+                         t: float) -> DisplacementBoundReport:
+    """Judge endpoint = Phi_t(z0) against the bound, c and u from _displacement_start."""
     difference = endpoint - z0.as_array()
     lhs = hyperbolic_norm(TangentVector(z0, tuple(difference)))
     rhs = c * (t + displacement_integral(c, t)) / (u * u)

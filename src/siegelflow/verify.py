@@ -9,7 +9,9 @@ it is too: no timestamps, no environment probes, and every float comes from
 the same deterministic computation.
 
 Each group evaluates its identity as one array computation over all of its
-samples.  Metric and geodesic quantities are always reached through the
+samples.  The flows groups also share their integrations: flows of one
+field object and domain, from any group, run as one kernel call, and each
+group judges its own rows of it.  Metric and geodesic quantities are always reached through the
 :mod:`siegelflow.domains` and :mod:`siegelflow.geodesics` module objects
 rather than through direct imports, and the array kernels are what fault
 injection must reach: replacing ``domains.bergman_matrix_array`` (the metric
@@ -20,6 +22,7 @@ raises must fail the groups that use it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -351,61 +354,173 @@ def _g_parser_consistency(rng):
 # Suite: flows
 # ---------------------------------------------------------------------------
 
-def _g_fixture_endpoints(rng):
-    errors = []
+class _Pool:
+    """Flows of one field in one domain from time 0 at the default tolerance."""
 
-    contraction = fields.parse_field("-z")
+    def __init__(self, field: fields.VectorField, domain: Domain) -> None:
+        self.field, self.domain = field, domain
+        self.starts, self.ends = [], []
+        self.seg = None  # the recorded _advance result, or what it raised
+
+    def add(self, starts: np.ndarray, t: float) -> _Rows:
+        first = sum(map(len, self.starts))
+        self.starts.append(starts)
+        self.ends.append(np.full(len(starts), t))
+        return _Rows(self, slice(first, first + len(starts)))
+
+    def run(self) -> None:
+        try:
+            self.seg = flows._advance(
+                self.field, self.domain, np.concatenate(self.starts), 0.0,
+                np.concatenate(self.ends), flows.DEFAULT_TOL, record=True,
+            )
+        except Exception as exc:  # it fails each group with rows here, at its judge
+            self.seg = exc
+
+
+class _Rows:
+    """Rows a group queued in a pool, read once the pool has run."""
+
+    def __init__(self, pool: _Pool, rows: slice) -> None:
+        self.pool, self.rows = pool, rows
+
+    def _seg(self):
+        if isinstance(self.pool.seg, Exception):
+            raise self.pool.seg
+        return self.pool.seg
+
+    @property
+    def y(self) -> np.ndarray:
+        """The rows' endpoints, (r, n)."""
+        return self._seg().y[self.rows]
+
+    @property
+    def k(self) -> np.ndarray:
+        """The field at the rows' endpoints, their last FSAL stages, (r, n)."""
+        return self._seg().k[self.rows]
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row's start and accepted nodes, times (N,) and states (N, n)."""
+        return self._seg().trajectory(self.rows.start)
+
+
+class _Pools:
+    """The flows suite's built-in fields and its pools, one of each per run.
+
+    Every flow a group queues here, from time 0 at the default tolerance,
+    joins the pool of its field object and domain, and each pool runs as
+    one recorded ``_advance`` call with per-row end times, so each row is
+    bit-identical to its own run.  Pools are keyed by the field object,
+    never by its description: ``reciprocal_1d()`` and ``parse_field("-1/z")``
+    print alike but need not compute alike.  A pool whose call raises fails
+    each group with rows in it; the other groups still run.
+    """
+
+    def __init__(self) -> None:
+        self._pools: dict[tuple[int, Domain], _Pool] = {}
+
+    # Built by the first group that asks, so a factory that raises fails
+    # that group, and each later one that asks, not the suite.
+    @functools.cached_property
+    def example1(self) -> fields.VectorField:
+        return fields.example1()
+
+    @functools.cached_property
+    def example2(self) -> fields.VectorField:
+        return fields.example2()
+
+    @functools.cached_property
+    def reciprocal(self) -> fields.VectorField:
+        return fields.reciprocal_1d()
+
+    def add(self, field, domain: Domain, starts: np.ndarray, t: float) -> _Rows:
+        """Queue the flows of ``field`` from the (r, n) ``starts`` to time t."""
+        key = (id(field), domain)
+        if key not in self._pools:
+            self._pools[key] = _Pool(field, domain)
+        return self._pools[key].add(starts, t)
+
+    def flow(self, field, z0: domains.DomainPoint, t: float) -> _Rows:
+        """Queue the flow of ``field`` from z0 to time t."""
+        return self.add(field, z0.domain, z0.as_array()[None], t)
+
+    def run(self) -> None:
+        for pool in self._pools.values():
+            pool.run()
+
+
+# A flows group draws: it queues its flows in the suite's pools and returns
+# its judge, which runs once every group has drawn and every pool has run.
+
+def _unpooled(group):
+    """A flows group that queues nothing: it runs whole as its judge."""
+    return lambda rng, pools: lambda: group(rng, pools)
+
+
+def _g_fixture_endpoints(rng, pools):
     start = 0.4 + 0.2j
-    end = flows.integrate_autonomous(
-        contraction, domains.disc_point(start), 1.0
-    ).final_state[0]
-    errors.append(abs(end - start * math.exp(-1.0)))
-
-    z0 = domains.siegel_point(2j, 0.7)
-    end = flows.integrate_autonomous(fields.example1(), z0, 1.0).final_state
-    expected = np.array([2j, 0.7 * np.exp(-1j / 2j)])
-    errors.append(float(np.max(np.abs(end - expected))))
-
-    # Both half-plane starts share one flow map call; the closed form stays
-    # on Python scalars, whose np.sqrt rounds unlike the array loop's.
+    contraction = pools.flow(fields.parse_field("-z"), domains.disc_point(start), 1.0)
+    example1 = pools.flow(pools.example1, domains.siegel_point(2j, 0.7), 1.0)
+    # The closed form of the half-plane flows stays on Python scalars, whose
+    # np.sqrt rounds unlike the array loop's.
     starts = (2j, 1 + 2j)
-    ends = flows.flow_map(fields.reciprocal_1d(), 1.0)(np.array(starts)[:, None])
-    for start, end in zip(starts, ends[:, 0]):
-        errors.append(abs(end - np.sqrt(start**2 - 2.0)))
+    reciprocal = pools.add(pools.reciprocal, Domain.HALF_PLANE, np.array(starts)[:, None], 1.0)
 
-    return _ok(len(errors), max(errors), 1e-8)
+    def judge():
+        errors = [abs(contraction.y[0, 0] - start * math.exp(-1.0))]
+        expected = np.array([2j, 0.7 * np.exp(-1j / 2j)])
+        errors.append(float(np.max(np.abs(example1.y[0] - expected))))
+        for z0, end in zip(starts, reciprocal.y[:, 0]):
+            errors.append(abs(end - np.sqrt(z0**2 - 2.0)))
+        return _ok(len(errors), max(errors), 1e-8)
+    return judge
 
 
-def _g_semigroup_law(rng):
+def _g_semigroup_law(rng, pools):
+    t = s = 0.5
     cases = (
-        (fields.example1(), domains.siegel_point(1j, 0.5)),
-        (fields.example2(), domains.siegel_point(2j, 0.0)),
-        (fields.reciprocal_1d(), domains.half_plane_point(1 + 1j)),
+        (pools.example1, domains.siegel_point(1j, 0.5)),
+        (pools.example2, domains.siegel_point(2j, 0.0)),
+        (pools.reciprocal, domains.half_plane_point(1 + 1j)),
     )
-    reports = [flows.semigroup_check(f, z0, 0.5, 0.5) for f, z0 in cases]
-    worst = max(report.residual for report in reports)
-    return _ok(len(reports), worst, reports[0].allowance, "",
-               all(r.passed for r in reports))
+    legs = [(field, z0, pools.flow(field, z0, t + s), pools.flow(field, z0, s))
+            for field, z0 in cases]
+
+    def judge():
+        reports = []
+        for field, z0, joint, inner in legs:
+            # The outer leg starts from the inner leg's endpoint and FSAL
+            # stage, which is the field there: no start field call.
+            outer = flows._advance(field, z0.domain, inner.y, 0.0, t, flows.DEFAULT_TOL,
+                                   k0=inner.k)
+            reports.append(flows._semigroup_report(joint.y[0], outer.y[0], t, s))
+        worst = max(report.residual for report in reports)
+        return _ok(len(reports), worst, reports[0].allowance, "",
+                   all(r.passed for r in reports))
+    return judge
 
 
-def _g_julia_monotonicity(rng):
+def _g_julia_monotonicity(rng, pools):
     runs = (
-        (fields.example1(), domains.siegel_point(1j, 0.5), 2.0),
-        (fields.example2(), domains.siegel_point(2j, 0.0), 2.0),
-        (fields.example2(), domains.siegel_point(1j, 0.5), 1.0),
-        (fields.zero_field(2), domains.siegel_point(1j, 0.5), 1.0),
+        pools.flow(pools.example1, domains.siegel_point(1j, 0.5), 2.0),
+        pools.flow(pools.example2, domains.siegel_point(2j, 0.0), 2.0),
+        pools.flow(pools.example2, domains.siegel_point(1j, 0.5), 1.0),
+        pools.flow(fields.zero_field(2), domains.siegel_point(1j, 0.5), 1.0),
     )
-    worst = 0.0
-    for field, z0, t_final in runs:
-        report = flows.julia_monotonicity(field, z0, t_final)
-        worst = max(worst, -report.min_increment)
-    return _ok(len(runs), worst, flows.MONOTONICITY_SLACK)
+
+    def judge():
+        worst = 0.0
+        for run in runs:
+            report = flows._monotonicity_report(run.pool.domain, *run.nodes())
+            worst = max(worst, -report.min_increment)
+        return _ok(len(runs), worst, flows.MONOTONICITY_SLACK)
+    return judge
 
 
-def _g_integrator_order(rng):
+def _g_integrator_order(rng, pools):
     # Off-axis start so the leading error coefficient does not cancel; step
     # counts stop at 32 to stay above the double-precision floor.
-    field = fields.example1()
+    field = pools.example1
     z0 = domains.siegel_point(3.0 + 1j, 0.7 + 0.2j)
     z1c, z2c = 3.0 + 1j, 0.7 + 0.2j
     target = np.array([z1c, z2c * np.exp(-1j / z1c)])
@@ -419,16 +534,20 @@ def _g_integrator_order(rng):
     return _ok(len(errors), worst, 1.0, detail)
 
 
-def _g_displacement_bound(rng):
-    field = fields.example2()
-    worst = -math.inf
-    count = 0
+def _g_displacement_bound(rng, pools):
+    runs = []
     for z0 in (domains.siegel_point(2j, 0.0), domains.siegel_point(3j, 0.5)):
+        c, u = flows._displacement_start(2.0, z0)
         for t in (0.5, 1.0):
-            report = flows.displacement_bound_check(field, 2.0, z0, t)
+            runs.append((c, u, z0, t, pools.flow(pools.example2, z0, t)))
+
+    def judge():
+        worst = -math.inf
+        for c, u, z0, t, flow in runs:
+            report = flows._displacement_report(c, u, z0, flow.y[0], t)
             worst = max(worst, report.displacement_norm - report.bound)
-            count += 1
-    return _ok(count, worst, flows.DISPLACEMENT_SLACK, "worst is (norm - bound)")
+        return _ok(len(runs), worst, flows.DISPLACEMENT_SLACK, "worst is (norm - bound)")
+    return judge
 
 
 def _known_at(points, images):
@@ -440,29 +559,33 @@ def _known_at(points, images):
     return self_map
 
 
-def _g_horosphere_checks(rng):
-    # One flow map call carries the grid and the horosphere samples; each
-    # row's image is the one a call on its own points gives, bit for bit.
-    field = fields.example2()
+def _g_horosphere_checks(rng, pools):
+    # The grid and the horosphere samples ride in the example2 pool; each
+    # row's image is the one a flow map call on its own points gives.
+    field = pools.example2
     grid, samples = grids.siegel_grid_small(), grids.horosphere_samples(2)
-    images = flows.flow_map(field, 1.0)(np.concatenate([grid, samples]))
-    displacement = fields.VectorField(
-        2, _known_at(grid, images[:len(grid)] - grid),
-        f"flow[t=1] - id ({field.description})",
-    )
-    inequality = analysis.horosphere_inequality_check(displacement, grid="small")
-    image = flows.horosphere_image_check(_known_at(samples, images[len(grid):]), 2.0)
-    worst = max(-inequality.worst_margin, image.worst_value - image.limit)
-    detail = (
-        f"orthogonality margin {inequality.worst_margin:.3e}, "
-        f"image |u| max {image.worst_value:.6f} of {image.limit:g}"
-    )
-    return _ok(len(grid) + image.count, worst,
-               flows.HOROSPHERE_IMAGE_SLACK, detail, inequality.ok and image.passed)
+    flow = pools.add(field, Domain.SIEGEL, np.concatenate([grid, samples]), 1.0)
+
+    def judge():
+        images = flow.y
+        displacement = fields.VectorField(
+            2, _known_at(grid, images[:len(grid)] - grid),
+            f"flow[t=1] - id ({field.description})",
+        )
+        inequality = analysis.horosphere_inequality_check(displacement, grid="small")
+        image = flows.horosphere_image_check(_known_at(samples, images[len(grid):]), 2.0)
+        worst = max(-inequality.worst_margin, image.worst_value - image.limit)
+        detail = (
+            f"orthogonality margin {inequality.worst_margin:.3e}, "
+            f"image |u| max {image.worst_value:.6f} of {image.limit:g}"
+        )
+        return _ok(len(grid) + image.count, worst,
+                   flows.HOROSPHERE_IMAGE_SLACK, detail, inequality.ok and image.passed)
+    return judge
 
 
-def _g_loewner_restart(rng):
-    one = fields.reciprocal_1d()
+def _g_loewner_restart(rng, pools):
+    one = pools.reciprocal
     two = fields.parse_field("-2/z")
     z0 = domains.half_plane_point(1j)
 
@@ -492,14 +615,14 @@ def _g_loewner_restart(rng):
     return _ok(4, restart_gap, 1e-12, detail, endpoint_error <= 1e-8 and exact_match)
 
 
-def _g_flow_capacity(rng):
+def _g_flow_capacity(rng, pools):
     measure = fields.DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
     field = fields.cauchy_transform(measure)
     errors = []
     for t in (0.5, 1.0, 2.0):
         estimate = flows.extract_capacity(flows.flow_map(field, t))
         errors.append(abs(estimate.value - t * measure.total_mass))
-    step = flows.flow_map(fields.reciprocal_1d(), 1.0)
+    step = flows.flow_map(pools.reciprocal, 1.0)
     window = []  # the points extract_capacity maps, and step's images of them
 
     def recorded(pts):
@@ -517,8 +640,8 @@ def _g_flow_capacity(rng):
     return _ok(len(errors), max(errors), 1e-3, detail)
 
 
-def _g_iteration_diagnostic(rng):
-    step = flows.flow_map(fields.example2(), 1.0)
+def _g_iteration_diagnostic(rng, pools):
+    step = flows.flow_map(pools.example2, 1.0)
     escape = flows.iterate_map(step, domains.siegel_point(1j, 0.5), 50)
     fixed = flows.iterate_map(lambda pts: pts, domains.siegel_point(1j, 0.5), 10)
     contracting = flows.iterate_map(
@@ -568,19 +691,29 @@ _SUITE_TABLES = {
         ("fixture-endpoints", _g_fixture_endpoints),
         ("semigroup-law", _g_semigroup_law),
         ("julia-monotonicity", _g_julia_monotonicity),
-        ("integrator-order", _g_integrator_order),
+        ("integrator-order", _unpooled(_g_integrator_order)),
         ("displacement-bound", _g_displacement_bound),
         ("horosphere-checks", _g_horosphere_checks),
-        ("loewner-restart", _g_loewner_restart),
-        ("flow-capacity", _g_flow_capacity),
-        ("iteration-diagnostic", _g_iteration_diagnostic),
+        ("loewner-restart", _unpooled(_g_loewner_restart)),
+        ("flow-capacity", _unpooled(_g_flow_capacity)),
+        ("iteration-diagnostic", _unpooled(_g_iteration_diagnostic)),
     ),
 }
 
 
-def _run_group(name: str, fn, rng) -> GroupResult:
+def _draw(group, rng, pools):
+    """A flows group's judge, or one that raises what its draw raised."""
     try:
-        count, worst, limit, passed, detail = fn(rng)
+        return group(rng, pools)
+    except Exception as exc:
+        def judge():
+            raise exc
+        return judge
+
+
+def _run_group(name: str, judge) -> GroupResult:
+    try:
+        count, worst, limit, passed, detail = judge()
     except Exception as exc:  # a failed group must not take down the run
         return GroupResult(
             name=name,
@@ -601,19 +734,30 @@ def _run_group(name: str, fn, rng) -> GroupResult:
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteReport:
-    """Run one named suite with per-group seeded generators."""
+    """Run one named suite with per-group seeded generators.
+
+    The flows suite runs in two passes: every group draws, queueing its
+    flows in the suite's pools; then each pool runs as one kernel call, and
+    each group's judge reads its rows.
+    """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"verify seed must be a non-negative integer, got {seed}")
     if name not in _SUITE_TABLES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suite_index = SUITE_NAMES.index(name)
-    groups = []
+    table = _SUITE_TABLES[name]
+    rngs = [np.random.default_rng([seed, suite_index, i]) for i in range(len(table))]
     # One floating-point state for the suite: groups call fields directly.
     with np.errstate(all="ignore"):
-        for group_index, (group_name, fn) in enumerate(_SUITE_TABLES[name]):
-            rng = np.random.default_rng([seed, suite_index, group_index])
-            groups.append(_run_group(group_name, fn, rng))
-    return SuiteReport(name, tuple(groups))
+        if name == "flows":
+            pools = _Pools()
+            judges = [_draw(fn, rng, pools) for (_, fn), rng in zip(table, rngs)]
+            pools.run()
+        else:
+            judges = [functools.partial(fn, rng) for (_, fn), rng in zip(table, rngs)]
+        groups = tuple(_run_group(group_name, judge)
+                       for (group_name, _), judge in zip(table, judges))
+    return SuiteReport(name, groups)
 
 
 def run(suite: str = "all", seed: int = 0) -> RunReport:

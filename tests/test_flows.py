@@ -405,6 +405,30 @@ def test_a_pooled_advance_gives_each_row_its_solo_run(uniform):
         assert len({seg.accepted for seg in solo}) == len(solo)
 
 
+def test_a_recorded_pooled_advance_keeps_each_rows_solo_nodes():
+    # The mixed ends above: row 0 rejects the first step, which rows 1, 2
+    # and 4 accept, row 3 takes no step, and the rows stop at different
+    # iterations.  Every row's nodes are the ones its solo run records.
+    field = parse_field("-1/z^3", 1)
+    t0 = 0.5
+    starts = np.array([[0.5 + 0.2j], [1 + 1j], [2j], [0.3 + 0.4j], [-1 + 3j]])
+    ends = np.array([3.5, 1.7, 2.9, t0 + 4e-16, 1.2])
+    solo = [_advance(field, Domain.HALF_PLANE, starts[i:i + 1], t0, float(ends[i]),
+                     DEFAULT_TOL, record=True) for i in range(len(starts))]
+    pooled = _advance(field, Domain.HALF_PLANE, starts, t0, ends, DEFAULT_TOL, record=True)
+    assert pooled.nodes[1][0].tolist() == [1, 2, 4]  # the partly accepted first step
+    assert solo[0].rejected == 1 and len({seg.accepted for seg in solo}) == len(solo)
+    for i, seg in enumerate(solo):
+        times, states = pooled.trajectory(i)
+        solo_times, solo_states = seg.trajectory()
+        assert len(times) == seg.accepted + 1, i
+        assert times.tobytes() == solo_times.tobytes(), i
+        assert states.tobytes() == solo_states.tobytes(), i
+        assert states.shape == (len(times), 1) and states.flags.c_contiguous
+    assert pooled.accepted == sum(seg.accepted for seg in solo)
+    assert pooled.rejected == sum(seg.rejected for seg in solo)
+
+
 @pytest.mark.parametrize("stage", [1, 3, 6])
 def test_a_non_finite_stage_rejects_only_that_rows_step(stage):
     field = builtin("example2")

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import siegelflow.domains as domains
+import siegelflow.fields as fields
+import siegelflow.flows as flows
 from siegelflow.cli import main
 from siegelflow.fields import VectorField
 from siegelflow.verify import SUITE_NAMES, run, run_suite
@@ -95,8 +97,6 @@ def test_group_exception_becomes_failure(monkeypatch):
 def test_a_violated_bound_is_measured_not_lost(monkeypatch):
     # example2 scaled by 10 leaves the class c = 2 the displacement group
     # assumes: the group must report its four measured cases, not an error.
-    import siegelflow.fields as fields
-
     real = fields.example2
 
     def scaled():
@@ -113,18 +113,47 @@ def test_a_violated_bound_is_measured_not_lost(monkeypatch):
 
 
 def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch):
-    # Integrations of one field, domain and tolerance share their steps
-    # (horosphere grid and samples, the fixture's half-plane starts, the
-    # restart's unsplit run and first piece), and the composite capacity
-    # reuses its inner map's images: 9948 calls, against 11218 when each
-    # ran on its own.
-    calls = []
-    call = VectorField.__call__
+    # Flows of one field, domain and tolerance share one kernel call across
+    # groups (the example2, example1 and -1/z pools), semigroup-law's outer
+    # legs start from their inner legs' final stages, and the composite
+    # capacity reuses its inner map's images: 8420 field calls in 1399
+    # steps.  Pooled within groups only, the suite made 9948 calls in 1651
+    # steps, and with every flow on its own 11218 calls in 1862 steps.
+    calls, steps = [], []
+    call, stages = VectorField.__call__, flows._stages
 
     def counted(self, points):
         calls.append(1)
         return call(self, points)
 
+    def counted_stages(*args):
+        steps.append(1)
+        return stages(*args)
+
     monkeypatch.setattr(VectorField, "__call__", counted)
+    monkeypatch.setattr(flows, "_stages", counted_stages)
     assert run_suite("flows", 7).passed
-    assert len(calls) == 9948
+    assert (len(calls), len(steps)) == (8420, 1399)
+
+
+def test_a_failing_pool_fails_only_the_groups_with_rows_in_it(monkeypatch):
+    # example1's pool carries fixture-endpoints, semigroup-law and
+    # julia-monotonicity; integrator-order steps example1 on its own.  Each
+    # of the four names the error, and every other group still passes.
+    real = fields.example1
+
+    def broken():
+        field = real()
+
+        def evaluator(points):
+            raise RuntimeError("example1 is broken")
+
+        return VectorField(field.dimension, evaluator, field.description)
+
+    monkeypatch.setattr(fields, "example1", broken)
+    report = run_suite("flows", 7)
+    failed = {g.name: g.detail for g in report.groups if not g.passed}
+    assert failed == dict.fromkeys(
+        ("fixture-endpoints", "semigroup-law", "julia-monotonicity", "integrator-order"),
+        "RuntimeError: example1 is broken")
+    assert len(report.groups) == 9
