@@ -359,12 +359,13 @@ _COMPLEX_GUARD = re.compile(r"^[0-9eEjJ+\-.]*$")
 
 
 def format_complex(value: complex) -> str:
-    """Render a complex number as "a+bi" with up to 15 significant digits."""
+    """Render a complex number as "a+bi" with up to 15 significant digits.
+
+    A zero part prints as 0, whatever its sign.
+    """
     value = complex(value)
-    re_part = value.real
-    im_part = value.imag
-    if im_part == 0.0:
-        im_part = 0.0  # normalize -0.0
+    re_part = value.real + 0.0  # normalize -0.0, exactly
+    im_part = value.imag + 0.0
     sign = "+" if im_part >= 0 else "-"
     return f"{re_part:.15g}{sign}{abs(im_part):.15g}i"
 

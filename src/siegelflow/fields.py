@@ -46,7 +46,20 @@ class VectorField:
     batch size, into contiguous temporaries.  Writing a result through a
     strided ``out=`` view may make numpy pick another loop, and with it
     other bits, for some batch sizes.
+
+    The flow kernel evaluates a field through ``_fill(points, out)``, which
+    writes the field at points (m, n) into out (m, n), a transposed view of
+    one of the kernel's component-major stage slots.  By default ``_fill``
+    calls the field, so ``__call__`` sees each such evaluation; it converts a
+    list or a real result to complex, raises FieldEvaluationError on a result
+    of any other shape, and copies the result into out.  A built-in field
+    has its own ``_formula(points, out)``, which assigns each component's
+    contiguous temporary to its column of out; its evaluator runs the same
+    formula on a fresh (..., n) array, and its stage evaluations skip
+    ``__call__``.
     """
+
+    _formula = None  # a built-in field's in-place formula, else None
 
     def __init__(self, dimension: int, evaluator, description: str = "field"):
         if dimension < 1:
@@ -73,6 +86,20 @@ class VectorField:
                 f"field expects {self.dimension}"
             )
         return self._evaluator(points)
+
+    def _fill(self, points: np.ndarray, out: np.ndarray) -> None:
+        """Write the field at points (m, n) into out (m, n); no finiteness check."""
+        if self._formula is not None:
+            self._formula(points, out)
+            return
+        k = self(points)
+        if type(k) is not np.ndarray or k.dtype is not _COMPLEX or k.shape != out.shape:
+            k = np.asarray(k, dtype=complex)
+            if k.shape != out.shape:
+                raise FieldEvaluationError(
+                    f"field returned shape {k.shape}, expected {out.shape}"
+                )
+        out[...] = k
 
     def __repr__(self):
         return f"VectorField(n={self.dimension}, {self.description})"
@@ -127,18 +154,31 @@ def zero_field(dimension: int) -> VectorField:
     return VectorField(dimension, evaluator, "0")
 
 
+def _formula_field(dimension: int, evaluator, formula, description: str) -> VectorField:
+    """A field whose evaluator and stage fills both run formula(points, out)."""
+    field = VectorField(dimension, evaluator, description)
+    field._formula = formula
+    return field
+
+
+# Each built-in's evaluator is a closure of its factory, whose name the bench
+# tracer reads to book the field's calls as built-in.
+
 def example1() -> VectorField:
     """H(z) = (0, -i z2/z1): slice capacities 2|gamma|^2, unbounded over gamma."""
 
     minus_i = np.array(-1j)  # 0-d complex, as in example2
 
-    def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
+    def formula(points, out):
         out[..., 0] = 0.0
         out[..., 1] = minus_i * points[..., 1] / points[..., 0]
+
+    def evaluator(points):
+        out = np.empty(points.shape, dtype=_COMPLEX)
+        formula(points, out)
         return out
 
-    return VectorField(2, evaluator, "(0, -i*z2/z1)")
+    return _formula_field(2, evaluator, formula, "(0, -i*z2/z1)")
 
 
 def example2() -> VectorField:
@@ -147,24 +187,32 @@ def example2() -> VectorField:
     # complex in every call, to these same numbers, for the same loops.
     minus_one, two = np.array(-1.0 + 0j), np.array(2.0 + 0j)
 
-    def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
+    def formula(points, out):
         z1 = points[..., 0]
         out[..., 0] = minus_one / z1
         out[..., 1] = points[..., 1] / (two * z1 * z1)
+
+    def evaluator(points):
+        out = np.empty(points.shape, dtype=_COMPLEX)
+        formula(points, out)
         return out
 
-    return VectorField(2, evaluator, "(-1/z1, z2/(2*z1^2))")
+    return _formula_field(2, evaluator, formula, "(-1/z1, z2/(2*z1^2))")
 
 
 def reciprocal_1d() -> VectorField:
     """H(z) = -1/z, the Cauchy transform of the unit point mass at 0."""
     minus_one = np.array(-1.0 + 0j)  # 0-d complex, as in example2
 
-    def evaluator(points):
-        return minus_one / points
+    def formula(points, out):
+        out[...] = minus_one / points
 
-    return VectorField(1, evaluator, "-1/z")
+    def evaluator(points):
+        out = np.empty(points.shape, dtype=_COMPLEX)
+        formula(points, out)
+        return out
+
+    return _formula_field(1, evaluator, formula, "-1/z")
 
 
 _BUILTINS = {

@@ -21,8 +21,12 @@ The kernel stores a batch of m points in n dimensions component-major,
 contiguous: the state as an (n, m) array and the stages as one (7, n, m)
 buffer in the order k1, k0, k2, ..., k6, where every tableau row's nonzero
 weights fill one slice.  Per-point reductions run along a leading axis.
-A field receives its points as an (m, n) array, the transposed view of the
-(n, m) state, which is not contiguous; it must return an (m, n) result.
+The kernel evaluates every stage with one call, ``field._fill(points,
+out)``: the points are an (m, n) array, the transposed view of the (n, m)
+stage point, which is not contiguous, and out is the transposed (m, n) view
+of the stage's slot.  A built-in field writes its formula straight into the
+slot; any other field is called on the points, must return an (m, n) result
+(a list or a real array is converted to complex), and has it copied in.
 
 Trajectories must stay inside their domain (``domains._is_interior``): a step
 that leaves it is rejected and retried at half the step size.  Sixty
@@ -55,7 +59,13 @@ from .domains import (
     poisson,
     poisson_values,
 )
-from .errors import CoverageGap, DomainViolation, FieldEvaluationError, StepSizeUnderflow
+from .errors import (
+    ArityMismatchError,
+    CoverageGap,
+    DomainViolation,
+    FieldEvaluationError,
+    StepSizeUnderflow,
+)
 from .fields import _COMPLEX, VectorField
 from .grids import HOROSPHERE_SAMPLES_V1, horosphere_samples
 
@@ -150,12 +160,12 @@ def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL, name: str = "time") 
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _field_result(k, shape: tuple) -> np.ndarray:
-    """A field's value as a complex array of the expected (m, n) shape."""
-    k = np.asarray(k, dtype=complex)
-    if k.shape != shape:
-        raise FieldEvaluationError(f"field returned shape {k.shape}, expected {shape}")
-    return k
+def _check_dimension(field: VectorField, n: int) -> None:
+    """Raise as ``VectorField.__call__`` does, which a built-in fill skips."""
+    if n != field.dimension:
+        raise ArityMismatchError(
+            f"points have dimension {n}, field expects {field.dimension}"
+        )
 
 
 _SLOT = (1, 0, 2, 3, 4, 5, 6)  # the slot of stage k_j (module docstring)
@@ -186,20 +196,23 @@ _RUNNING_SUM_SIZE = 64
 _accumulate = np.add.accumulate
 
 
-def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+def _stages(fill, y: np.ndarray, ks: np.ndarray, outs: tuple, h
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Fill stages 1-6 of one Dormand-Prince step from rows y.
 
     Everything is component-major: ``y`` is (n, m) and ``ks`` (7, n, m)
     holds the field at y in slot 1; ``h`` is a 0-d array or one step per
-    row, (m,).  Slot 6 is the field at y_new (FSAL).  Returns y_new and the
-    error estimate per unit step, sum_j E_j k_j, both (n, m).
+    row, (m,).  ``fill`` is the field's ``_fill``, and ``outs`` holds each
+    slot of ``ks`` as the transposed (m, n) view that ``fill`` writes.  Slot
+    6 is the field at y_new (FSAL).  Returns y_new and the error estimate per
+    unit step, sum_j E_j k_j, both (n, m).
 
     Each weighted sum adds its terms elementwise, left to right, so each
     row's result is independent of the other rows; a BLAS contraction would
     not guarantee that.  Slot order swaps k0 and k1 in a row's first
     addition, which is exact either way.
     """
-    shape, small = y.shape[::-1], y.size <= _RUNNING_SUM_SIZE
+    small = y.size <= _RUNNING_SUM_SIZE
     h = h.astype(_COMPLEX)  # cast once, not in each stage's product with h
     for slot, lo, hi, pairs, column in _PLAN:
         if column is None:
@@ -216,14 +229,11 @@ def _stages(eval_fn, y: np.ndarray, ks: np.ndarray, h) -> tuple[np.ndarray, np.n
         acc *= h
         acc += y
         y_i = acc  # the stage's point, y + h sum_j a_ij k_j
-        k = eval_fn(y_i.T)
-        if type(k) is not np.ndarray or k.dtype is not _COMPLEX or k.shape != shape:
-            k = _field_result(k, shape)
-        ks[slot] = k.T
+        fill(y_i.T, outs[slot])
 
 
 def _advance(
-    eval_fn,
+    field: VectorField,
     domain: Domain,
     y0: np.ndarray,
     t0: float,
@@ -232,7 +242,7 @@ def _advance(
     record: bool = False,
     k0: np.ndarray | None = None,
 ) -> _Segment:
-    """Integrate dy/dt = eval_fn(y) from t0 to t1 with EPUS error control.
+    """Integrate dy/dt = field(y) from t0 to t1 with EPUS error control.
 
     Each row of y0, shape (m, n), has its own time, step size, PI state and
     rejection count, and leaves the stage arrays once it reaches its end, so
@@ -270,9 +280,11 @@ def _advance(
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
     n, m = y.shape
+    fill = field._fill
     buffer = np.empty(7 * n * m, dtype=complex)
     stages = buffer  # the live rows' stages, flat; ks is the same numbers
     ks = buffer.reshape(7, n, m)
+    outs = tuple(ks.transpose(0, 2, 1))  # each slot as the (m, n) view fills write
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
@@ -281,7 +293,8 @@ def _advance(
         else:
             if not _all(_is_interior(domain, y.T)):
                 raise DomainViolation("flow started at a non-interior point")
-            ks[1] = _field_result(eval_fn(y.T), (m, n)).T
+            _check_dimension(field, n)
+            fill(y.T, outs[1])
             if not _all(np.isfinite(ks[1]), axis=None):
                 raise FieldEvaluationError("field is not finite at the initial point")
         t = np.empty(m)
@@ -343,6 +356,7 @@ def _advance(
                 ks1 = ks[1].compress(keep, axis=1)
                 stages = buffer[:7 * n * live]
                 ks = stages.reshape(7, n, live)
+                outs = tuple(ks.transpose(0, 2, 1))
                 ks[1] = ks1
 
             if h[h.argmin()] < floor:
@@ -361,7 +375,7 @@ def _advance(
             if ends:
                 h_step = h.copy()
                 h_step[last] = remaining[last]
-            y_new, e = _stages(eval_fn, y, ks, h_step)
+            y_new, e = _stages(fill, y, ks, outs, h_step)
 
             # Slot 1 is finite (checked above, carried in, or from an accepted
             # step), so a non-finite entry is one of this step's stages.
@@ -580,11 +594,14 @@ def integrate_fixed_steps(
         raise ValueError(f"steps must be positive, got {steps}")
     y = z0.as_array()[:, None]
     ks = np.empty((7,) + y.shape, dtype=complex)
+    outs = tuple(ks.transpose(0, 2, 1))
     h = np.array(t_final / steps)
+    _check_dimension(field, len(y))
+    fill = field._fill
     with np.errstate(all="ignore"):
-        ks[1] = _field_result(field(y.T), y.shape[::-1]).T
+        fill(y.T, outs[1])
         for _ in range(steps):
-            y, _ = _stages(field, y, ks, h)
+            y, _ = _stages(fill, y, ks, outs, h)
             ks[1] = ks[6]
     return y[:, 0]
 

@@ -13,7 +13,6 @@ import pytest
 from siegelflow import cli, grids
 from siegelflow.cli import main, parse_point, resolve_field, resolve_map
 from siegelflow.domains import Domain, parse_complex
-from siegelflow.fields import VectorField
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +101,15 @@ def test_eval_metric(capsys):
     rows = json.loads(out)
     assert rows[0] == ["1+0i", "0+2i"]
     assert rows[1][1] == "8+0i"
+
+
+def test_eval_metric_prints_no_negative_zero(capsys):
+    # The (2, 1) entry's real part is -0.0; printed it is 0, like the (1, 2)
+    # entry's.
+    code, out, _ = run_cli(capsys, "eval", "--what", "metric", "--at", "(i,0.5)")
+    assert code == 0
+    assert json.loads(out) == [["1.77777777777778+0i", "0+1.77777777777778i"],
+                               ["0-1.77777777777778i", "7.11111111111111+0i"]]
 
 
 def test_iterate_map_malformed_bp_spec_names_map(capsys):
@@ -501,22 +509,14 @@ def test_one_point_commands_are_pinned_bit_for_bit(capsys, tmp_path, monkeypatch
             "22e32f2dc231f39736da4177b893d7e163523a081bba467df9b416494d363e2c")
 
 
-def test_iterated_flow_maps_hand_their_last_stage_on(capsys, monkeypatch):
-    # 300 flow maps over 443 steps: 6 field calls per step and one start
+def test_iterated_flow_maps_hand_their_last_stage_on(capsys, field_evaluations):
+    # 300 flow maps over 443 steps: 6 field evaluations per step and one start
     # evaluation for the first map only; every later map resumes from the
     # FSAL stage its predecessor ended on.
-    calls = []
-    call = VectorField.__call__
-
-    def counted(self, points):
-        calls.append(1)
-        return call(self, points)
-
-    monkeypatch.setattr(VectorField, "__call__", counted)
     code, out, err = run_cli(capsys, "iterate", "--map", "flow1:builtin:example2",
                              "--z0", "(i, 0.5)", "--n", "300")
     assert code == 0 and err == ""
-    assert len(calls) == 2659 == 1 + 6 * 443
+    assert len(field_evaluations) == 2659 == 1 + 6 * 443
 
 
 def test_flows_suite_output_is_pinned_bit_for_bit(capsys):

@@ -57,6 +57,26 @@ def test_reciprocal_oracle():
     np.testing.assert_allclose(out, [-1 / 2j], atol=1e-16)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 1000])
+@pytest.mark.parametrize("name", ["example1", "example2", "reciprocal"])
+def test_a_builtin_fill_writes_its_call_bytes_into_a_stage_slot(rng, name, m):
+    # The flow kernel holds points and stages component-major, and hands
+    # _fill the transposed views: an (n, m) stage point and one slot of the
+    # (7, n, m) stage buffer.  The batch sizes straddle the kernel's switch
+    # between its two stage sums at 64 numbers.
+    field = builtin(name)
+    n = field.dimension
+    points = (sampling.siegel_coords(rng, m, n) if n > 1
+              else sampling.halfplane_coords(rng, m))
+    expected = field(points).tobytes()
+    for given in (points, np.ascontiguousarray(points.T).T):
+        assert field(given).tobytes() == expected
+        ks = np.full((7, n, m), complex(np.nan, np.nan))
+        field._fill(given, ks[4].T)
+        assert ks[4].T.tobytes() == expected
+        assert np.isnan(np.delete(ks, 4, axis=0)).all()  # no other slot written
+
+
 def test_parsed_field_matches_builtin(rng):
     parsed = parse_field("0; -i*z2/z1")
     native = builtin("example1")

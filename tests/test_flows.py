@@ -1,5 +1,6 @@
 """Flow integration: endpoints, adaptivity, semigroup laws, and diagnostics."""
 
+import functools
 import hashlib
 import math
 import re
@@ -9,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from siegelflow import flows
 from siegelflow.cli import main
 from siegelflow.domains import (
     Domain,
@@ -188,7 +190,13 @@ def test_single_piece_makes_as_many_field_calls_as_autonomous():
     assert len(calls) == autonomous
 
 
-def _count_field_calls(monkeypatch) -> list:
+def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
+    # One evaluation at z0, then six stages per attempted step, each through
+    # VectorField.__call__ (where the bench tracer counts field calls).
+    field = parse_field("-1/z^3", 1)
+    z0 = half_plane_point(0.5 + 0.2j)
+    trajectory = integrate_autonomous(field, z0, 3.0)
+    assert trajectory.steps_rejected >= 1
     calls = []
     call = VectorField.__call__
 
@@ -197,33 +205,49 @@ def _count_field_calls(monkeypatch) -> list:
         return call(self, points)
 
     monkeypatch.setattr(VectorField, "__call__", counted)
-    return calls
-
-
-def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
-    # One evaluation at z0, then six stages per attempted step, each through
-    # VectorField.__call__ (where the bench tracer counts field calls).
-    field = parse_field("-1/z^3", 1)
-    z0 = half_plane_point(0.5 + 0.2j)
-    trajectory = integrate_autonomous(field, z0, 3.0)
-    assert trajectory.steps_rejected >= 1
-    calls = _count_field_calls(monkeypatch)
     image = flow_map(field, 3.0)(z0.as_array()[None, :])
     assert np.array_equal(image[0], trajectory.final_state)
     steps = trajectory.steps_accepted + trajectory.steps_rejected
     assert len(calls) == 1 + 6 * steps
 
 
+def test_a_tracer_style_call_wrapper_sees_every_parsed_stage(monkeypatch):
+    # The bench tracer wraps VectorField.__call__ with a (field, points)
+    # function: a parsed field's stages must reach it, one call per stage,
+    # with the stage's points and no other argument.
+    field = parse_field("-1/z1; z2/(2*z1^2)")
+    points = siegel_grid_small(2)[:64]
+    expected = flow_map(field, 1.0)(points)
+    seen, steps = [], []
+    call, stages = VectorField.__call__, flows._stages
+
+    @functools.wraps(call)
+    def traced(field, points):
+        seen.append(len(points))
+        return call(field, points)
+
+    def counted_stages(*args):
+        steps.append(len(args[1][0]))
+        return stages(*args)
+
+    monkeypatch.setattr(VectorField, "__call__", traced)
+    monkeypatch.setattr(flows, "_stages", counted_stages)
+    assert flow_map(field, 1.0)(points).tobytes() == expected.tobytes()
+    assert seen == [len(points)] + [rows for rows in steps for _ in range(6)]
+
+
 @pytest.mark.parametrize("points", [np.array([[1j, 0.5]]), siegel_grid_small(2)[:64]],
                          ids=["one point", "64 points"])
-def test_a_flow_map_on_its_own_result_resumes_from_the_fsal_stage(monkeypatch, points):
+def test_a_flow_map_on_its_own_result_resumes_from_the_fsal_stage(field_evaluations,
+                                                                  points):
     # The second call starts from the stages the first one ended on, which
     # hold the field at its rows, so it skips the start evaluation and gives
     # a fresh evaluator's images on a copy of those rows, bit for bit.
     field = builtin("example2")
     step = flow_map(field, 0.5)
     image = step(points)
-    calls = _count_field_calls(monkeypatch)
+    calls = field_evaluations
+    calls.clear()
     twice = step(image)
     resumed = len(calls)
     calls.clear()
@@ -233,7 +257,8 @@ def test_a_flow_map_on_its_own_result_resumes_from_the_fsal_stage(monkeypatch, p
 
 
 @pytest.mark.parametrize("change", ["write into the result", "a different point"])
-def test_a_flow_map_on_anything_but_its_last_result_starts_afresh(monkeypatch, change):
+def test_a_flow_map_on_anything_but_its_last_result_starts_afresh(field_evaluations,
+                                                                  change):
     field = builtin("example2")
     z = np.array([[1j, 0.5]])
     step = flow_map(field, 0.5)
@@ -243,7 +268,8 @@ def test_a_flow_map_on_anything_but_its_last_result_starts_afresh(monkeypatch, c
         points = image
     else:
         points = np.array([[2j, 0.5]])
-    calls = _count_field_calls(monkeypatch)
+    calls = field_evaluations
+    calls.clear()
     got = step(points)
     made = len(calls)
     calls.clear()
@@ -466,7 +492,8 @@ def test_a_non_finite_stage_rejects_only_that_rows_step(stage):
 def test_a_wrong_shaped_field_result_names_the_expected_shape(wrong):
     field = VectorField(2, wrong, "wrong shape")
     points = siegel_grid_small(2)[:5]
-    with pytest.raises(FieldEvaluationError, match=r"expected \(5, 2\)"):
+    with pytest.raises(FieldEvaluationError,
+                       match=r"^field returned shape \(\d+, \d+\), expected \(5, 2\)$"):
         flow_map(field, 0.5)(points)
 
 
@@ -484,8 +511,8 @@ def test_a_float_or_list_field_result_integrates_like_its_complex_twin(name, con
     field = VectorField(twin.dimension, lambda pts: convert(twin(pts)), "converted")
     points = (siegel_grid_small(2) if twin.dimension == 2 else halfplane_grid())[::41]
     expected = flow_map(twin, 0.7)(points)
-    assert np.array_equal(flow_map(field, 0.7)(points), expected)
-    assert np.array_equal(flow_map(field, 0.7)(points[:1]), expected[:1])
+    assert flow_map(field, 0.7)(points).tobytes() == expected.tobytes()
+    assert flow_map(field, 0.7)(points[:1]).tobytes() == expected[:1].tobytes()
 
 
 def test_flow_map_of_an_empty_batch_calls_no_field():
