@@ -88,9 +88,9 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 _MAX_CONSECUTIVE_REJECTS = 60
 _MAX_DOMAIN_EXITS = 60  # rejected steps of one row that left the domain
 
-# The step loop's float operands are 0-d float64 arrays, not Python floats:
-# numpy converts a Python float afresh in every ufunc call.  Both select the
-# same float64 loop, so no result changes by a bit.
+# The step loop's float operands are 0-d float64 arrays, not Python floats,
+# which numpy converts afresh in every ufunc call (Python floats: 1-5% slower
+# in process, README).  Both select the same float64 loop: the same bits.
 _STEP_GROW_CAP = np.array(5.0)
 _STEP_SHRINK_CAP = np.array(0.2)
 _SAFETY = np.array(0.9)  # safety factor of the step-size controller
@@ -103,27 +103,10 @@ _EPS = np.array(1e-15)  # relative floor of a row's end time
 # Reductions: ndarray.max/all/any reach these ufunc methods through
 # Python-level wrappers, which cost more than the loop on the few numbers of a
 # one-row step.  A whole-array test on a 1-d array reads the entry at its
-# argmin or argmax instead: a[a.argmin()] is a.min(), which for a mask is
-# a.all(), and a[a.argmax()] is a.max() or a.any(); that costs about a quarter
-# of a ufunc reduction of one number.  np.count_nonzero runs only on rejection.
+# argmin or argmax instead: a[a.argmin()] is a.min(), or a.all() for a mask,
+# and a[a.argmax()] is a.max() or a.any(), at a quarter of a ufunc reduction's
+# cost (2-6% in process, README).  np.count_nonzero runs only on rejection.
 _max, _all, _any = np.maximum.reduce, np.logical_and.reduce, np.logical_or.reduce
-
-# A running maximum of per-row step errors: appending a step's err to a list
-# costs a small fraction of reducing it, so the list is reduced once it holds
-# this many steps, and once more when the rows change or the call ends.
-_ERRORS_HELD = 64
-
-
-def _peak(errors: list, peak: float) -> float:
-    """The larger of peak and every entry of the equal-shaped arrays in errors.
-
-    Empties the list.
-    """
-    if errors:
-        peak = max(peak, float(_max(errors, axis=None)))
-        errors.clear()
-    return peak
-
 
 class _Segment:
     """One integration leg: final rows and stages, counters, every row's nodes."""
@@ -145,11 +128,10 @@ class _Segment:
         """Row ``row``'s recorded nodes in order: times (N,) and states (N, n)."""
         index, times, states = zip(*self.nodes)
         times, states = np.concatenate(times), np.concatenate(states, axis=1)
-        if len(self.y) > 1:  # else every node is row 0's
-            every = np.arange(len(self.y))
-            index = np.concatenate([every if rows is None else rows for rows in index])
-            pick = np.flatnonzero(index == row)
-            times, states = times.take(pick), states.take(pick, axis=1)
+        every = np.arange(len(self.y))
+        index = np.concatenate([every if rows is None else rows for rows in index])
+        pick = np.flatnonzero(index == row)
+        times, states = times.take(pick), states.take(pick, axis=1)
         return times, states.T.copy()
 
 
@@ -189,9 +171,9 @@ _PLAN = tuple((_SLOT[i], *_row(row)) for i, row in enumerate(_A[1:], 1)) + (
     (None, *_row(_E)),)
 
 # Stages of at most this many numbers (n * m) sum faster in one running-sum
-# call than in a loop of in-place additions.  On (7, n, m) stage buffers
-# (n = 1 and 2, numpy 2.4.6, 2-core VM) the two cross near 80-112 numbers.
-# Both add the same terms in the same order, so their sums are identical.
+# call than in a loop of in-place additions (they cross near 80-112): the loop
+# alone is up to 23% slower in process, the running sum alone 67% on the grid
+# flow (README).  Both add the same terms in the same order: the same sums.
 _RUNNING_SUM_SIZE = 64
 _accumulate = np.add.accumulate
 
@@ -213,7 +195,7 @@ def _stages(fill, y: np.ndarray, ks: np.ndarray, outs: tuple, h
     addition, which is exact either way.
     """
     small = y.size <= _RUNNING_SUM_SIZE
-    h = h.astype(_COMPLEX)  # cast once, not in each stage's product with h
+    h = h.astype(_COMPLEX)  # once, not in each stage's product: 1-3% (README)
     for slot, lo, hi, pairs, column in _PLAN:
         if column is None:
             acc = ks[lo] * pairs[0][1]
@@ -270,12 +252,8 @@ def _advance(
     Each step tests finiteness once on the whole live stage buffer
     (``np.isfinite``, then the entry at its argmin); only when some entry is
     not finite does it reduce per row, to reject just those rows' steps.
-    ``seg.max_error``, the largest error per unit step over every row's
-    accepted steps, is a running maximum: the per-row errors of steps that
-    every row accepted wait in a list of at most ``_ERRORS_HELD`` arrays,
-    which is reduced into it when full, when rows finish and at the end, so
-    its memory is O(rows), not O(steps).  A step that rejects some row adds
-    the accepted rows' errors at once.
+    ``seg.max_error`` is the largest error per unit step over every row's
+    accepted steps.
     """
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
@@ -322,15 +300,12 @@ def _advance(
         # Finished rows go to ``out`` at their original index, their states
         # to out[0] and their stages to out[1] (two arrays, so a result does
         # not keep its stages alive); ``rows`` and ``out`` exist only once
-        # rows finish at different iterations.
+        # rows finish at different iterations (up to 2.6% in process, README).
         live, rows, out = m, None, None
-        retried = False  # some row's rejection count may be nonzero
-        errors = []  # err of steps that every row accepted, not yet in seg.max_error
 
         while True:
             done = t >= t_done
             if done[done.argmax()]:
-                seg.max_error = _peak(errors, seg.max_error)  # before err's shape changes
                 if done[done.argmin()]:
                     if out is None:
                         seg.y, seg.k = y.T.copy(), ks[1].T.copy()
@@ -370,7 +345,7 @@ def _advance(
                     )
             remaining = t_end - t
             last = h >= remaining * _NEAR_ONE
-            ends = last[last.argmax()]  # only a row's final step is clipped
+            ends = last[last.argmax()]  # final steps only; np.where costs 1-4% (README)
             h_step = h
             if ends:
                 h_step = h.copy()
@@ -381,7 +356,7 @@ def _advance(
             # step), so a non-finite entry is one of this step's stages.
             finite = np.isfinite(stages)
             inside = _is_interior(domain, y_new.T)
-            if not finite[finite.argmin()]:
+            if not finite[finite.argmin()]:  # whole buffer first: 1-4% (README)
                 inside &= _all(finite.reshape(7, n, live), axis=(0, 1))
             err = _max(np.abs(e), axis=0)
             accept = inside & (err <= tol)
@@ -395,18 +370,12 @@ def _advance(
             if accept[accept.argmin()]:
                 t, y, h, r_prev = t_new, y_new, h_grow, r
                 ks[1] = ks[6]
-                if retried:
-                    consecutive[:] = 0
-                    retried = False
+                consecutive[:] = 0
                 seg.accepted += live
-                errors.append(err)
-                if len(errors) == _ERRORS_HELD:
-                    seg.max_error = _peak(errors, seg.max_error)
+                seg.max_error = max(seg.max_error, float(err[err.argmax()]))
                 if record:
-                    # A few-row y is a view of _stages' running sums, six
-                    # times its size.  Several rows keep a copy; one row
-                    # keeps the view and saves a copy per step.
-                    seg.nodes.append((rows, t, y if live == 1 else y.copy()))
+                    # A copy: a few-row y views _stages' running sums.
+                    seg.nodes.append((rows, t, y.copy()))
             else:
                 n_accepted = int(np.count_nonzero(accept))
                 h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
@@ -417,7 +386,6 @@ def _advance(
                 r_prev = np.where(accept, r, r_prev)
                 consecutive = np.where(accept, 0, consecutive + 1)
                 exits += ~inside
-                retried = True
                 seg.accepted += n_accepted
                 seg.rejected += live - n_accepted
                 seg.max_error = max(seg.max_error, float(_max(err[accept], initial=0.0)))
@@ -621,8 +589,8 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     Called on its own last result, as when iterating Phi_t, the evaluator
     resumes from the FSAL stages that result ended on, which hold the field
     at those rows, instead of evaluating the field there again.  The rows
-    are matched bit for bit against a private copy, since a caller may
-    write into the returned array; the images are the same either way.
+    are matched bit for bit against a private copy, since a caller may write
+    into the returned array; the images are the same (orbit +12.4%, README).
     """
     _check_time_and_tol(t, tol)
     if domain is None:

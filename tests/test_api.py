@@ -1,4 +1,7 @@
-"""The package's public surface."""
+"""The package's public surface, and no dead private code behind it."""
+
+import ast
+import pathlib
 
 import siegelflow
 
@@ -11,3 +14,43 @@ def test_every_exported_name_resolves_once():
     namespace = {}
     exec("from siegelflow import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _private_definitions(statement) -> set:
+    """The module-level private names (not dunders) one statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {statement.name}
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = getattr(statement, "targets", None) or [statement.target]
+        names = {node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    # A private helper, class or constant that nothing in src/ reads besides
+    # its own definition is dead code.  A reference is a loaded name, an
+    # attribute of that name or an imported name, in any module.
+    src = pathlib.Path(siegelflow.__file__).parent
+    defined, referenced = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = _private_definitions(statement)
+            defined.update(dict.fromkeys(own, path.name))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in own:
+                    referenced.add(name)
+    assert defined  # the scan found the package's private names
+    dead = sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in referenced)
+    assert dead == []
