@@ -213,6 +213,12 @@ def horosphere_inequality_check(
     """
     points, grid_name = grid_by_name(grid, displacement.dimension)
     values = _finite_values(displacement, points, displacement.description)
+    return _horosphere_inequality_report(points, values, grid_name)
+
+
+def _horosphere_inequality_report(points: np.ndarray, values: np.ndarray,
+                                  grid_name: str) -> InequalityReport:
+    """Judge the displacement ``values`` at the grid ``points``."""
     lhs = np.sum(np.abs(values[..., 1:]) ** 2, axis=-1)
     rhs = np.abs(slice_parts(values, points[..., 1:])[1])
     margins = rhs - lhs

@@ -21,6 +21,7 @@ Herglotz factor p.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -112,10 +113,6 @@ def eval_field(field: VectorField, point: DomainPoint) -> tuple[complex, ...]:
     arithmetic rounds differently from its array loops, so a 1-d call would
     not match the point's row in a batch.
     """
-    if point.n != field.dimension:
-        raise ArityMismatchError(
-            f"point dimension {point.n} != field dimension {field.dimension}"
-        )
     with np.errstate(all="ignore"):
         values = field(point.as_array()[None])[0]
     if not np.all(np.isfinite(values)):
@@ -154,15 +151,23 @@ def zero_field(dimension: int) -> VectorField:
     return VectorField(dimension, evaluator, "0")
 
 
-def _formula_field(dimension: int, evaluator, formula, description: str) -> VectorField:
-    """A field whose evaluator and stage fills both run formula(points, out)."""
+def _formula_field(dimension: int, formula, description: str) -> VectorField:
+    """A field whose evaluator and stage fills both run formula(points, out).
+
+    The evaluator takes the formula's qualified name, such as
+    ``example2.<locals>.formula``, whose first part the bench tracer reads
+    to book the field's calls as built-in.
+    """
+    @functools.wraps(formula)
+    def evaluator(points):
+        out = np.empty(points.shape, dtype=_COMPLEX)
+        formula(points, out)
+        return out
+
     field = VectorField(dimension, evaluator, description)
     field._formula = formula
     return field
 
-
-# Each built-in's evaluator is a closure of its factory, whose name the bench
-# tracer reads to book the field's calls as built-in.
 
 def example1() -> VectorField:
     """H(z) = (0, -i z2/z1): slice capacities 2|gamma|^2, unbounded over gamma."""
@@ -173,12 +178,7 @@ def example1() -> VectorField:
         out[..., 0] = 0.0
         out[..., 1] = minus_i * points[..., 1] / points[..., 0]
 
-    def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
-        formula(points, out)
-        return out
-
-    return _formula_field(2, evaluator, formula, "(0, -i*z2/z1)")
+    return _formula_field(2, formula, "(0, -i*z2/z1)")
 
 
 def example2() -> VectorField:
@@ -192,12 +192,7 @@ def example2() -> VectorField:
         out[..., 0] = minus_one / z1
         out[..., 1] = points[..., 1] / (two * z1 * z1)
 
-    def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
-        formula(points, out)
-        return out
-
-    return _formula_field(2, evaluator, formula, "(-1/z1, z2/(2*z1^2))")
+    return _formula_field(2, formula, "(-1/z1, z2/(2*z1^2))")
 
 
 def reciprocal_1d() -> VectorField:
@@ -207,12 +202,7 @@ def reciprocal_1d() -> VectorField:
     def formula(points, out):
         out[...] = minus_one / points
 
-    def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
-        formula(points, out)
-        return out
-
-    return _formula_field(1, evaluator, formula, "-1/z")
+    return _formula_field(1, formula, "-1/z")
 
 
 _BUILTINS = {

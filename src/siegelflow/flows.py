@@ -482,10 +482,6 @@ def integrate_autonomous(
 ) -> Trajectory:
     """Flow z0 forward for time t_final along the autonomous field."""
     _check_time_and_tol(t_final, tol)
-    if field.dimension != z0.n:
-        raise DomainViolation(
-            f"field dimension {field.dimension} does not match point {z0.n}"
-        )
     return _flow_line(((0.0, t_final, field),), z0, t_final, tol)
 
 
@@ -544,8 +540,6 @@ def integrate_loewner(
             f"pieces cover [{driver.t_start}, {driver.t_end}], "
             f"need [0, {t_final}]"
         )
-    if driver.dimension != z0.n:
-        raise DomainViolation("driver dimension does not match the point")
     return _flow_line(driver.pieces, z0, t_final, tol)
 
 
@@ -786,6 +780,12 @@ def horosphere_image_check(self_map, c: float) -> HorosphereImageReport:
     points = horosphere_samples(2)
     with np.errstate(all="ignore"):
         images = np.asarray(self_map(points), dtype=complex)
+    return _horosphere_image_report(points, images, c)
+
+
+def _horosphere_image_report(points: np.ndarray, images: np.ndarray, c: float
+                             ) -> HorosphereImageReport:
+    """Judge ``images``, a self-map's values at the horosphere samples ``points``."""
     values = np.abs(poisson_values(Domain.SIEGEL, images))
     index = int(np.argmax(values))
     worst = float(values[index])

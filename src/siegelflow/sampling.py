@@ -11,18 +11,6 @@ import numpy as np
 from .domains import Domain, _is_interior
 
 
-def halfplane_coords(
-    rng: np.random.Generator,
-    count: int,
-    log_im: tuple[float, float] = (-2.0, 2.0),
-    re_scale: float = 10.0,
-) -> np.ndarray:
-    """Points x + iy with log-uniform y and uniform x, shape (count, 1)."""
-    y = 10.0 ** rng.uniform(*log_im, count)
-    x = rng.uniform(-re_scale, re_scale, count)
-    return (x + 1j * y)[:, None]
-
-
 def ball_coords(rng: np.random.Generator, count: int, n: int, radius: float = 0.9) -> np.ndarray:
     """Points in the ball of the given radius in C^n, shape (count, n)."""
     raw = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))

@@ -187,7 +187,7 @@ def _g_jacobian_fd(rng):
 
 def _geodesic_samples(rng, count):
     gammas = sampling.tangent_vectors(rng, count, 1)
-    zetas = sampling.halfplane_coords(rng, count, log_im=(-1.0, 1.0), re_scale=3.0)
+    zetas = sampling.siegel_coords(rng, count, 1, log_u=(-1.0, 1.0), re_scale=3.0)
     zetas = zetas[:, 0]
     return gammas, zetas, geodesics.geodesic_coords(gammas, zetas)
 
@@ -277,7 +277,7 @@ def _g_cauchy_capacity(rng):
 
 def _g_cauchy_range(rng):
     measures = sampling.herglotz_measures(rng, 3)
-    points = sampling.halfplane_coords(rng, 1000)
+    points = sampling.siegel_coords(rng, 1000, 1)
     worst = 0.0
     for measure in measures:
         values = fields.cauchy_transform(measure)(points)[..., 0]
@@ -354,51 +354,6 @@ def _g_parser_consistency(rng):
 # Suite: flows
 # ---------------------------------------------------------------------------
 
-class _Pool:
-    """Flows of one field in one domain from time 0 at the default tolerance."""
-
-    def __init__(self, field: fields.VectorField, domain: Domain) -> None:
-        self.field, self.domain = field, domain
-        self.starts, self.ends = [], []
-        self.seg = None  # the recorded _advance result, or what it raised
-
-    def add(self, starts: np.ndarray, t: float) -> _Rows:
-        first = sum(map(len, self.starts))
-        self.starts.append(starts)
-        self.ends.append(np.full(len(starts), t))
-        return _Rows(self, slice(first, first + len(starts)))
-
-    def run(self) -> None:
-        try:
-            self.seg = flows._advance(
-                self.field, self.domain, np.concatenate(self.starts), 0.0,
-                np.concatenate(self.ends), flows.DEFAULT_TOL, record=True,
-            )
-        except Exception as exc:  # it fails each group with rows here, at its judge
-            self.seg = exc
-
-
-class _Rows:
-    """Rows a group queued in a pool, read once the pool has run."""
-
-    def __init__(self, pool: _Pool, rows: slice) -> None:
-        self.pool, self.rows = pool, rows
-
-    def _seg(self):
-        if isinstance(self.pool.seg, Exception):
-            raise self.pool.seg
-        return self.pool.seg
-
-    @property
-    def y(self) -> np.ndarray:
-        """The rows' endpoints, (r, n)."""
-        return self._seg().y[self.rows]
-
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first row's start and accepted nodes, times (N,) and states (N, n)."""
-        return self._seg().trajectory(self.rows.start)
-
-
 class _Pools:
     """The flows suite's built-in fields and its pools, one of each per run.
 
@@ -407,12 +362,14 @@ class _Pools:
     one recorded ``_advance`` call with per-row end times, so each row is
     bit-identical to its own run.  Pools are keyed by the field object,
     never by its description: ``reciprocal_1d()`` and ``parse_field("-1/z")``
-    print alike but need not compute alike.  A pool whose call raises fails
-    each group with rows in it; the rest run (verify-sweep +13.5%, README).
+    print alike but need not compute alike.  A group reads its rows back by
+    the handle ``add`` returned.  A pool whose call raises fails each group
+    with rows in it; the rest run (verify-sweep +13.5%, README).
     """
 
     def __init__(self) -> None:
-        self._pools: dict[tuple[int, Domain], _Pool] = {}
+        self._queued = {}  # key -> (field, starts, ends)
+        self._runs = {}  # key -> the recorded _advance result, or what it raised
 
     # Built by the first group that asks, so a factory that raises fails
     # that group, and each later one that asks, not the suite.
@@ -428,20 +385,45 @@ class _Pools:
     def reciprocal(self) -> fields.VectorField:
         return fields.reciprocal_1d()
 
-    def add(self, field, domain: Domain, starts: np.ndarray, t: float) -> _Rows:
+    def add(self, field, domain: Domain, starts: np.ndarray, t: float):
         """Queue the flows of ``field`` from the (r, n) ``starts`` to time t."""
         key = (id(field), domain)
-        if key not in self._pools:
-            self._pools[key] = _Pool(field, domain)
-        return self._pools[key].add(starts, t)
+        _, queued, ends = self._queued.setdefault(key, (field, [], []))
+        first = sum(map(len, queued))
+        queued.append(starts)
+        ends.append(np.full(len(starts), t))
+        return key, slice(first, first + len(starts))
 
-    def flow(self, field, z0: domains.DomainPoint, t: float) -> _Rows:
+    def flow(self, field, z0: domains.DomainPoint, t: float):
         """Queue the flow of ``field`` from z0 to time t."""
         return self.add(field, z0.domain, z0.as_array()[None], t)
 
     def run(self) -> None:
-        for pool in self._pools.values():
-            pool.run()
+        for key, (field, starts, ends) in self._queued.items():
+            try:
+                self._runs[key] = flows._advance(
+                    field, key[1], np.concatenate(starts), 0.0,
+                    np.concatenate(ends), flows.DEFAULT_TOL, record=True,
+                )
+            except Exception as exc:  # it fails each group with rows here, at its judge
+                self._runs[key] = exc
+
+    def _rows(self, handle):
+        key, rows = handle
+        seg = self._runs[key]
+        if isinstance(seg, Exception):
+            raise seg
+        return seg, rows
+
+    def y(self, handle) -> np.ndarray:
+        """The handle's endpoints, (r, n)."""
+        seg, rows = self._rows(handle)
+        return seg.y[rows]
+
+    def nodes(self, handle) -> tuple[np.ndarray, np.ndarray]:
+        """The handle's first row's start and accepted nodes, times (N,) and states (N, n)."""
+        seg, rows = self._rows(handle)
+        return seg.trajectory(rows.start)
 
 
 # A flows group draws: it queues its flows in the suite's pools and returns
@@ -462,10 +444,10 @@ def _g_fixture_endpoints(rng, pools):
     reciprocal = pools.add(pools.reciprocal, Domain.HALF_PLANE, np.array(starts)[:, None], 1.0)
 
     def judge():
-        errors = [abs(contraction.y[0, 0] - start * math.exp(-1.0))]
+        errors = [abs(pools.y(contraction)[0, 0] - start * math.exp(-1.0))]
         expected = np.array([2j, 0.7 * np.exp(-1j / 2j)])
-        errors.append(float(np.max(np.abs(example1.y[0] - expected))))
-        for z0, end in zip(starts, reciprocal.y[:, 0]):
+        errors.append(float(np.max(np.abs(pools.y(example1)[0] - expected))))
+        for z0, end in zip(starts, pools.y(reciprocal)[:, 0]):
             errors.append(abs(end - np.sqrt(z0**2 - 2.0)))
         return _ok(len(errors), max(errors), 1e-8)
     return judge
@@ -484,8 +466,9 @@ def _g_semigroup_law(rng, pools):
     def judge():
         reports = []
         for field, z0, joint, inner in legs:
-            outer = flows._advance(field, z0.domain, inner.y, 0.0, t, flows.DEFAULT_TOL)
-            reports.append(flows._semigroup_report(joint.y[0], outer.y[0], t, s))
+            outer = flows._advance(field, z0.domain, pools.y(inner), 0.0, t,
+                                   flows.DEFAULT_TOL)
+            reports.append(flows._semigroup_report(pools.y(joint)[0], outer.y[0], t, s))
         worst = max(report.residual for report in reports)
         return _ok(len(reports), worst, reports[0].allowance, "",
                    all(r.passed for r in reports))
@@ -503,7 +486,7 @@ def _g_julia_monotonicity(rng, pools):
     def judge():
         worst = 0.0
         for run in runs:
-            report = flows._monotonicity_report(run.pool.domain, *run.nodes())
+            report = flows._monotonicity_report(Domain.SIEGEL, *pools.nodes(run))
             worst = max(worst, -report.min_increment)
         return _ok(len(runs), worst, flows.MONOTONICITY_SLACK)
     return judge
@@ -536,36 +519,26 @@ def _g_displacement_bound(rng, pools):
     def judge():
         worst = -math.inf
         for c, u, z0, t, flow in runs:
-            report = flows._displacement_report(c, u, z0, flow.y[0], t)
+            report = flows._displacement_report(c, u, z0, pools.y(flow)[0], t)
             worst = max(worst, report.displacement_norm - report.bound)
         return _ok(len(runs), worst, flows.DISPLACEMENT_SLACK, "worst is (norm - bound)")
     return judge
 
 
-def _known_at(points, images):
-    """The self-map known only at ``points``, which it sends to ``images``."""
-    def self_map(pts):
-        if not np.array_equal(pts, points):
-            raise ValueError("self-map called off the points it is known at")
-        return images
-    return self_map
-
-
 def _g_horosphere_checks(rng, pools):
     # The grid and the horosphere samples ride in the example2 pool; each
-    # row's image is the one a flow map call on its own points gives.
-    field = pools.example2
-    grid, samples = grids.siegel_grid_small(), grids.horosphere_samples(2)
-    flow = pools.add(field, Domain.SIEGEL, np.concatenate([grid, samples]), 1.0)
+    # row's image is the one a flow map call on its own points gives, and
+    # the public checks' own judges read them.
+    grid, grid_name = grids.grid_by_name("small")
+    samples = grids.horosphere_samples(2)
+    flow = pools.add(pools.example2, Domain.SIEGEL, np.concatenate([grid, samples]), 1.0)
 
     def judge():
-        images = flow.y
-        displacement = fields.VectorField(
-            2, _known_at(grid, images[:len(grid)] - grid),
-            f"flow[t=1] - id ({field.description})",
+        images = pools.y(flow)
+        inequality = analysis._horosphere_inequality_report(
+            grid, images[:len(grid)] - grid, grid_name
         )
-        inequality = analysis.horosphere_inequality_check(displacement, grid="small")
-        image = flows.horosphere_image_check(_known_at(samples, images[len(grid):]), 2.0)
+        image = flows._horosphere_image_report(samples, images[len(grid):], 2.0)
         worst = max(-inequality.worst_margin, image.worst_value - image.limit)
         detail = (
             f"orthogonality margin {inequality.worst_margin:.3e}, "
@@ -578,33 +551,44 @@ def _g_horosphere_checks(rng, pools):
 
 def _g_loewner_restart(rng, pools):
     one = pools.reciprocal
-    two = fields.parse_field("-2/z")
     z0 = domains.half_plane_point(1j)
+    plain = pools.flow(one, z0, 2.0)  # the autonomous run, in the -1/z pool
 
-    staged = flows.integrate_loewner(
-        [(0.0, 1.0, one), (1.0, 2.0, two)], z0, 2.0
-    ).final_state[0]
-    endpoint_error = abs(staged - 1j * math.sqrt(7.0))
+    def judge():
+        staged = flows.integrate_loewner(
+            [(0.0, 1.0, one), (1.0, 2.0, fields.parse_field("-2/z"))], z0, 2.0
+        ).final_state[0]
+        endpoint_error = abs(staged - 1j * math.sqrt(7.0))
 
-    # The unsplit run over [0, 2] and the split run's first piece over
-    # [0, 0.7] share one call (the flows suite 5.7% faster, README); the
-    # second piece restarts from the first one's endpoint, as integrate_loewner does.
-    whole, first = flows._advance(
-        one, Domain.HALF_PLANE, np.array([z0.as_array()] * 2), 0.0,
-        np.array([2.0, 0.7]), 1e-13,
-    ).y
-    split = flows._advance(one, Domain.HALF_PLANE, first[None], 0.7, 2.0, 1e-13).y[0]
-    restart_gap = abs(whole[0] - split[0])
+        # The unsplit run over [0, 2] and the split run's first piece over
+        # [0, 0.7] share one call (the flows suite 5.7% faster, README); the
+        # second piece restarts from the first one's endpoint, as
+        # integrate_loewner does.
+        whole, first = flows._advance(
+            one, Domain.HALF_PLANE, np.array([z0.as_array()] * 2), 0.0,
+            np.array([2.0, 0.7]), 1e-13,
+        ).y
+        split = flows._advance(one, Domain.HALF_PLANE, first[None], 0.7, 2.0, 1e-13).y[0]
+        restart_gap = abs(whole[0] - split[0])
 
-    plain = flows.integrate_autonomous(one, z0, 2.0).final_state[0]
-    single = flows.integrate_loewner([(0.0, 2.0, one)], z0, 2.0).final_state[0]
-    exact_match = plain == single
+        single = flows.integrate_loewner([(0.0, 2.0, one)], z0, 2.0).final_state[0]
+        exact_match = pools.y(plain)[0, 0] == single
 
-    detail = (
-        f"two-piece endpoint error {endpoint_error:.3e}, "
-        f"single piece matches autonomous: {exact_match}"
-    )
-    return _ok(4, restart_gap, 1e-12, detail, endpoint_error <= 1e-8 and exact_match)
+        detail = (
+            f"two-piece endpoint error {endpoint_error:.3e}, "
+            f"single piece matches autonomous: {exact_match}"
+        )
+        return _ok(4, restart_gap, 1e-12, detail, endpoint_error <= 1e-8 and exact_match)
+    return judge
+
+
+def _known_at(points, images):
+    """The self-map known only at ``points``, which it sends to ``images``."""
+    def self_map(pts):
+        if not np.array_equal(pts, points):
+            raise ValueError("self-map called off the points it is known at")
+        return images
+    return self_map
 
 
 def _g_flow_capacity(rng, pools):
@@ -686,7 +670,7 @@ _SUITE_TABLES = {
         ("integrator-order", _unpooled(_g_integrator_order)),
         ("displacement-bound", _g_displacement_bound),
         ("horosphere-checks", _g_horosphere_checks),
-        ("loewner-restart", _unpooled(_g_loewner_restart)),
+        ("loewner-restart", _g_loewner_restart),
         ("flow-capacity", _unpooled(_g_flow_capacity)),
         ("iteration-diagnostic", _unpooled(_g_iteration_diagnostic)),
     ),

@@ -216,7 +216,7 @@ def test_bergman_norm_sq_is_the_quadratic_form(rng):
 
 @pytest.mark.parametrize("domain, coords", [
     (Domain.DISC, lambda rng: sampling.ball_coords(rng, 300, 1)),
-    (Domain.HALF_PLANE, lambda rng: sampling.halfplane_coords(rng, 300)),
+    (Domain.HALF_PLANE, lambda rng: sampling.siegel_coords(rng, 300, 1)),
     (Domain.SIEGEL, lambda rng: sampling.siegel_coords(rng, 300, 2)),
     (Domain.BALL, lambda rng: sampling.ball_coords(rng, 300, 2)),
 ])
@@ -232,7 +232,7 @@ def test_hyperbolic_norm_is_one_row_of_the_batch_kernel(rng, domain, coords):
 
 @pytest.mark.parametrize("domain, coords", [
     (Domain.DISC, lambda rng: sampling.ball_coords(rng, 2000, 1)),
-    (Domain.HALF_PLANE, lambda rng: sampling.halfplane_coords(rng, 2000)),
+    (Domain.HALF_PLANE, lambda rng: sampling.siegel_coords(rng, 2000, 1)),
     (Domain.SIEGEL, lambda rng: sampling.siegel_coords(rng, 2000, 2)),
     (Domain.BALL, lambda rng: sampling.ball_coords(rng, 2000, 2)),
 ])

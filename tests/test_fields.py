@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siegelflow import sampling
+from siegelflow import fields, sampling
 from siegelflow.cli import resolve_field
 from siegelflow.domains import (
     Domain,
@@ -66,8 +66,7 @@ def test_a_builtin_fill_writes_its_call_bytes_into_a_stage_slot(rng, name, m):
     # between its two stage sums at 64 numbers.
     field = builtin(name)
     n = field.dimension
-    points = (sampling.siegel_coords(rng, m, n) if n > 1
-              else sampling.halfplane_coords(rng, m))
+    points = sampling.siegel_coords(rng, m, n)
     expected = field(points).tobytes()
     for given in (points, np.ascontiguousarray(points.T).T):
         assert field(given).tobytes() == expected
@@ -75,6 +74,14 @@ def test_a_builtin_fill_writes_its_call_bytes_into_a_stage_slot(rng, name, m):
         field._fill(given, ks[4].T)
         assert ks[4].T.tobytes() == expected
         assert np.isnan(np.delete(ks, 4, axis=0)).all()  # no other slot written
+
+
+@pytest.mark.parametrize("factory", ["example1", "example2", "reciprocal_1d"])
+def test_a_builtin_evaluator_is_named_after_its_factory(factory):
+    # The bench tracer books a field call as built-in when the first part of
+    # its evaluator's qualified name is a built-in factory's name.
+    field = getattr(fields, factory)()
+    assert field._evaluator.__qualname__ == f"{factory}.<locals>.formula"
 
 
 def test_parsed_field_matches_builtin(rng):
@@ -136,7 +143,7 @@ def test_cauchy_transform_oracle():
 
 def test_cauchy_transform_maps_into_closed_half_plane(rng):
     measures = sampling.herglotz_measures(rng, 5)
-    z = sampling.halfplane_coords(rng, 500)
+    z = sampling.siegel_coords(rng, 500, 1)
     for m in measures:
         values = cauchy_transform(m)(z)[:, 0]
         assert np.min(values.imag) >= -1e-13

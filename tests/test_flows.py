@@ -23,6 +23,7 @@ from siegelflow.domains import (
     siegel_point,
 )
 from siegelflow.errors import (
+    ArityMismatchError,
     CoverageGap,
     DomainViolation,
     FieldEvaluationError,
@@ -33,6 +34,7 @@ from siegelflow.fields import (
     VectorField,
     builtin,
     cauchy_transform,
+    eval_field,
     parse_field,
     zero_field,
 )
@@ -711,6 +713,27 @@ def test_bad_tolerances_are_rejected(tol):
         integrate_autonomous(builtin("example2"), z0, 1.0, tol=tol)
     with pytest.raises(ValueError):
         integrate_loewner(((0.0, 1.0, builtin("example2")),), z0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda f, z: integrate_autonomous(f, z, 1.0), id="integrate_autonomous"),
+    pytest.param(lambda f, z: integrate_loewner([(0.0, 1.0, f)], z, 1.0),
+                 id="integrate_loewner"),
+    pytest.param(lambda f, z: integrate_fixed_steps(f, z, 1.0, 4), id="integrate_fixed_steps"),
+    pytest.param(lambda f, z: flow_map(f, 1.0, domain=z.domain)(z.as_array()[None]),
+                 id="flow_map"),
+    pytest.param(eval_field, id="eval_field"),
+    pytest.param(lambda f, z: semigroup_check(f, z, 0.5, 0.5), id="semigroup_check"),
+    pytest.param(lambda f, z: julia_monotonicity(f, z, 1.0), id="julia_monotonicity"),
+    pytest.param(lambda f, z: displacement_bound_check(f, 2.0, z, 1.0),
+                 id="displacement_bound_check"),
+])
+def test_a_dimension_mismatch_raises_one_error_with_one_message(entry):
+    # A two-dimensional field at an interior half-plane point with u = 2,
+    # which passes every other argument check of every entry point.
+    with pytest.raises(ArityMismatchError) as raised:
+        entry(builtin("example2"), half_plane_point(2j))
+    assert str(raised.value) == "points have dimension 1, field expects 2"
 
 
 def test_semigroup_law_residuals():

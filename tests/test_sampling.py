@@ -12,7 +12,7 @@ def test_ball_radius(rng):
 
 
 def test_halfplane_strictly_interior(rng):
-    z = sampling.halfplane_coords(rng, 500)
+    z = sampling.siegel_coords(rng, 500, 1)
     assert z.shape == (500, 1)
     assert np.min(z[:, 0].imag) > 0
 

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+import siegelflow.analysis as analysis
 import siegelflow.domains as domains
 import siegelflow.fields as fields
 import siegelflow.flows as flows
+import siegelflow.grids as grids
 from siegelflow.cli import main
 from siegelflow.fields import VectorField
-from siegelflow.verify import SUITE_NAMES, run, run_suite
+from siegelflow.verify import SUITE_NAMES, GroupResult, run, run_suite
 
 
 def test_all_suites_pass():
@@ -116,11 +118,9 @@ def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
                                                              field_evaluations):
     # Flows of one field, domain and tolerance share one kernel call across
     # groups (the example2, example1 and -1/z pools), and the composite
-    # capacity reuses its inner map's images: 8423 field calls in 1399
-    # steps, three of them the start calls of semigroup-law's outer legs.
-    # When those legs started from their inner legs' final stages, the
-    # suite made 8420 calls.  Pooled within groups only, it made 9948 calls
-    # in 1651 steps, and with every flow on its own 11218 calls in 1862 steps.
+    # capacity reuses its inner map's images: 8271 field calls in 1374
+    # steps.  Pooled within groups only, the suite made 9948 calls in 1651
+    # steps, and with every flow on its own 11218 calls in 1862 steps.
     steps = []
     stages = flows._stages
 
@@ -130,27 +130,53 @@ def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
 
     monkeypatch.setattr(flows, "_stages", counted_stages)
     assert run_suite("flows", 7).passed
-    assert (len(field_evaluations), len(steps)) == (8423, 1399)
+    assert (len(field_evaluations), len(steps)) == (8271, 1374)
 
 
-def test_a_failing_pool_fails_only_the_groups_with_rows_in_it(monkeypatch):
+def test_horosphere_checks_report_what_the_public_checks_report():
+    # The group judges pooled rows with the two public checks' own judges,
+    # so it reports what the checks report on a flow map of their own.
+    field = fields.example2()
+    image = flows.horosphere_image_check(flows.flow_map(field, 1.0), 2.0)
+    inequality = analysis.horosphere_inequality_check(
+        flows.displacement_field(field, 1.0), grid="small")
+    group = next(g for g in run_suite("flows", 7).groups if g.name == "horosphere-checks")
+    assert group == GroupResult(
+        name="horosphere-checks",
+        count=len(grids.siegel_grid_small()) + image.count,
+        worst=max(-inequality.worst_margin, image.worst_value - image.limit),
+        limit=flows.HOROSPHERE_IMAGE_SLACK,
+        passed=inequality.ok and image.passed,
+        detail=(f"orthogonality margin {inequality.worst_margin:.3e}, "
+                f"image |u| max {image.worst_value:.6f} of {image.limit:g}"),
+    )
+
+
+@pytest.mark.parametrize("factory, failing", [
     # example1's pool carries fixture-endpoints, semigroup-law and
-    # julia-monotonicity; integrator-order steps example1 on its own.  Each
-    # of the four names the error, and every other group still passes.
-    real = fields.example1
+    # julia-monotonicity; integrator-order steps example1 on its own.
+    ("example1", ("fixture-endpoints", "semigroup-law", "julia-monotonicity",
+                  "integrator-order")),
+    # -1/z's pool carries fixture-endpoints, semigroup-law and
+    # loewner-restart; flow-capacity maps -1/z on its own.
+    ("reciprocal_1d", ("fixture-endpoints", "semigroup-law", "loewner-restart",
+                       "flow-capacity")),
+], ids=["example1", "reciprocal_1d"])
+def test_a_failing_pool_fails_only_the_groups_with_rows_in_it(monkeypatch, factory,
+                                                              failing):
+    # Each failing group names the error, and every other group still passes.
+    real = getattr(fields, factory)
 
     def broken():
         field = real()
 
         def evaluator(points):
-            raise RuntimeError("example1 is broken")
+            raise RuntimeError(f"{factory} is broken")
 
         return VectorField(field.dimension, evaluator, field.description)
 
-    monkeypatch.setattr(fields, "example1", broken)
+    monkeypatch.setattr(fields, factory, broken)
     report = run_suite("flows", 7)
     failed = {g.name: g.detail for g in report.groups if not g.passed}
-    assert failed == dict.fromkeys(
-        ("fixture-endpoints", "semigroup-law", "julia-monotonicity", "integrator-order"),
-        "RuntimeError: example1 is broken")
+    assert failed == dict.fromkeys(failing, f"RuntimeError: {factory} is broken")
     assert len(report.groups) == 9
