@@ -24,9 +24,13 @@ weights fill one slice.  Per-point reductions run along a leading axis.
 The kernel evaluates every stage with one call, ``field._fill(points,
 out)``: the points are an (m, n) array, the transposed view of the (n, m)
 stage point, which is not contiguous, and out is the transposed (m, n) view
-of the stage's slot.  A built-in field writes its formula straight into the
-slot; any other field is called on the points, must return an (m, n) result
-(a list or a real array is converted to complex), and has it copied in.
+of the stage's slot.  Every field the ``fields`` module builds, parsed or
+built-in, writes its formula straight into the slot.  An integration starts
+with one checked call instead, ``field._copy_call(points, out)``: the field
+is called on the start rows, which checks their dimension, must return an
+(m, n) result (a list or a real array is converted to complex), and has it
+copied in.  A field built from a bare evaluator is evaluated that way at
+every stage.
 
 Trajectories must stay inside their domain (``domains._is_interior``): a step
 that leaves it is rejected and retried at half the step size.  Sixty
@@ -60,7 +64,6 @@ from .domains import (
     poisson_values,
 )
 from .errors import (
-    ArityMismatchError,
     CoverageGap,
     DomainViolation,
     FieldEvaluationError,
@@ -140,14 +143,6 @@ def _check_time_and_tol(t: float, tol: float = DEFAULT_TOL, name: str = "time") 
         raise ValueError(f"{name} must be finite and nonnegative, got {t}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-
-
-def _check_dimension(field: VectorField, n: int) -> None:
-    """Raise as ``VectorField.__call__`` does, which a built-in fill skips."""
-    if n != field.dimension:
-        raise ArityMismatchError(
-            f"points have dimension {n}, field expects {field.dimension}"
-        )
 
 
 _SLOT = (1, 0, 2, 3, 4, 5, 6)  # the slot of stage k_j (module docstring)
@@ -246,8 +241,8 @@ def _advance(
     the FSAL stage of the row's last step.
     ``k0`` carries such stages in: rows and stages an earlier call returned
     in ``seg.y`` and ``seg.k`` (same field and domain) are interior and
-    finite, so with ``k0`` the start row test and start field call are
-    skipped, and every row takes the steps a fresh start would take.
+    finite, so with ``k0`` the start row test and the checked start call
+    are skipped, and every row takes the steps a fresh start would take.
 
     Each step tests finiteness once on the whole live stage buffer
     (``np.isfinite``, then the entry at its argmin); only when some entry is
@@ -271,8 +266,7 @@ def _advance(
         else:
             if not _all(_is_interior(domain, y.T)):
                 raise DomainViolation("flow started at a non-interior point")
-            _check_dimension(field, n)
-            fill(y.T, outs[1])
+            field._copy_call(y.T, outs[1])
             if not _all(np.isfinite(ks[1]), axis=None):
                 raise FieldEvaluationError("field is not finite at the initial point")
         t = np.empty(m)
@@ -558,10 +552,9 @@ def integrate_fixed_steps(
     ks = np.empty((7,) + y.shape, dtype=complex)
     outs = tuple(ks.transpose(0, 2, 1))
     h = np.array(t_final / steps)
-    _check_dimension(field, len(y))
     fill = field._fill
     with np.errstate(all="ignore"):
-        fill(y.T, outs[1])
+        field._copy_call(y.T, outs[1])
         for _ in range(steps):
             y, _ = _stages(fill, y, ks, outs, h)
             ks[1] = ks[6]
@@ -596,6 +589,7 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
         points = np.asarray(points, dtype=complex)
         flat = points.reshape(-1, points.shape[-1])
         if not flat.size:
+            field._check_points(flat)  # no step to take and no field call
             return np.empty_like(points)
         rows, stages = last  # one read: concurrent calls never mix two results
         k0 = stages if rows == flat.tobytes() and stages.shape == flat.shape else None

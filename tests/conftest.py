@@ -13,10 +13,14 @@ def rng():
 def field_evaluations(monkeypatch):
     """A list that grows by one per field evaluation from here on.
 
-    A field is evaluated through one of two entry points:
-    ``VectorField.__call__``, and the flow kernel's ``VectorField._fill``.  A
-    built-in field's fill writes its formula in place; any other field's fill
-    calls the field, so only built-in fills are counted at ``_fill``.
+    A field is evaluated through one of two entry points, and each adds its
+    own entry: ``VectorField.__call__`` adds "call", and the flow kernel's
+    ``VectorField._fill`` adds "fill" when the field writes its formula in
+    place.  Every field the package builds has such a formula, so its stages
+    add "fill" and only an integration's checked start adds "call"; a field
+    built from a bare evaluator fills by calling itself, so its stages add
+    "call".  A composite field (a Berkson-Porta generator, a ball
+    pushforward) fills its inner field too, which adds an entry of its own.
     """
     from siegelflow.fields import VectorField
 
@@ -24,12 +28,12 @@ def field_evaluations(monkeypatch):
     call, fill = VectorField.__call__, VectorField._fill
 
     def counted_call(self, points):
-        calls.append(1)
+        calls.append("call")
         return call(self, points)
 
     def counted_fill(self, points, out):
         if self._formula is not None:
-            calls.append(1)
+            calls.append("fill")
         fill(self, points, out)
 
     monkeypatch.setattr(VectorField, "__call__", counted_call)

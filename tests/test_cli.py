@@ -480,8 +480,11 @@ def test_iterate_nonfinite_flow_time_exits_2(capsys, spec):
 # changes in the integrator or the CLI must not move a byte.  The parsed
 # flow map equals the built-in one bit for bit, so both pin one digest.  The
 # -1/z^3 flow takes 271 accepted steps and one rejection, so its running
-# error maximum and its 273-line CSV span many steps of one row.
+# error maximum and its 273-line CSV span many steps of one row.  The last
+# three pin a Berkson-Porta disc flow, a two-atom Cauchy transform flow and
+# an iterated one-atom flow map, taken before those fields filled in place.
 _Z0 = "(0.1+1.2i, 0.3+0.2i)"
+_TWO_ATOMS = 'measure:[{"u": -1, "m": 0.5}, {"u": 1.5, "m": 2}]'
 _ITERATE_DIGEST = "c3d076c39b4ce24b75a2b95e49349eaa630b160ccde93ec1e2d4e11c462b6b40"
 # The CSV's SHA-256 by the stdout's, for the commands that write one.
 _CSV_DIGESTS = {
@@ -489,6 +492,8 @@ _CSV_DIGESTS = {
         "22e32f2dc231f39736da4177b893d7e163523a081bba467df9b416494d363e2c",
     "c2a69d3d95fb81d8f298acfc65881b4b828bead12b99a62fbcbeca10d3c57307":
         "2c4949f67fcd829b50c0bd04f93f8391b65dd5ab9eaa7cb0dd5677d194e19a45",
+    "4c929666dd0c6174790fa1e07b977f13855d92749fa2152aeb58d6cae62e82ab":
+        "278a60fc7c960a85bc77d4d42f07228bc1cc4d08db6513d0f922d767976f211d",
 }
 
 
@@ -503,6 +508,14 @@ _CSV_DIGESTS = {
      "cda6b88378d71d3ed84ef7a25abca80d4bfff94427118333107117339b949cc9"),
     (["flow", "--field", "-1/z^3", "--z0", "0.5+0.2i", "--t", "3", "--out", "traj.csv"],
      "c2a69d3d95fb81d8f298acfc65881b4b828bead12b99a62fbcbeca10d3c57307"),
+    (["flow", "--field", "bp:0.5+0.2i:1+z", "--z0", "0.3-0.4i", "--domain", "disc",
+      "--t", "2", "--out", "traj.csv"],
+     "4c929666dd0c6174790fa1e07b977f13855d92749fa2152aeb58d6cae62e82ab"),
+    (["flow", "--field", _TWO_ATOMS, "--z0", "0.2+0.9i", "--t", "1.7"],
+     "6e19ebcc046f62976c262508131448dd95c3fa54533c1380e92a6642bb1e5938"),
+    (["iterate", "--map", 'flow0.7:measure:[{"u": 0, "m": 1}]', "--z0", "0.3+0.8i",
+      "--n", "40"],
+     "1745da6acf000424fff23a659689135ae190a4a727ec63a4a94674cb4d6f358f"),
 ])
 def test_one_point_commands_are_pinned_bit_for_bit(capsys, tmp_path, monkeypatch,
                                                    argv, digest):

@@ -57,16 +57,39 @@ def test_reciprocal_oracle():
     np.testing.assert_allclose(out, [-1 / 2j], atol=1e-16)
 
 
+# Every kind of field the package builds, each with the sampler of its domain.
+_FIELD_KINDS = {
+    "example1": (lambda: builtin("example1"), sampling.siegel_coords),
+    "example2": (lambda: builtin("example2"), sampling.siegel_coords),
+    "reciprocal": (lambda: builtin("reciprocal"), sampling.siegel_coords),
+    "parsed (0, -i*z2/z1)": (lambda: parse_field("0; -i*z2/z1"), sampling.siegel_coords),
+    "parsed -1/z^3": (lambda: parse_field("-1/z^3", 1), sampling.siegel_coords),
+    "cauchy 3 atoms": (lambda: cauchy_transform(DiscreteMeasure(
+        ((-1.0, 0.5), (0.25, 2.0), (3.0, 1.0)))), sampling.siegel_coords),
+    "cauchy no atoms": (lambda: cauchy_transform(DiscreteMeasure(())),
+                        sampling.siegel_coords),
+    "berkson-porta": (lambda: berkson_porta(0.5 + 0.2j, parse_field("1+z", 1)),
+                      sampling.ball_coords),
+    "zero": (lambda: zero_field(2), sampling.siegel_coords),
+    "ball example2": (lambda: pushforward_to_ball(builtin("example2")),
+                      sampling.ball_coords),
+}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 1000])
-@pytest.mark.parametrize("name", ["example1", "example2", "reciprocal"])
+@pytest.mark.parametrize("name", list(_FIELD_KINDS))
 def test_a_builtin_fill_writes_its_call_bytes_into_a_stage_slot(rng, name, m):
-    # The flow kernel holds points and stages component-major, and hands
-    # _fill the transposed views: an (n, m) stage point and one slot of the
-    # (7, n, m) stage buffer.  The batch sizes straddle the kernel's switch
-    # between its two stage sums at 64 numbers.
-    field = builtin(name)
+    # Every field the package builds, built-in, parsed or composite, fills
+    # its stages in place with the bytes its call returns.  The flow kernel
+    # holds points and stages component-major, and hands _fill the
+    # transposed views: an (n, m) stage point and one slot of the (7, n, m)
+    # stage buffer.  The batch sizes straddle the kernel's switch between
+    # its two stage sums at 64 numbers.
+    make, sample = _FIELD_KINDS[name]
+    field = make()
+    assert field._formula is not None
     n = field.dimension
-    points = sampling.siegel_coords(rng, m, n)
+    points = sample(rng, m, n)
     expected = field(points).tobytes()
     for given in (points, np.ascontiguousarray(points.T).T):
         assert field(given).tobytes() == expected
@@ -124,6 +147,14 @@ def test_measure_validation_and_mass():
         DiscreteMeasure(((0.0, -1.0),))  # negative mass
     # the empty measure is the zero generator
     assert DiscreteMeasure(()).total_mass == 0.0
+
+
+def test_the_empty_measure_and_the_zero_field_give_positive_zeros():
+    # A sum over no atoms is +0, whatever the point, as np.zeros is.
+    z = np.array([[1j, 0.5], [complex(np.nan, 1.0), np.inf]])
+    assert zero_field(2)(z).tobytes() == np.zeros((2, 2), complex).tobytes()
+    empty = cauchy_transform(DiscreteMeasure(()))
+    assert empty(z[:, :1]).tobytes() == np.zeros((2, 1), complex).tobytes()
 
 
 def test_measure_json_round_trip():

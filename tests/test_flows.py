@@ -192,50 +192,52 @@ def test_single_piece_makes_as_many_field_calls_as_autonomous():
     assert len(calls) == autonomous
 
 
-def test_a_one_point_flow_map_makes_one_field_call_per_stage(monkeypatch):
-    # One evaluation at z0, then six stages per attempted step, each through
-    # VectorField.__call__ (where the bench tracer counts field calls).
+def test_a_one_point_flow_map_makes_one_field_call_per_stage(field_evaluations):
+    # One checked evaluation at z0 through VectorField.__call__, then six
+    # in-place stage fills per attempted step, none of them a call.
     field = parse_field("-1/z^3", 1)
     z0 = half_plane_point(0.5 + 0.2j)
     trajectory = integrate_autonomous(field, z0, 3.0)
     assert trajectory.steps_rejected >= 1
-    calls = []
-    call = VectorField.__call__
-
-    def counted(self, points):
-        calls.append(1)
-        return call(self, points)
-
-    monkeypatch.setattr(VectorField, "__call__", counted)
+    calls = field_evaluations
+    calls.clear()
     image = flow_map(field, 3.0)(z0.as_array()[None, :])
     assert np.array_equal(image[0], trajectory.final_state)
     steps = trajectory.steps_accepted + trajectory.steps_rejected
     assert len(calls) == 1 + 6 * steps
+    assert calls[0] == "call" and calls.count("call") == 1
 
 
-def test_a_tracer_style_call_wrapper_sees_every_parsed_stage(monkeypatch):
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: parse_field("-1/z1; z2/(2*z1^2)"), id="parsed"),
+    pytest.param(lambda: builtin("example2"), id="built-in"),
+])
+def test_a_tracer_style_call_wrapper_sees_each_integration_start(monkeypatch, make):
     # The bench tracer wraps VectorField.__call__ with a (field, points)
-    # function: a parsed field's stages must reach it, one call per stage,
-    # with the stage's points and no other argument.
-    field = parse_field("-1/z1; z2/(2*z1^2)")
+    # function.  Each integration reaches it once, with its start rows and
+    # no other argument; its stages fill in place and do not reach it.
+    field = make()
     points = siegel_grid_small(2)[:64]
-    expected = flow_map(field, 1.0)(points)
+    z0 = siegel_point(1j, 0.5)
+    image, line = flow_map(field, 1.0)(points), integrate_autonomous(field, z0, 0.5)
     seen, steps = [], []
     call, stages = VectorField.__call__, flows._stages
 
     @functools.wraps(call)
     def traced(field, points):
-        seen.append(len(points))
+        seen.append(points.copy())
         return call(field, points)
 
     def counted_stages(*args):
-        steps.append(len(args[1][0]))
+        steps.append(1)
         return stages(*args)
 
     monkeypatch.setattr(VectorField, "__call__", traced)
     monkeypatch.setattr(flows, "_stages", counted_stages)
-    assert flow_map(field, 1.0)(points).tobytes() == expected.tobytes()
-    assert seen == [len(points)] + [rows for rows in steps for _ in range(6)]
+    assert flow_map(field, 1.0)(points).tobytes() == image.tobytes()
+    assert np.array_equal(integrate_autonomous(field, z0, 0.5).states, line.states)
+    assert len(steps) > 2  # stages ran, none through the wrapper
+    assert [rows.tobytes() for rows in seen] == [points.tobytes(), z0.as_array()[None].tobytes()]
 
 
 @pytest.mark.parametrize("points", [np.array([[1j, 0.5]]), siegel_grid_small(2)[:64]],
@@ -715,25 +717,31 @@ def test_bad_tolerances_are_rejected(tol):
         integrate_loewner(((0.0, 1.0, builtin("example2")),), z0, 1.0, tol=tol)
 
 
-@pytest.mark.parametrize("entry", [
-    pytest.param(lambda f, z: integrate_autonomous(f, z, 1.0), id="integrate_autonomous"),
-    pytest.param(lambda f, z: integrate_loewner([(0.0, 1.0, f)], z, 1.0),
+@pytest.mark.parametrize("entry, width", [
+    pytest.param(lambda f, z: integrate_autonomous(f, z, 1.0), 1, id="integrate_autonomous"),
+    pytest.param(lambda f, z: integrate_loewner([(0.0, 1.0, f)], z, 1.0), 1,
                  id="integrate_loewner"),
-    pytest.param(lambda f, z: integrate_fixed_steps(f, z, 1.0, 4), id="integrate_fixed_steps"),
-    pytest.param(lambda f, z: flow_map(f, 1.0, domain=z.domain)(z.as_array()[None]),
+    pytest.param(lambda f, z: integrate_fixed_steps(f, z, 1.0, 4), 1,
+                 id="integrate_fixed_steps"),
+    pytest.param(lambda f, z: flow_map(f, 1.0, domain=z.domain)(z.as_array()[None]), 1,
                  id="flow_map"),
-    pytest.param(eval_field, id="eval_field"),
-    pytest.param(lambda f, z: semigroup_check(f, z, 0.5, 0.5), id="semigroup_check"),
-    pytest.param(lambda f, z: julia_monotonicity(f, z, 1.0), id="julia_monotonicity"),
-    pytest.param(lambda f, z: displacement_bound_check(f, 2.0, z, 1.0),
+    pytest.param(lambda f, z: flow_map(f, 1.0)(np.empty((0, 1), complex)), 1,
+                 id="flow_map on (0, 1)"),
+    pytest.param(lambda f, z: flow_map(f, 1.0)(np.empty((0, 3), complex)), 3,
+                 id="flow_map on (0, 3)"),
+    pytest.param(eval_field, 1, id="eval_field"),
+    pytest.param(lambda f, z: semigroup_check(f, z, 0.5, 0.5), 1, id="semigroup_check"),
+    pytest.param(lambda f, z: julia_monotonicity(f, z, 1.0), 1, id="julia_monotonicity"),
+    pytest.param(lambda f, z: displacement_bound_check(f, 2.0, z, 1.0), 1,
                  id="displacement_bound_check"),
 ])
-def test_a_dimension_mismatch_raises_one_error_with_one_message(entry):
+def test_a_dimension_mismatch_raises_one_error_with_one_message(entry, width):
     # A two-dimensional field at an interior half-plane point with u = 2,
-    # which passes every other argument check of every entry point.
+    # which passes every other argument check of every entry point, or on
+    # an empty batch of another width, where a flow map takes no step.
     with pytest.raises(ArityMismatchError) as raised:
         entry(builtin("example2"), half_plane_point(2j))
-    assert str(raised.value) == "points have dimension 1, field expects 2"
+    assert str(raised.value) == f"points have dimension {width}, field expects 2"
 
 
 def test_semigroup_law_residuals():
