@@ -67,7 +67,7 @@ def _build(cls, eq: bool):
 
     def __init__(self, *args, **kwargs):
         state = self.__dict__
-        if not kwargs and len(args) == count:
+        if not kwargs and len(args) == count:  # no _bind: M 4% (README)
             state.update(zip(names, args))
         else:
             state.update(zip(names, _bind(cls, names, defaults, args, kwargs)))

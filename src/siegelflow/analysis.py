@@ -131,8 +131,11 @@ def slice_capacities(
         lambda ys: slice_parts(field(geodesic_coords(directions, 1j * ys)), directions)[1],
         ys, what,
     )
+    # y |h(iy)| may overflow where h does not: that is a field failure too.
+    scaled_rows = _finite_values(lambda values: ys * np.abs(values), values,
+                                 f"y |h(iy)| of {what}")
     estimates = []
-    for scaled in ys * np.abs(values):
+    for scaled in scaled_rows:
         tail = scaled[-(count // 4):]
         top = np.max(tail)
         if top == 0.0 or (top - np.min(tail)) / top < 1e-4:
@@ -175,7 +178,11 @@ def membership(
     c = _class_constant(c)
     values = _finite_values(field, points, field.description)
     u = poisson_values(domain, points)
-    scaled = (u * u) * np.sqrt(hyperbolic_norm_sq_array(domain, points, values))
+    # The metric's quadratic form may overflow where H does not.
+    scaled = _finite_values(
+        lambda values: (u * u) * np.sqrt(hyperbolic_norm_sq_array(domain, points, values)),
+        values, f"u^2 ||H|| of {field.description}",
+    )
     index = int(np.argmax(scaled))
     sup = float(scaled[index])
     notes = ()

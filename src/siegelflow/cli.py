@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first main call."""
+    """The process's one parser, built on the first main call (O 9%, M 2.1x, README)."""
     return build_parser()
 
 

@@ -35,10 +35,10 @@ from .errors import ArityMismatchError, DomainViolation
 # A point counts as interior only when its defining inequality holds with
 # this much room; boundary-adjacent inputs are rejected rather than trusted.
 INTERIOR_MARGIN = 1e-12
-_MARGIN_FLOOR = np.array(INTERIOR_MARGIN)  # 0-d: no Python-float conversion per call
 
 # np.sum and ndarray.sum reach this reduction through Python-level wrappers,
-# which cost more than the loop on the few numbers of one integrator step.
+# which cost more than the loop on the few numbers of one integrator step
+# (I, P and O 3-5% in process, README).
 _sum = np.add.reduce
 
 
@@ -88,14 +88,14 @@ def _is_interior(domain: Domain, coords: np.ndarray, margin=None) -> np.ndarray:
     """
     if margin is None:
         margin = _MARGIN[domain](coords)
-    return np.isfinite(coords[..., 0]) & (margin > _MARGIN_FLOOR)
+    return np.isfinite(coords[..., 0]) & (margin > INTERIOR_MARGIN)
 
 
 def _interior_and_poisson(domain: Domain, coords: np.ndarray):
     """``_is_interior`` and ``poisson_values`` of complex rows coords (..., n).
 
     On the half-space and the half-plane u is minus the margin, so both come
-    from one margin computation there.
+    from one margin computation there (I 2.6% in process, README).
     """
     margin = _MARGIN[domain](coords)
     u = -margin if domain in _HALF_SPACES else poisson_values(domain, coords)

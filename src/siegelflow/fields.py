@@ -36,9 +36,6 @@ from .errors import (
 )
 
 
-_COMPLEX = np.dtype(complex)  # a singleton, so `is` tells an array's dtype apart
-
-
 class VectorField:
     """An evaluatable holomorphic map z -> C^n.
 
@@ -63,7 +60,7 @@ class VectorField:
     makes the checked call for it.
     """
 
-    _formula = None  # an in-place formula (grid-flow +8-14%, orbit -14%, README)
+    _formula = None  # an in-place formula (11-16% on six proxies, README)
 
     def __init__(self, dimension: int, evaluator, description: str = "field"):
         if dimension < 1:
@@ -82,8 +79,7 @@ class VectorField:
         their evaluations and report non-finite values through their own
         checks.
         """
-        if type(points) is not np.ndarray or points.dtype is not _COMPLEX:
-            points = np.asarray(points, dtype=complex)
+        points = np.asarray(points, dtype=complex)
         self._check_points(points)
         return self._evaluator(points)
 
@@ -104,13 +100,9 @@ class VectorField:
 
     def _copy_call(self, points: np.ndarray, out: np.ndarray) -> None:
         """Copy the checked call self(points) into out (m, n); no finiteness check."""
-        k = self(points)
-        if type(k) is not np.ndarray or k.dtype is not _COMPLEX or k.shape != out.shape:
-            k = np.asarray(k, dtype=complex)
-            if k.shape != out.shape:
-                raise FieldEvaluationError(
-                    f"field returned shape {k.shape}, expected {out.shape}"
-                )
+        k = np.asarray(self(points), dtype=complex)
+        if k.shape != out.shape:
+            raise FieldEvaluationError(f"field returned shape {k.shape}, expected {out.shape}")
         out[...] = k
 
     def __repr__(self):
@@ -137,7 +129,7 @@ def _from_components(components, dimension, description):
     columns = tuple(enumerate(expressions.compile_expression(comp) for comp in components))
 
     def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
+        out = np.empty(points.shape, dtype=complex)
         for k, program in columns:
             # A call enters the expression layer through expressions.evaluate,
             # where the bench tracer times it; the stage fills below do not.
@@ -170,7 +162,7 @@ def _formula_field(dimension: int, formula, description: str) -> VectorField:
     """
     @functools.wraps(formula)
     def evaluator(points):
-        out = np.empty(points.shape, dtype=_COMPLEX)
+        out = np.empty(points.shape, dtype=complex)
         formula(points, out)
         return out
 
@@ -201,7 +193,8 @@ def example1() -> VectorField:
 def example2() -> VectorField:
     """H(z) = (-1/z1, z2/(2 z1^2)): a uniformly bounded generator."""
     # 0-d complex operands: numpy would convert a Python float and cast it to
-    # complex in every call, to these same numbers, for the same loops.
+    # complex in every call, to these same numbers, for the same loops (V, G,
+    # I and A 4-7% in process, README).
     minus_one, two = np.array(-1.0 + 0j), np.array(2.0 + 0j)
 
     def formula(points, out):
@@ -269,10 +262,8 @@ def cauchy_transform(measure: DiscreteMeasure) -> VectorField:
     The total mass is the capacity of the field: the smallest c with
     |H(z)| <= c / Im(z).
     """
-    # Complex, as example2's constants: numpy would cast the real atoms to
-    # these same complex numbers in every call.
-    locations = np.array([u for u, _ in measure.atoms], dtype=complex)
-    masses = np.array([m for _, m in measure.atoms], dtype=complex)
+    locations = np.array([u for u, _ in measure.atoms])
+    masses = np.array([m for _, m in measure.atoms])
 
     def formula(points, out):
         # The sum over no atoms is numpy's +0: the empty measure's field is 0.
@@ -319,15 +310,13 @@ def berkson_porta(tau: complex, p: VectorField) -> VectorField:
             stacklevel=2,
         )
 
-    # 0-d complex operands, as in example2: a one-row call took 8.8 us with
-    # tau, conj(tau) and 1.0 as Python numbers and 4.8 us with these.
-    tau_array, tau_bar, one = np.array(tau), np.array(tau.conjugate()), np.array(1.0 + 0j)
+    tau_bar = tau.conjugate()
     fill_p = p._fill
 
     def formula(points, out):
         z = points[..., 0]
         fill_p(points, out)  # p(z), multiplied in last
-        out[..., 0] = (tau_array - z) * (one - tau_bar * z) * out[..., 0]
+        out[..., 0] = (tau - z) * (1.0 - tau_bar * z) * out[..., 0]
 
     return _formula_field(1, formula, f"berkson_porta(tau={tau})")
 
@@ -341,7 +330,7 @@ def pushforward_to_ball(field: VectorField) -> VectorField:
 
     def formula(points, out):
         z = cayley_siegel_coords(points)
-        values = np.empty(z.shape, dtype=_COMPLEX)
+        values = np.empty(z.shape, dtype=complex)
         field._fill(z, values)
         out[...] = push_tangent_to_ball(z, values)
 

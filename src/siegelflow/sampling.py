@@ -11,12 +11,12 @@ import numpy as np
 from .domains import Domain, _is_interior
 
 
-def ball_coords(rng: np.random.Generator, count: int, n: int, radius: float = 0.9) -> np.ndarray:
-    """Points in the ball of the given radius in C^n, shape (count, n)."""
+def ball_coords(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Points in the ball of radius 0.9 in C^n, shape (count, n)."""
     raw = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     # Uniform-in-volume radial law for real dimension 2n.
-    r = radius * rng.uniform(0.0, 1.0, (count, 1)) ** (1.0 / (2 * n))
+    r = 0.9 * rng.uniform(0.0, 1.0, (count, 1)) ** (1.0 / (2 * n))
     return raw / norms * r
 
 
@@ -53,9 +53,9 @@ def siegel_coords(
     return out
 
 
-def tangent_vectors(rng: np.random.Generator, count: int, n: int, scale: float = 1.0) -> np.ndarray:
-    """Complex Gaussian tangent vectors, shape (count, n)."""
-    return scale * (rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n)))
+def tangent_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Standard complex Gaussian tangent vectors, shape (count, n)."""
+    return rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
 
 
 def herglotz_measures(rng: np.random.Generator, count: int) -> list:

@@ -364,7 +364,7 @@ class _Pools:
     never by its description: ``reciprocal_1d()`` and ``parse_field("-1/z")``
     print alike but need not compute alike.  A group reads its rows back by
     the handle ``add`` returned.  A pool whose call raises fails each group
-    with rows in it; the rest run (verify-sweep +13.5%, README).
+    with rows in it; the rest run (V 18%, A 16% in process, README).
     """
 
     def __init__(self) -> None:

@@ -164,6 +164,26 @@ def test_non_finite_capacity_samples_name_the_field():
     assert str(two.value) == "slice[1/(1 + z1^2); 0] produced non-finite values"
 
 
+@pytest.mark.parametrize("domain", [Domain.SIEGEL, Domain.BALL])
+def test_an_overflowing_membership_scan_is_a_field_failure(domain):
+    # The field is finite on the grid, but u^2 ||H|| overflows to inf - inf:
+    # a NaN supremum would read "consistent", so it raises, without a warning.
+    with pytest.raises(FieldEvaluationError) as info:
+        membership(parse_field("1e160; 1e160"), 1.0, domain)
+    assert str(info.value) == "u^2 ||H|| of 1e+160; 1e+160 produced non-finite values"
+
+
+def test_an_overflowing_capacity_sample_is_a_field_failure():
+    # h(iy) = iy is finite up to y = 1e300, but y |h(iy)| is not.
+    # The message names the scaled quantity, as a non-finite h(iy) names h.
+    with pytest.raises(FieldEvaluationError) as info:
+        slice_capacities(parse_field("z"), [()], y_max=1e300)
+    assert str(info.value) == "y |h(iy)| of z1 produced non-finite values"
+    with pytest.raises(FieldEvaluationError) as info:
+        slice_capacities(parse_field("0; z1*1e290"), [(1,)], y_max=1e10)
+    assert str(info.value) == "y |h(iy)| of slice[0; z1*1e+290] produced non-finite values"
+
+
 def test_slice_capacities_checks_each_gamma():
     assert slice_capacities(builtin("example2"), []) == []
     with pytest.raises(ValueError, match="finite"):

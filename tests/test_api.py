@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import siegelflow
 
@@ -79,7 +80,6 @@ def test_the_private_names_read_across_modules_are_pinned():
         "flows: analysis._class_constant",
         "flows: domains._interior_and_poisson",
         "flows: domains._is_interior",
-        "flows: fields._COMPLEX",
         "sampling: domains._is_interior",
         "verify: analysis._horosphere_inequality_report",
         "verify: flows._advance",
@@ -89,3 +89,87 @@ def test_the_private_names_read_across_modules_are_pinned():
         "verify: flows._monotonicity_report",
         "verify: flows._semigroup_report",
     }
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_OWN_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_names(scope) -> dict:
+    """The names a module, class or function body binds itself, each with the
+    def or class node it names (None for any other binding)."""
+    names = {}
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        a = scope.args
+        for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+            if arg is not None:
+                names[arg.arg] = None
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _SCOPES):
+            names[node.name] = node  # its body is a scope of its own
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name.split(".")[0], None)
+                         for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.setdefault(node.id, None)
+        elif not isinstance(node, _OWN_SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _resolves(src: pathlib.Path, dotted: str) -> bool:
+    """Whether module.name[.name...] is bound in src/: the name in its module's
+    top level, each further name in the body of the class or function before."""
+    module, *path = dotted.split(".")
+    if not path or not (src / f"{module}.py").is_file():
+        return False
+    scope = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+    for name in path:
+        names = _bound_names(scope) if scope is not None else {}
+        if name not in names:
+            return False
+        scope = names[name]
+    return True
+
+
+def test_resolving_a_dotted_name_walks_its_own_scopes(tmp_path):
+    (tmp_path / "one.py").write_text(
+        "import numpy as np\n"
+        "_sum = np.add.reduce\n"
+        "class Field:\n"
+        "    _formula = None\n"
+        "def flow(t, *, tol):\n"
+        "    last = None\n"
+        "    def apply(points):\n"
+        "        k0 = [row for row in points]\n"
+        "    return apply\n"
+    )
+    (tmp_path / "two.py").write_text("_max = max\n")
+    for dotted in ("one._sum", "one.np", "one.Field._formula", "one.flow.last",
+                   "one.flow.tol", "one.flow.apply.k0", "two._max"):
+        assert _resolves(tmp_path, dotted), dotted
+    # A name bound in another module or scope does not count.
+    for dotted in ("one._max", "two._sum", "one.Field.last", "one.flow.k0",
+                   "one.flow.apply.row", "np.where", "one", "three._sum"):
+        assert not _resolves(tmp_path, dotted), dotted
+
+
+def test_every_kept_perf_only_case_in_the_readme_names_live_code():
+    # README's "Perf-only special cases" tables are the registry of the code
+    # that is there for speed alone.  A row whose verdict is "kept" starts
+    # with a backticked module.name[.name...] that says where the case
+    # lives, and that name must still be bound there: a deleted case cannot
+    # keep a row that says it is kept.
+    src = pathlib.Path(siegelflow.__file__).parent
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Perf-only special cases\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ")]
+    kept = [row[0] for row in rows if row[-1] == "kept"]
+    assert len(kept) >= 10  # the tables were found and read
+    located = [re.match(r"`([A-Za-z_][\w.]*)`", cell) for cell in kept]
+    assert [cell for cell, where in zip(kept, located) if where is None] == []
+    assert [where[1] for where in located if not _resolves(src, where[1])] == []

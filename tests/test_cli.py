@@ -615,6 +615,18 @@ def test_member_violated_exit_1(capsys):
     assert payload["sup"] > 100
 
 
+@pytest.mark.parametrize("argv", [
+    ("member", "--field", "1e160; 1e160", "--c", "1"),
+    ("capacity", "--field", "z", "--y-max", "1e300"),
+], ids=["member", "capacity"])
+def test_an_overflowing_scaled_value_exits_3(capsys, argv):
+    # A finite field whose u^2 ||H|| or y |h(iy)| overflows is a numerical
+    # failure, not a usage error, and prints no JSON.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: ") and "non-finite" in err
+
+
 def test_member_one_dim_route(capsys):
     for grid in ([], ["--grid", "default"], ["--grid", "halfplane-grid-v1"]):
         code, out, _ = run_cli(capsys, "member", "--field", "-1/z", "--c", "1", *grid)

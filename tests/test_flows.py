@@ -9,6 +9,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegelflow import flows
 from siegelflow.cli import main
@@ -457,6 +458,78 @@ def test_a_recorded_pooled_advance_keeps_each_rows_solo_nodes():
         assert states.shape == (len(times), 1) and states.flags.c_contiguous
     assert pooled.accepted == sum(seg.accepted for seg in solo)
     assert pooled.rejected == sum(seg.rejected for seg in solo)
+
+
+# Fields for the pooled-against-solo property, each with its domain and a
+# few interior start points.  Every flow stays inside for all times, and at
+# tol 1e-10 example1 and the Cauchy field reject some rows' steps.
+_POOLABLE = {
+    "example1": (lambda: builtin("example1"), Domain.SIEGEL),
+    "example2": (lambda: builtin("example2"), Domain.SIEGEL),
+    "parsed": (lambda: parse_field("-1/z", 1), Domain.HALF_PLANE),
+    "cauchy": (lambda: cauchy_transform(DiscreteMeasure(((0.4, 0.5), (1.5, 2.0)))),
+               Domain.HALF_PLANE),
+}
+_STARTS = {
+    Domain.SIEGEL: np.array([[1j, 0.5], [2j, 0.0], [0.5 + 3j, 1.0], [4j, -1j],
+                             [0.1 + 1.2j, 0.3 + 0.2j]]),
+    Domain.HALF_PLANE: np.array([[0.5 + 0.2j], [1 + 1j], [2j], [0.3 + 0.4j], [-1 + 3j]]),
+}
+
+
+@st.composite
+def _pooled_runs(draw, min_rows):
+    """A field, its domain, start rows, t0, per-row ends, a tolerance, record, k0."""
+    name = draw(st.sampled_from(sorted(_POOLABLE)))
+    make, domain = _POOLABLE[name]
+    index = draw(st.lists(st.integers(0, 4), min_size=min_rows, max_size=4))
+    t0 = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    # Spans from none and one under the end's floor of 1e-15 up to 1.5.
+    spans = draw(st.lists(st.sampled_from([0.0, 4e-16, 0.05, 0.3, 0.8, 1.5]),
+                          min_size=len(index), max_size=len(index)))
+    tol = draw(st.sampled_from([1e-6, 1e-8, DEFAULT_TOL]))
+    return (make(), domain, _STARTS[domain][index], t0, t0 + np.array(spans), tol,
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pooled_runs(min_rows=1))
+def test_every_pooled_advance_row_is_its_solo_run(run):
+    # _advance needs a row: an empty batch fails at row_floors.argmax().
+    field, domain, starts, t0, ends, tol, record, carry = run
+    k0 = None
+    if carry:  # rows and FSAL stages an earlier call returned
+        first = _advance(field, domain, starts, t0, t0 + 0.1, tol)
+        starts, k0 = first.y, first.k
+    pooled = _advance(field, domain, starts, t0, ends, tol, record=record, k0=k0)
+    for i in range(len(starts)):
+        solo = _advance(field, domain, starts[i:i + 1], t0, float(ends[i]), tol,
+                        record=record, k0=None if k0 is None else k0[i:i + 1])
+        assert pooled.y[i].tobytes() == solo.y[0].tobytes(), i
+        assert pooled.k[i].tobytes() == solo.k[0].tobytes(), i
+        if record:
+            nodes, solo_nodes = pooled.trajectory(i), solo.trajectory()
+            assert [a.tobytes() for a in nodes] == [a.tobytes() for a in solo_nodes], i
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pooled_runs(min_rows=0))
+def test_every_flow_map_row_is_its_solo_image(run):
+    # One time for every row; a second call on the result resumes from its
+    # FSAL stages, and each row must still be its solo run's image.
+    field, domain, starts, _, ends, tol, _, again = run
+    t = float(ends[0]) if len(ends) else 0.5
+    pooled, solo = flow_map(field, t, tol, domain), flow_map(field, t, tol, domain)
+    calls = 2 if again else 1
+    images = starts
+    for _ in range(calls):
+        images = pooled(images)
+    assert images.shape == starts.shape
+    for i in range(len(starts)):
+        image = starts[i:i + 1]
+        for _ in range(calls):
+            image = solo(image)
+        assert images[i].tobytes() == image[0].tobytes(), i
 
 
 @pytest.mark.parametrize("stage", [1, 3, 6])
