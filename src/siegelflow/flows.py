@@ -15,7 +15,15 @@ Points may also have their own end times: integrations of one field, in one
 domain and at one tolerance, that start at one time but stop at different
 ones share the kernel's steps, and each point still ends bit-identical to
 its own run.  A recorded integration keeps every point's accepted nodes, so
-trajectories pool the same way endpoints do.
+trajectories pool the same way endpoints do.  Integrations that run one
+after another pool as chains of legs: a leg is a row with its own start and
+end time, and it may name the leg that continues from it.  When a leg
+finishes, that next leg restarts its row in place, at its own start time,
+from the endpoint and the FSAL stage of the last step, with a fresh initial
+step and controller state, so every leg ends bit-identical to a fresh
+integration from that endpoint.  The flows verify suite runs iterates of a
+flow map, the outer flows of the semigroup law and a Loewner schedule's
+second piece this way, beside its other rows.
 
 The kernel stores a batch of m points in n dimensions component-major,
 contiguous: the state as an (n, m) array and the stages as one (7, n, m)
@@ -207,33 +215,43 @@ def _stages(fill, y: np.ndarray, ks: np.ndarray, outs: tuple, h
         fill(y_i.T, outs[slot])
 
 
+def _initial_step(y: np.ndarray, k: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """First step of each column of y (n, r), with k the field there: 0.01 d0 / d1."""
+    d0 = np.maximum(_max(np.abs(y), axis=0), 1e-6)
+    d1 = np.maximum(_max(np.abs(k), axis=0), 1e-16)
+    return np.minimum(span, 0.01 * d0 / d1)
+
+
 def _advance(
     field: VectorField,
     domain: Domain,
     y0: np.ndarray,
-    t0: float,
+    t0: float | np.ndarray,
     t1: float | np.ndarray,
     tol: float,
     record: bool = False,
     k0: np.ndarray | None = None,
+    then: np.ndarray | None = None,
 ) -> _Segment:
     """Integrate dy/dt = field(y) from t0 to t1 with EPUS error control.
 
     Each row of y0, shape (m, n), has its own time, step size, PI state and
     rejection count, and leaves the stage arrays once it reaches its end, so
-    its result does not depend on the other rows.  ``t1`` is one end time or
-    an (m,) array of per-row end times, each >= t0; a float runs as m equal
-    ends, through the same per-row code.  Row i's end has the floor
-    1e-15 * max(1, |t0|, |t1[i]|): a row whose span is under it takes no
-    step, and every row stops once its time is within it of its end, its
-    last step clipped to land on that end.  Every row must start inside the
-    domain (else DomainViolation, before any field call), and any failing
-    row fails the call.  A row whose step falls below 1e-15 * max(1, |t|)
-    at its own time t raises StepSizeUnderflow.  ``record`` keeps every
-    row's start and accepted nodes in ``seg.nodes``, read back one row at a
-    time by ``seg.trajectory``: a step that every live row accepted adds its
-    ``t`` and ``y`` with the live rows' original indices, and a step that
-    rejects some row adds just the accepted rows.
+    its result does not depend on the other rows.  ``t0`` and ``t1`` are
+    one start and end time or (m,) arrays of per-row times, each end >= its
+    start; a float runs as m equal times, through the same per-row code.
+    Row i's end has the floor 1e-15 * max(1, |t0[i]|, |t1[i]|): a row whose
+    span is under it takes no step, and every row stops once its time is
+    within it of its end, its last step clipped to land on that end.  Every
+    row must start inside the domain (else DomainViolation, before any
+    field call), and any failing row fails the call.  A row whose step
+    falls below 1e-15 * max(1, |t|) at its own time t raises
+    StepSizeUnderflow.  An empty batch returns an empty segment without a
+    field call; a batch of the wrong width raises ArityMismatchError.
+    ``record`` keeps every row's start and accepted nodes in ``seg.nodes``,
+    read back one row at a time by ``seg.trajectory``: a step that every
+    live row accepted adds its ``t`` and ``y`` with the live rows' original
+    indices, and a step that rejects some row adds just the accepted rows.
     The state is held component-major (module docstring); ``seg.y`` is
     (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
     the FSAL stage of the row's last step.
@@ -241,6 +259,15 @@ def _advance(
     in ``seg.y`` and ``seg.k`` (same field and domain) are interior and
     finite, so with ``k0`` the start row test and the checked start call
     are skipped, and every row takes the steps a fresh start would take.
+
+    ``then`` chains legs: with it, the call runs L = len(then) legs, each
+    with its own ``t0[i]`` and ``t1[i]``, and ``then[i]`` is the leg that
+    continues from leg i, or -1.  The legs no leg names start from the rows
+    of y0, in order.  When a leg finishes, the leg it names restarts its
+    row in place, at its own t0, from the finished leg's endpoint and FSAL
+    stage, with a fresh initial step and fresh controller state and counts,
+    so each leg ends as a fresh call from that endpoint would.  ``seg.y``
+    and ``seg.k`` are (L, n), and a recorded leg's start node is its own.
 
     Each step tests finiteness once on the whole live stage buffer
     (``np.isfinite``, then the entry at its argmin); only when some entry is
@@ -251,6 +278,10 @@ def _advance(
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
     n, m = y.shape
+    if not y.size:
+        field._check_points(y.T)  # no step to take and no field call
+        seg.y = seg.k = y.T
+        return seg
     fill = field._fill
     buffer = np.empty(7 * n * m, dtype=complex)
     stages = buffer  # the live rows' stages, flat; ks is the same numbers
@@ -267,51 +298,79 @@ def _advance(
             field._copy_call(y.T, outs[1])
             if not _all(np.isfinite(ks[1]), axis=None):
                 raise FieldEvaluationError("field is not finite at the initial point")
-        t = np.empty(m)
-        t.fill(t0)
-        if record:
-            seg.nodes.append((None, t, y))
-        t_end = np.empty(m)
-        t_end[:] = t1
-        # A row's time stays in [t0, t_end], so its end's floor bounds its own
-        # floor, 1e-15 * max(1, |t|), and the largest end floor bounds every
-        # row's; only a step below that is checked row by row.  An end below
-        # t0 takes no step whatever its floor, and for t_end >= t0,
-        # max(1, |t0|, t_end) is max(1, |t0|, |t_end|).
-        row_floors = _EPS * np.maximum(t_end, max(1.0, abs(t0)))
-        t_done = t_end - row_floors
+        # Without ``then`` the legs are the rows.  ``rows`` holds each live
+        # row's leg once rows finish apart or legs chain.
+        if then is None:
+            legs, rows = m, None
+        else:
+            legs = len(then)
+            heads = np.ones(legs, dtype=bool)
+            heads[then[then >= 0]] = False  # np.setdiff1d would import numpy.ma: 1 MB
+            rows = np.flatnonzero(heads)
+        leg_t0, leg_t1 = np.empty((2, legs))  # each leg's start and end
+        leg_t0[:], leg_t1[:] = t0, t1
+        # A row's time stays in [t0, t1], so its end's floor bounds its own
+        # floor, 1e-15 * max(1, |t|), and the largest end floor over every
+        # leg bounds every row's; only a step below that is checked row by
+        # row.  An end below t0 takes no step whatever its floor, and for
+        # t1 >= t0, max(1, |t0|, t1) is max(1, |t0|, |t1|).
+        row_floors = _EPS * np.maximum(leg_t1, np.maximum(1.0, np.abs(leg_t0)))
+        leg_done = leg_t1 - row_floors
         floor = row_floors[row_floors.argmax()]
         tol = np.array(tol)  # 0-d: an operand in every step
+        if rows is None:
+            t, t_end, t_done = leg_t0, leg_t1, leg_done
+        else:
+            t, t_end, t_done = leg_t0[rows], leg_t1[rows], leg_done[rows]
+        if record:
+            seg.nodes.append((rows, t, y))
 
-        d0 = np.maximum(_max(np.abs(y), axis=0), 1e-6)
-        d1 = np.maximum(_max(np.abs(ks[1]), axis=0), 1e-16)
-        h = np.minimum(t_end - t0, 0.01 * d0 / d1)
+        h = _initial_step(y, ks[1], t_end - t)
         r_prev = np.empty(m)
         r_prev.fill(1.0)
         consecutive, exits = np.zeros((2, m), dtype=int)
-        # Finished rows go to ``out`` at their original index, their states
-        # to out[0] and their stages to out[1] (two arrays, so a result does
-        # not keep its stages alive); ``rows`` and ``out`` exist only once
-        # rows finish at different iterations (up to 2.6% in process, README).
-        live, rows, out = m, None, None
+        # Finished legs go to ``out`` at their index, their states to out[0]
+        # and their stages to out[1] (two arrays, so a result does not keep
+        # its stages alive); ``out`` and an unchained call's ``rows`` exist
+        # only once rows finish at different iterations (up to 2.6% in
+        # process, README).
+        live, out = m, None
 
         while True:
             done = t >= t_done
             if done[done.argmax()]:
-                if done[done.argmin()]:
-                    if out is None:
-                        seg.y, seg.k = y.T.copy(), ks[1].T.copy()
-                    else:
-                        out[0][rows], out[1][rows] = y.T, ks[1].T
-                        seg.y, seg.k = out
-                    return seg
                 if out is None:
-                    out = np.empty((m, n), dtype=complex), np.empty((m, n), dtype=complex)
-                    rows = np.arange(m)
+                    if then is None and done[done.argmin()]:
+                        seg.y, seg.k = y.T.copy(), ks[1].T.copy()
+                        return seg
+                    out = np.empty((legs, n), dtype=complex), np.empty((legs, n), dtype=complex)
+                    if rows is None:
+                        rows = np.arange(m)
                 # compress gathers along axis 1 faster than a boolean index.
                 finished = rows[done]
                 out[0][finished] = y.compress(done, axis=1).T
                 out[1][finished] = ks[1].compress(done, axis=1).T
+                if then is not None:
+                    slots = np.flatnonzero(done & (then[rows] >= 0))
+                    if slots.size:
+                        # The next legs take over their rows, whose y and
+                        # slot 1 hold the endpoints and FSAL stages; rows and
+                        # t are new arrays, since recorded nodes hold the old.
+                        rows = rows.copy()
+                        rows[slots] = then[rows[slots]]
+                        t = t.copy()
+                        t[slots] = leg_t0[rows[slots]]
+                        t_end, t_done = leg_t1[rows], leg_done[rows]
+                        h[slots] = _initial_step(y[:, slots], ks[1][:, slots],
+                                                 t_end[slots] - t[slots])
+                        r_prev[slots] = 1.0
+                        consecutive[slots] = exits[slots] = 0
+                        if record:
+                            seg.nodes.append((rows[slots], t[slots], y[:, slots]))
+                        continue  # a next leg may have no step to take
+                if done[done.argmin()]:
+                    seg.y, seg.k = out
+                    return seg
                 keep = ~done
                 rows, t, h, r_prev, consecutive, exits, t_end, t_done = (
                     a[keep] for a in (rows, t, h, r_prev, consecutive, exits, t_end, t_done)
@@ -586,9 +645,6 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
         nonlocal last
         points = np.asarray(points, dtype=complex)
         flat = points.reshape(-1, points.shape[-1])
-        if not flat.size:
-            field._check_points(flat)  # no step to take and no field call
-            return np.empty_like(points)
         rows, stages = last  # one read: concurrent calls never mix two results
         k0 = stages if rows == flat.tobytes() and stages.shape == flat.shape else None
         seg = _advance(field, domain, flat, 0.0, t, tol, k0=k0)
@@ -806,10 +862,12 @@ class IterationDiagnostic:
 
 # Iterates this close together (max-norm) count as converged.
 _ITERATE_STEP_TOL = 1e-9
+_DIVERGENCE_THRESHOLD = 1e6
 
 
 def iterate_map(
-    self_map, z0: DomainPoint, count: int, divergence_threshold: float = 1e6
+    self_map, z0: DomainPoint, count: int,
+    divergence_threshold: float = _DIVERGENCE_THRESHOLD,
 ) -> IterationDiagnostic:
     """Iterate a self-map and classify the orbit's boundary behavior.
 
@@ -830,32 +888,48 @@ def iterate_map(
             "divergence threshold must be finite and positive, "
             f"got {divergence_threshold}"
         )
+
+    def orbit():  # lazy: the judge stops asking once the orbit is classified
+        image = z0.as_array()[None, :]
+        for _ in range(count):
+            image = np.asarray(self_map(image), dtype=complex)
+            yield image
+
+    with np.errstate(all="ignore"):
+        return _orbit_report(z0, orbit(), divergence_threshold)
+
+
+def _orbit_report(z0: DomainPoint, images, divergence_threshold: float = _DIVERGENCE_THRESHOLD
+                  ) -> IterationDiagnostic:
+    """Classify the orbit of z0 whose iterates ``images`` yields as (1, n) rows.
+
+    The rules are ``iterate_map``'s: it reads iterates until one stops the
+    orbit, and ``iterations`` counts the iterates it read.
+    """
     domain = z0.domain
     current = z0.as_array()[None, :]
     us = [abs(float(poisson_values(domain, current)[0]))]
     tag = None
     performed = 0
-    with np.errstate(all="ignore"):
-        for _ in range(count):
-            image = np.asarray(self_map(current), dtype=complex)
-            performed += 1
-            inside, u = _interior_and_poisson(domain, image)
-            if not inside[0]:
-                if not np.isfinite(image).all():
-                    raise FieldEvaluationError("self-map produced non-finite iterate")
-                point = ", ".join(format_complex(c) for c in image[0])
-                raise DomainViolation(
-                    f"iterate {performed} ({point}) is not interior to {domain.value}"
-                )
-            step = float(_max(np.abs(image - current), axis=None))  # I 2-3% (README)
-            current = image
-            us.append(abs(float(u[0])))
-            if us[-1] > divergence_threshold:
-                tag = "diverges_to_infinity"
-                break
-            if step < _ITERATE_STEP_TOL:
-                tag = "converged_interior"
-                break
+    for image in images:
+        performed += 1
+        inside, u = _interior_and_poisson(domain, image)
+        if not inside[0]:
+            if not np.isfinite(image).all():
+                raise FieldEvaluationError("self-map produced non-finite iterate")
+            point = ", ".join(format_complex(c) for c in image[0])
+            raise DomainViolation(
+                f"iterate {performed} ({point}) is not interior to {domain.value}"
+            )
+        step = float(_max(np.abs(image - current), axis=None))  # I 2-3% (README)
+        current = image
+        us.append(abs(float(u[0])))
+        if us[-1] > divergence_threshold:
+            tag = "diverges_to_infinity"
+            break
+        if step < _ITERATE_STEP_TOL:
+            tag = "converged_interior"
+            break
     us = np.asarray(us)
     if tag is None:
         nondecreasing = bool(np.all(np.diff(us) >= -1e-12 * np.max(us)))

@@ -10,8 +10,9 @@ the same deterministic computation.
 
 Each group evaluates its identity as one array computation over all of its
 samples.  The flows groups also share their integrations: flows of one
-field object and domain, from any group, run as one kernel call, and each
-group judges its own rows of it.  Metric and geodesic quantities are always reached through the
+field object, domain and tolerance, from any group, run as one kernel call,
+flows that continue one another as chains of legs in it, and each group
+judges its own legs of it.  Metric and geodesic quantities are always reached through the
 :mod:`siegelflow.domains` and :mod:`siegelflow.geodesics` module objects
 rather than through direct imports, and the array kernels are what fault
 injection must reach: replacing ``domains.bergman_matrix_array`` (the metric
@@ -357,18 +358,20 @@ def _g_parser_consistency(rng):
 class _Pools:
     """The flows suite's built-in fields and its pools, one of each per run.
 
-    Every flow a group queues here, from time 0 at the default tolerance,
-    joins the pool of its field object and domain, and each pool runs as
-    one recorded ``_advance`` call with per-row end times, so each row is
-    bit-identical to its own run.  Pools are keyed by the field object,
-    never by its description: ``reciprocal_1d()`` and ``parse_field("-1/z")``
-    print alike but need not compute alike.  A group reads its rows back by
-    the handle ``add`` returned.  A pool whose call raises fails each group
-    with rows in it; the rest run (V 18%, A 16% in process, README).
+    Every flow a group queues here joins the pool of its field object,
+    domain and tolerance, and each pool runs as one recorded ``_advance``
+    call with per-leg start and end times, so each leg is bit-identical to
+    its own run.  A chain's legs run one after another in the pool, each
+    from the endpoint of the one before, alongside the pool's other legs.
+    Pools are keyed by the field object, never by its description:
+    ``reciprocal_1d()`` and ``parse_field("-1/z")`` print alike but need not
+    compute alike.  A group reads its legs back by the handle its queue
+    call returned.  A pool whose call raises fails each group with legs in
+    it; the rest run (V 18%, A 16% in process, README).
     """
 
     def __init__(self) -> None:
-        self._queued = {}  # key -> (field, starts, ends)
+        self._queued = {}  # key -> (field, head starts, legs as (t0, t1, next leg))
         self._runs = {}  # key -> the recorded _advance result, or what it raised
 
     # Built by the first group that asks, so a factory that raises fails
@@ -385,27 +388,39 @@ class _Pools:
     def reciprocal(self) -> fields.VectorField:
         return fields.reciprocal_1d()
 
+    def _queue(self, field, domain: Domain, tol: float, starts: np.ndarray, chains):
+        """Queue one chain of (t0, t1) legs per row of the (r, n) ``starts``."""
+        key = (id(field), domain, tol)
+        _, heads, legs = self._queued.setdefault(key, (field, [], []))
+        first = len(legs)
+        heads.append(starts)
+        for chain in chains:
+            last = len(legs) + len(chain) - 1
+            legs.extend((t0, t1, i + 1 if i < last else -1)
+                        for i, (t0, t1) in enumerate(chain, len(legs)))
+        return key, slice(first, len(legs))
+
     def add(self, field, domain: Domain, starts: np.ndarray, t: float):
         """Queue the flows of ``field`` from the (r, n) ``starts`` to time t."""
-        key = (id(field), domain)
-        _, queued, ends = self._queued.setdefault(key, (field, [], []))
-        first = sum(map(len, queued))
-        queued.append(starts)
-        ends.append(np.full(len(starts), t))
-        return key, slice(first, first + len(starts))
+        return self._queue(field, domain, flows.DEFAULT_TOL, starts, [((0.0, t),)] * len(starts))
+
+    def chain(self, field, z0: domains.DomainPoint, legs, tol: float = flows.DEFAULT_TOL):
+        """Queue flows of ``field`` over the (t0, t1) ``legs``, each from the last one's end."""
+        return self._queue(field, z0.domain, tol, z0.as_array()[None], [legs])
 
     def flow(self, field, z0: domains.DomainPoint, t: float):
         """Queue the flow of ``field`` from z0 to time t."""
-        return self.add(field, z0.domain, z0.as_array()[None], t)
+        return self.chain(field, z0, ((0.0, t),))
 
     def run(self) -> None:
-        for key, (field, starts, ends) in self._queued.items():
+        for key, (field, heads, legs) in self._queued.items():
+            t0, t1, then = zip(*legs)
             try:
                 self._runs[key] = flows._advance(
-                    field, key[1], np.concatenate(starts), 0.0,
-                    np.concatenate(ends), flows.DEFAULT_TOL, record=True,
+                    field, key[1], np.concatenate(heads), np.array(t0), np.array(t1),
+                    key[2], record=True, then=np.array(then),
                 )
-            except Exception as exc:  # it fails each group with rows here, at its judge
+            except Exception as exc:  # it fails each group with legs here, at its judge
                 self._runs[key] = exc
 
     def _rows(self, handle):
@@ -416,12 +431,12 @@ class _Pools:
         return seg, rows
 
     def y(self, handle) -> np.ndarray:
-        """The handle's endpoints, (r, n)."""
+        """The handle's legs' endpoints, (r, n)."""
         seg, rows = self._rows(handle)
         return seg.y[rows]
 
     def nodes(self, handle) -> tuple[np.ndarray, np.ndarray]:
-        """The handle's first row's start and accepted nodes, times (N,) and states (N, n)."""
+        """The handle's first leg's start and accepted nodes, times (N,) and states (N, n)."""
         seg, rows = self._rows(handle)
         return seg.trajectory(rows.start)
 
@@ -460,15 +475,13 @@ def _g_semigroup_law(rng, pools):
         (pools.example2, domains.siegel_point(2j, 0.0)),
         (pools.reciprocal, domains.half_plane_point(1 + 1j)),
     )
-    legs = [(field, z0, pools.flow(field, z0, t + s), pools.flow(field, z0, s))
+    # Each outer leg restarts from its inner leg's endpoint, in the same pool.
+    legs = [(pools.flow(field, z0, t + s), pools.chain(field, z0, ((0.0, s), (0.0, t))))
             for field, z0 in cases]
 
     def judge():
-        reports = []
-        for field, z0, joint, inner in legs:
-            outer = flows._advance(field, z0.domain, pools.y(inner), 0.0, t,
-                                   flows.DEFAULT_TOL)
-            reports.append(flows._semigroup_report(pools.y(joint)[0], outer.y[0], t, s))
+        reports = [flows._semigroup_report(pools.y(joint)[0], pools.y(chain)[1], t, s)
+                   for joint, chain in legs]
         worst = max(report.residual for report in reports)
         return _ok(len(reports), worst, reports[0].allowance, "",
                    all(r.passed for r in reports))
@@ -553,23 +566,18 @@ def _g_loewner_restart(rng, pools):
     one = pools.reciprocal
     z0 = domains.half_plane_point(1j)
     plain = pools.flow(one, z0, 2.0)  # the autonomous run, in the -1/z pool
+    # The unsplit run over [0, 2] and the split run, whose second piece
+    # restarts from the first one's endpoint as integrate_loewner does, in
+    # one pool at tol 1e-13.
+    whole = pools.chain(one, z0, ((0.0, 2.0),), tol=1e-13)
+    split = pools.chain(one, z0, ((0.0, 0.7), (0.7, 2.0)), tol=1e-13)
 
     def judge():
         staged = flows.integrate_loewner(
             [(0.0, 1.0, one), (1.0, 2.0, fields.parse_field("-2/z"))], z0, 2.0
         ).final_state[0]
         endpoint_error = abs(staged - 1j * math.sqrt(7.0))
-
-        # The unsplit run over [0, 2] and the split run's first piece over
-        # [0, 0.7] share one call (the flows suite 5.7% faster, README); the
-        # second piece restarts from the first one's endpoint, as
-        # integrate_loewner does.
-        whole, first = flows._advance(
-            one, Domain.HALF_PLANE, np.array([z0.as_array()] * 2), 0.0,
-            np.array([2.0, 0.7]), 1e-13,
-        ).y
-        split = flows._advance(one, Domain.HALF_PLANE, first[None], 0.7, 2.0, 1e-13).y[0]
-        restart_gap = abs(whole[0] - split[0])
+        restart_gap = abs(pools.y(whole)[0, 0] - pools.y(split)[1, 0])
 
         single = flows.integrate_loewner([(0.0, 2.0, one)], z0, 2.0).final_state[0]
         exact_match = pools.y(plain)[0, 0] == single
@@ -617,19 +625,25 @@ def _g_flow_capacity(rng, pools):
 
 
 def _g_iteration_diagnostic(rng, pools):
-    step = flows.flow_map(pools.example2, 1.0)
-    escape = flows.iterate_map(step, domains.siegel_point(1j, 0.5), 50)
-    fixed = flows.iterate_map(lambda pts: pts, domains.siegel_point(1j, 0.5), 10)
-    contracting = flows.iterate_map(
-        lambda pts: np.asarray(pts, dtype=complex) / 2.0,
-        domains.disc_point(0.3),
-        200,
-    )
-    expected = ("diverges_to_infinity", "converged_interior", "converged_interior")
-    got = (escape.tag, fixed.tag, contracting.tag)
-    mismatches = sum(1 for e, g in zip(expected, got) if e != g)
-    detail = "tags " + ", ".join(got)
-    return _ok(3, float(mismatches), 0.0, detail)
+    # The escape orbit is 50 time-1 flow maps of example2, one chain in its
+    # pool; iterate_map's own judge reads it.
+    z0 = domains.siegel_point(1j, 0.5)
+    orbit = pools.chain(pools.example2, z0, ((0.0, 1.0),) * 50)
+
+    def judge():
+        escape = flows._orbit_report(z0, pools.y(orbit)[:, None])
+        fixed = flows.iterate_map(lambda pts: pts, domains.siegel_point(1j, 0.5), 10)
+        contracting = flows.iterate_map(
+            lambda pts: np.asarray(pts, dtype=complex) / 2.0,
+            domains.disc_point(0.3),
+            200,
+        )
+        expected = ("diverges_to_infinity", "converged_interior", "converged_interior")
+        got = (escape.tag, fixed.tag, contracting.tag)
+        mismatches = sum(1 for e, g in zip(expected, got) if e != g)
+        detail = "tags " + ", ".join(got)
+        return _ok(3, float(mismatches), 0.0, detail)
+    return judge
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +686,7 @@ _SUITE_TABLES = {
         ("horosphere-checks", _g_horosphere_checks),
         ("loewner-restart", _g_loewner_restart),
         ("flow-capacity", _unpooled(_g_flow_capacity)),
-        ("iteration-diagnostic", _unpooled(_g_iteration_diagnostic)),
+        ("iteration-diagnostic", _g_iteration_diagnostic),
     ),
 }
 

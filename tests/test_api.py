@@ -87,6 +87,7 @@ def test_the_private_names_read_across_modules_are_pinned():
         "verify: flows._displacement_start",
         "verify: flows._horosphere_image_report",
         "verify: flows._monotonicity_report",
+        "verify: flows._orbit_report",
         "verify: flows._semigroup_report",
     }
 

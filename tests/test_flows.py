@@ -493,9 +493,8 @@ def _pooled_runs(draw, min_rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_pooled_runs(min_rows=1))
+@given(_pooled_runs(min_rows=0))
 def test_every_pooled_advance_row_is_its_solo_run(run):
-    # _advance needs a row: an empty batch fails at row_floors.argmax().
     field, domain, starts, t0, ends, tol, record, carry = run
     k0 = None
     if carry:  # rows and FSAL stages an earlier call returned
@@ -510,6 +509,69 @@ def test_every_pooled_advance_row_is_its_solo_run(run):
         if record:
             nodes, solo_nodes = pooled.trajectory(i), solo.trajectory()
             assert [a.tobytes() for a in nodes] == [a.tobytes() for a in solo_nodes], i
+
+
+@st.composite
+def _chained_runs(draw):
+    """A field, its domain, start rows, one chain of (t0, t1) legs per row,
+    a tolerance, record and k0."""
+    make, domain = _POOLABLE[draw(st.sampled_from(sorted(_POOLABLE)))]
+    index = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    # Starts from 0 and from nonzero times, like a Loewner schedule split at
+    # 0.7; spans from none and one under the end's floor up to 0.8.
+    leg = st.tuples(st.sampled_from([0.0, 0.7, 3.0]),
+                    st.sampled_from([0.0, 4e-16, 0.05, 0.3, 0.8]))
+    chains = [[(t0, t0 + span) for t0, span in draw(st.lists(leg, min_size=1, max_size=5))]
+              for _ in index]
+    tol = draw(st.sampled_from([1e-6, 1e-8, DEFAULT_TOL]))
+    return (make(), domain, _STARTS[domain][index], chains, tol,
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chained_runs())
+def test_every_chained_leg_is_a_fresh_solo_run(run):
+    # Each chain's legs are consecutive, each naming the next.  A leg
+    # restarts from the FSAL stage of the leg before it, and a head with k0
+    # from an earlier call's, yet each must be a fresh call from its start.
+    field, domain, starts, chains, tol, record, carry = run
+    k0 = None
+    if carry:
+        first = _advance(field, domain, starts, 0.0, 0.1, tol)
+        starts, k0 = first.y, first.k
+    legs = [leg for chain in chains for leg in chain]
+    then = np.arange(1, len(legs) + 1)
+    then[np.cumsum([len(chain) for chain in chains]) - 1] = -1
+    t0, t1 = np.array(legs).T
+    pooled = _advance(field, domain, starts, t0, t1, tol, record=record, k0=k0, then=then)
+    i = 0
+    for start, chain in zip(starts, chains):
+        y = start[None]
+        for t0, t1 in chain:
+            solo = _advance(field, domain, y, t0, t1, tol, record=record)
+            assert pooled.y[i].tobytes() == solo.y[0].tobytes(), i
+            assert pooled.k[i].tobytes() == solo.k[0].tobytes(), i
+            if record:
+                nodes, solo_nodes = pooled.trajectory(i), solo.trajectory()
+                assert [a.tobytes() for a in nodes] == [a.tobytes() for a in solo_nodes], i
+            y, i = solo.y, i + 1
+    assert pooled.y.shape == (len(legs), starts.shape[1])
+
+
+def test_advance_on_an_empty_batch_calls_no_field():
+    calls = []
+
+    def evaluator(pts):
+        calls.append(len(pts))
+        return builtin("example2")(pts)
+
+    field = VectorField(2, evaluator, "counted example2")
+    seg = _advance(field, Domain.SIEGEL, np.empty((0, 2)), 0.0, 1.0, DEFAULT_TOL, record=True)
+    assert seg.y.shape == seg.k.shape == (0, 2) and seg.y.dtype == complex
+    assert (seg.accepted, seg.rejected, calls) == (0, 0, [])
+    with pytest.raises(ArityMismatchError, match="points have dimension 3, field expects 2"):
+        _advance(field, Domain.SIEGEL, np.empty((0, 3)), 0.0, 1.0, DEFAULT_TOL)
+    assert calls == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -910,6 +972,32 @@ def test_iterate_flow_map_diverges():
     assert diag.tag == "diverges_to_infinity"
     assert diag.iterations == 50
     assert diag.u_magnitudes[-1] > diag.u_magnitudes[0]
+
+
+@pytest.mark.parametrize("field, z0, count, threshold, tag, whole", [
+    pytest.param(builtin("example2"), siegel_point(1j, 0.5), 50, 1e6,
+                 "diverges_to_infinity", True, id="escape"),
+    pytest.param(builtin("example2"), siegel_point(1j, 0.5), 50, 3.0,
+                 "diverges_to_infinity", False, id="above-threshold"),
+    pytest.param(parse_field("-z", 1), disc_point(0.4 + 0.2j), 40, 1e6,
+                 "converged_interior", False, id="converging"),
+])
+def test_an_orbit_judged_from_a_chain_is_its_iterate_map_report(field, z0, count,
+                                                                 threshold, tag, whole):
+    # The time-1 flow map's orbit as one chain of legs in one kernel call,
+    # judged by iterate_map's own judge, reports what iterate_map reports,
+    # also when the orbit stops before its last iterate.
+    step = flow_map(field, 1.0, domain=z0.domain)
+    report = iterate_map(step, z0, count, divergence_threshold=threshold)
+    then = np.append(np.arange(1, count), -1)
+    chain = _advance(field, z0.domain, z0.as_array()[None], 0.0, 1.0, DEFAULT_TOL,
+                     then=then)
+    judged = flows._orbit_report(z0, chain.y[:, None], threshold)
+    assert report.tag == judged.tag == tag
+    assert report.iterations == judged.iterations
+    assert (report.iterations == count) is whole
+    assert report.u_magnitudes.tobytes() == judged.u_magnitudes.tobytes()
+    assert np.array(report.final).tobytes() == np.array(judged.final).tobytes()
 
 
 def test_iterate_identity_converges():

@@ -117,20 +117,28 @@ def test_a_violated_bound_is_measured_not_lost(monkeypatch):
 def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
                                                              field_evaluations):
     # Flows of one field, domain and tolerance share one kernel call across
-    # groups (the example2, example1 and -1/z pools), and the composite
-    # capacity reuses its inner map's images: 8271 field calls in 1374
-    # steps.  Pooled within groups only, the suite made 9948 calls in 1651
-    # steps, and with every flow on its own 11218 calls in 1862 steps.
-    steps = []
-    stages = flows._stages
+    # groups (the example1, example2 and -1/z pools, the -1/z pool at tol
+    # 1e-13, and two one-group pools), chains restart their legs inside
+    # those calls, and the composite capacity reuses its inner map's images:
+    # 6226 field calls in 1034 steps and 14 kernel calls.  With every chain
+    # leg a call of its own, the suite made 8271 field calls in 1374 steps
+    # and 68 kernel calls; pooled within groups only, 9948 calls in 1651
+    # steps; and with every flow on its own 11218 calls in 1862 steps.
+    steps, calls = [], []
+    stages, advance = flows._stages, flows._advance
 
     def counted_stages(*args):
         steps.append(1)
         return stages(*args)
 
+    def counted_advance(*args, **kwargs):
+        calls.append(1)
+        return advance(*args, **kwargs)
+
     monkeypatch.setattr(flows, "_stages", counted_stages)
+    monkeypatch.setattr(flows, "_advance", counted_advance)
     assert run_suite("flows", 7).passed
-    assert (len(field_evaluations), len(steps)) == (8271, 1374)
+    assert (len(field_evaluations), len(steps), len(calls)) == (6226, 1034, 14)
 
 
 def test_horosphere_checks_report_what_the_public_checks_report():
