@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import re
 import sys
@@ -486,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z0", required=True, help="initial point")
     p.add_argument("--n", type=int, required=True,
                    help=f"iteration budget, 0 to {MAX_ITERATIONS}")
-    p.add_argument("--threshold", type=float, default=1e6,
-                   help="|u| level declared divergent")
+    p.add_argument("--threshold", type=float, help="|u| level declared divergent",
+                   default=inspect.signature(flows.iterate_map)
+                   .parameters["divergence_threshold"].default)
     add_domain(p)
     p.set_defaults(handler=cmd_iterate)
 

@@ -11,19 +11,23 @@ A batch of points runs through one stage kernel with per-point step control:
 every point keeps its own time, step size and controller state, and stages
 are evaluated only on the points still in flight.  A point's result is
 therefore bit-identical whether it is integrated alone or in any batch.
-Points may also have their own end times: integrations of one field, in one
-domain and at one tolerance, that start at one time but stop at different
-ones share the kernel's steps, and each point still ends bit-identical to
-its own run.  A recorded integration keeps every point's accepted nodes, so
+Points may also have their own end times: integrations that start at one
+time but stop at different ones share the kernel's steps, and each point
+still ends bit-identical to its own run.  A recorded integration keeps every point's accepted nodes, so
 trajectories pool the same way endpoints do.  Integrations that run one
 after another pool as chains of legs: a leg is a row with its own start and
 end time, and it may name the leg that continues from it.  When a leg
 finishes, that next leg restarts its row in place, at its own start time,
 from the endpoint and the FSAL stage of the last step, with a fresh initial
 step and controller state, so every leg ends bit-identical to a fresh
-integration from that endpoint.  The flows verify suite runs iterates of a
-flow map, the outer flows of the semigroup law and a Loewner schedule's
-second piece this way, beside its other rows.
+integration from that endpoint.  Each leg also has its own tolerance, and
+one call may carry several parts, each a field in a domain with its own
+legs: the stage arithmetic is elementwise per row, so rows of different
+fields share the steps while each part's rows are filled by its own field
+and tested against its own domain.  The flows verify suite runs all its
+integrations of one dimension as one call, across fields, domains and
+tolerances, with the iterates of a flow map, the outer flows of the
+semigroup law and a Loewner schedule's second piece as chains in it.
 
 The kernel stores a batch of m points in n dimensions component-major,
 contiguous: the state as an (n, m) array and the stages as one (7, n, m)
@@ -222,16 +226,47 @@ def _initial_step(y: np.ndarray, k: np.ndarray, span: np.ndarray) -> np.ndarray:
     return np.minimum(span, 0.01 * d0 / d1)
 
 
+def _blocks(parts, row_part: np.ndarray):
+    """The fill, field, domain and row blocks of rows whose parts are ``row_part``.
+
+    ``row_part`` holds each live row's part, nondecreasing.  Rows of one part
+    get that part's own ``_fill``, field and domain, and no blocks (None);
+    rows of several parts get a fill that runs each part's ``_fill`` on its
+    rows, no field or domain, and each live part's (field, domain, lo, hi)
+    row block.
+    """
+    if row_part[0] == row_part[-1]:
+        field, domain, _ = parts[row_part[0]]
+        return field._fill, field, domain, None
+    blocks, lo = [], 0
+    for (field, domain, _), hi in zip(parts, np.bincount(row_part).cumsum().tolist()):
+        if hi > lo:
+            blocks.append((field, domain, lo, hi))
+        lo = hi
+
+    def fill(points, out):
+        for field, _, lo, hi in blocks:
+            field._fill(points[lo:hi], out[lo:hi])
+    return fill, None, None, blocks
+
+
+def _interior(blocks, points: np.ndarray) -> np.ndarray:
+    """Each row's interior test in its own part's domain, over the row blocks."""
+    return np.concatenate([_is_interior(domain, points[lo:hi])
+                           for _, domain, lo, hi in blocks])
+
+
 def _advance(
-    field: VectorField,
-    domain: Domain,
+    field: VectorField | None,
+    domain: Domain | None,
     y0: np.ndarray,
     t0: float | np.ndarray,
     t1: float | np.ndarray,
-    tol: float,
-    record: bool = False,
+    tol: float | np.ndarray,
+    record: bool | np.ndarray = False,
     k0: np.ndarray | None = None,
     then: np.ndarray | None = None,
+    parts=None,
 ) -> _Segment:
     """Integrate dy/dt = field(y) from t0 to t1 with EPUS error control.
 
@@ -240,6 +275,7 @@ def _advance(
     its result does not depend on the other rows.  ``t0`` and ``t1`` are
     one start and end time or (m,) arrays of per-row times, each end >= its
     start; a float runs as m equal times, through the same per-row code.
+    ``tol`` is one tolerance or an (m,) array of per-row ones, the same way.
     Row i's end has the floor 1e-15 * max(1, |t0[i]|, |t1[i]|): a row whose
     span is under it takes no step, and every row stops once its time is
     within it of its end, its last step clipped to land on that end.  Every
@@ -252,6 +288,8 @@ def _advance(
     read back one row at a time by ``seg.trajectory``: a step that every
     live row accepted adds its ``t`` and ``y`` with the live rows' original
     indices, and a step that rejects some row adds just the accepted rows.
+    ``record`` may also be a boolean mask over the rows, which keeps only
+    the nodes of the rows it marks.
     The state is held component-major (module docstring); ``seg.y`` is
     (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
     the FSAL stage of the row's last step.
@@ -261,13 +299,23 @@ def _advance(
     are skipped, and every row takes the steps a fresh start would take.
 
     ``then`` chains legs: with it, the call runs L = len(then) legs, each
-    with its own ``t0[i]`` and ``t1[i]``, and ``then[i]`` is the leg that
-    continues from leg i, or -1.  The legs no leg names start from the rows
-    of y0, in order.  When a leg finishes, the leg it names restarts its
-    row in place, at its own t0, from the finished leg's endpoint and FSAL
-    stage, with a fresh initial step and fresh controller state and counts,
-    so each leg ends as a fresh call from that endpoint would.  ``seg.y``
-    and ``seg.k`` are (L, n), and a recorded leg's start node is its own.
+    with its own ``t0[i]``, ``t1[i]`` and ``tol[i]``, and ``then[i]`` is
+    the leg that continues from leg i, or -1.  The legs no leg names start
+    from the rows of y0, in order.  When a leg finishes, the leg it names
+    restarts its row in place, at its own t0, from the finished leg's
+    endpoint and FSAL stage, with a fresh initial step and fresh controller
+    state and counts, so each leg ends as a fresh call from that endpoint
+    would.  ``seg.y`` and ``seg.k`` are (L, n), a ``record`` mask is over
+    the legs, and a recorded leg's start node is its own.
+
+    ``parts`` runs several problems of one dimension in the call: a
+    sequence of (field, domain, L_p) triples, in place of ``field`` and
+    ``domain`` (pass None for both).  Part p owns the next L_p legs, laid
+    out part-major, and a chain stays inside its part, so each part's live
+    rows stay one contiguous block.  Each stage fills each live part's
+    block with its own ``_fill``, and each part's rows are tested against
+    its own domain; once the live rows all belong to one part, the call
+    runs on as that part alone.  Any failing part fails the call.
 
     Each step tests finiteness once on the whole live stage buffer
     (``np.isfinite``, then the entry at its argmin); only when some entry is
@@ -278,11 +326,13 @@ def _advance(
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
     n, m = y.shape
+    if parts is not None and len(parts) == 1:
+        (field, domain, _), parts = parts[0], None
     if not y.size:
-        field._check_points(y.T)  # no step to take and no field call
+        for part in (field,) if parts is None else [part for part, _, _ in parts]:
+            part._check_points(y.T)  # no step to take and no field call
         seg.y = seg.k = y.T
         return seg
-    fill = field._fill
     buffer = np.empty(7 * n * m, dtype=complex)
     stages = buffer  # the live rows' stages, flat; ks is the same numbers
     ks = buffer.reshape(7, n, m)
@@ -290,16 +340,8 @@ def _advance(
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
-        if k0 is not None:
-            ks[1] = k0.T
-        else:
-            if not _all(_is_interior(domain, y.T)):
-                raise DomainViolation("flow started at a non-interior point")
-            field._copy_call(y.T, outs[1])
-            if not _all(np.isfinite(ks[1]), axis=None):
-                raise FieldEvaluationError("field is not finite at the initial point")
         # Without ``then`` the legs are the rows.  ``rows`` holds each live
-        # row's leg once rows finish apart or legs chain.
+        # row's leg once rows finish apart, legs chain or a mask records.
         if then is None:
             legs, rows = m, None
         else:
@@ -307,8 +349,27 @@ def _advance(
             heads = np.ones(legs, dtype=bool)
             heads[then[then >= 0]] = False  # np.setdiff1d would import numpy.ma: 1 MB
             rows = np.flatnonzero(heads)
-        leg_t0, leg_t1 = np.empty((2, legs))  # each leg's start and end
-        leg_t0[:], leg_t1[:] = t0, t1
+        # ``blocks`` is None while the live rows belong to one part, whose
+        # ``_fill`` and domain the steps then use directly (I 12%, O 11%,
+        # README).
+        if parts is None:
+            fill, blocks = field._fill, None
+        else:
+            leg_part = np.arange(len(parts)).repeat([size for _, _, size in parts])
+            fill, field, domain, blocks = _blocks(
+                parts, leg_part if rows is None else leg_part[rows])
+        if k0 is not None:
+            ks[1] = k0.T
+        else:
+            inside = _is_interior(domain, y.T) if blocks is None else _interior(blocks, y.T)
+            if not _all(inside):
+                raise DomainViolation("flow started at a non-interior point")
+            for part, _, lo, hi in blocks or ((field, domain, 0, m),):
+                part._copy_call(y.T[lo:hi], outs[1][lo:hi])
+            if not _all(np.isfinite(ks[1]), axis=None):
+                raise FieldEvaluationError("field is not finite at the initial point")
+        leg_t0, leg_t1, leg_tol = np.empty((3, legs))  # each leg's start, end and tol
+        leg_t0[:], leg_t1[:], leg_tol[:] = t0, t1, tol
         # A row's time stays in [t0, t1], so its end's floor bounds its own
         # floor, 1e-15 * max(1, |t|), and the largest end floor over every
         # leg bounds every row's; only a step below that is checked row by
@@ -317,13 +378,20 @@ def _advance(
         row_floors = _EPS * np.maximum(leg_t1, np.maximum(1.0, np.abs(leg_t0)))
         leg_done = leg_t1 - row_floors
         floor = row_floors[row_floors.argmax()]
-        tol = np.array(tol)  # 0-d: an operand in every step
+        # ``noted`` marks each live row whose nodes a ``record`` mask keeps.
+        noted = None
+        if isinstance(record, np.ndarray):
+            leg_noted, record = record, bool(_any(record))
+            if rows is None:
+                rows = np.arange(m)
+            noted = leg_noted[rows]
         if rows is None:
-            t, t_end, t_done = leg_t0, leg_t1, leg_done
+            t, t_end, t_done, tol = leg_t0, leg_t1, leg_done, leg_tol
         else:
-            t, t_end, t_done = leg_t0[rows], leg_t1[rows], leg_done[rows]
+            t, t_end, t_done, tol = leg_t0[rows], leg_t1[rows], leg_done[rows], leg_tol[rows]
         if record:
-            seg.nodes.append((rows, t, y))
+            seg.nodes.append((rows, t, y) if noted is None else
+                             (rows[noted], t[noted], y[:, noted]))
 
         h = _initial_step(y, ks[1], t_end - t)
         r_prev = np.empty(m)
@@ -360,22 +428,29 @@ def _advance(
                         rows[slots] = then[rows[slots]]
                         t = t.copy()
                         t[slots] = leg_t0[rows[slots]]
-                        t_end, t_done = leg_t1[rows], leg_done[rows]
+                        t_end, t_done, tol = leg_t1[rows], leg_done[rows], leg_tol[rows]
                         h[slots] = _initial_step(y[:, slots], ks[1][:, slots],
                                                  t_end[slots] - t[slots])
                         r_prev[slots] = 1.0
                         consecutive[slots] = exits[slots] = 0
-                        if record:
+                        if noted is not None:
+                            noted[slots] = leg_noted[rows[slots]]
+                            slots = slots[noted[slots]]
+                        if record and slots.size:
                             seg.nodes.append((rows[slots], t[slots], y[:, slots]))
                         continue  # a next leg may have no step to take
                 if done[done.argmin()]:
                     seg.y, seg.k = out
                     return seg
                 keep = ~done
-                rows, t, h, r_prev, consecutive, exits, t_end, t_done = (
-                    a[keep] for a in (rows, t, h, r_prev, consecutive, exits, t_end, t_done)
+                rows, t, h, r_prev, consecutive, exits, t_end, t_done, tol = (
+                    a[keep] for a in (rows, t, h, r_prev, consecutive, exits, t_end, t_done, tol)
                 )
                 live = rows.size
+                if noted is not None:
+                    noted = noted[keep]
+                if blocks is not None:
+                    fill, field, domain, blocks = _blocks(parts, leg_part[rows])
                 y = y.compress(keep, axis=1)
                 # Only slot 1 carries over; shrink the stage buffer in place,
                 # keeping it contiguous over the first 7 * n * live numbers.
@@ -406,7 +481,8 @@ def _advance(
             # Slot 1 is finite (checked above, carried in, or from an accepted
             # step), so a non-finite entry is one of this step's stages.
             finite = np.isfinite(stages)
-            inside = _is_interior(domain, y_new.T)
+            inside = (_is_interior(domain, y_new.T) if blocks is None
+                      else _interior(blocks, y_new.T))
             if not finite[finite.argmin()]:  # whole buffer first: 1-4% (README)
                 inside &= _all(finite.reshape(7, n, live), axis=(0, 1))
             err = _max(np.abs(e), axis=0)
@@ -425,8 +501,11 @@ def _advance(
                 seg.accepted += live
                 seg.max_error = max(seg.max_error, float(err[err.argmax()]))
                 if record:
-                    # A copy: a few-row y views _stages' running sums.
-                    seg.nodes.append((rows, t, y.copy()))
+                    if noted is None:
+                        # A copy: a few-row y views _stages' running sums.
+                        seg.nodes.append((rows, t, y.copy()))
+                    elif noted[noted.argmax()]:
+                        seg.nodes.append((rows[noted], t[noted], y[:, noted]))
             else:
                 n_accepted = int(np.count_nonzero(accept))
                 h_shrink = h_step * np.maximum(0.1, 0.9 * r**-0.25)
@@ -441,10 +520,14 @@ def _advance(
                 seg.rejected += live - n_accepted
                 seg.max_error = max(seg.max_error, float(_max(err[accept], initial=0.0)))
                 if record and n_accepted:
-                    index = np.flatnonzero(accept) if rows is None else rows[accept]
-                    seg.nodes.append((index, t[accept], y[:, accept]))
+                    kept = accept if noted is None else accept & noted
+                    index = np.flatnonzero(kept) if rows is None else rows[kept]
+                    if index.size:
+                        seg.nodes.append((index, t[kept], y[:, kept]))
                 if _any(exits >= _MAX_DOMAIN_EXITS):
                     k = int(np.argmax(exits))
+                    if blocks is not None:
+                        domain = next(d for _, d, lo, hi in blocks if lo <= k < hi)
                     raise StepSizeUnderflow(
                         f"step size underflow: creeping along the boundary of the "
                         f"{domain.value} near t = {t[k]}; {exits[k]} rejected steps left it"
@@ -945,6 +1028,10 @@ def _orbit_report(z0: DomainPoint, images, divergence_threshold: float = _DIVERG
     )
 
 
+# The top of extract_capacity's window of heights (its docstring).
+_SELF_MAP_Y_MAX = 1e5
+
+
 def extract_capacity(self_map) -> CapacityEstimate:
     """Capacity of a 1-d self-map via the tail of y |f(iy) - iy|, 1 <= y <= 1e5.
 
@@ -955,4 +1042,4 @@ def extract_capacity(self_map) -> CapacityEstimate:
     dominate the tail for double precision.
     """
     displacement = _minus_identity(self_map, 1, "self-map displacement")
-    return slice_capacities(displacement, [()], y_max=1e5)[0]
+    return slice_capacities(displacement, [()], y_max=_SELF_MAP_Y_MAX)[0]

@@ -9,12 +9,13 @@ it is too: no timestamps, no environment probes, and every float comes from
 the same deterministic computation.
 
 Each group evaluates its identity as one array computation over all of its
-samples.  The flows groups also share their integrations: flows of one
-field object, domain and tolerance, from any group, run as one kernel call,
-flows that continue one another as chains of legs in it, and each group
-judges its own legs of it.  Metric and geodesic quantities are always reached through the
-:mod:`siegelflow.domains` and :mod:`siegelflow.geodesics` module objects
-rather than through direct imports, and the array kernels are what fault
+samples.  The flows groups also share their integrations: the flows of
+one dimension, from any group and of any field, domain and tolerance, run
+as one kernel call, flows that continue one another as chains of legs in
+it, and each group judges its own legs of it.  Metric and geodesic
+quantities are always reached through the :mod:`siegelflow.domains` and
+:mod:`siegelflow.geodesics` module objects rather than through direct
+imports, and the array kernels are what fault
 injection must reach: replacing ``domains.bergman_matrix_array`` (the metric
 behind ``bergman_norm_sq`` and ``bergman_matrix``) with a wrong metric must
 flip the Pythagoras groups to failed, and a ``domains.poisson_values`` that
@@ -358,21 +359,28 @@ def _g_parser_consistency(rng):
 class _Pools:
     """The flows suite's built-in fields and its pools, one of each per run.
 
-    Every flow a group queues here joins the pool of its field object,
-    domain and tolerance, and each pool runs as one recorded ``_advance``
-    call with per-leg start and end times, so each leg is bit-identical to
-    its own run.  A chain's legs run one after another in the pool, each
-    from the endpoint of the one before, alongside the pool's other legs.
-    Pools are keyed by the field object, never by its description:
-    ``reciprocal_1d()`` and ``parse_field("-1/z")`` print alike but need not
-    compute alike.  A group reads its legs back by the handle its queue
-    call returned.  A pool whose call raises fails each group with legs in
-    it; the rest run (V 18%, A 16% in process, README).
+    Every flow a group queues here joins the part of its field object and
+    domain, as a leg with its own start and end time and tolerance.  The
+    parts of one dimension, whatever their fields, domains and tolerances,
+    run as one ``_advance`` call, so each leg is bit-identical to its own
+    run.  A chain's legs run one after another in their part, each from the
+    endpoint of the one before, alongside the other legs.  Parts are keyed
+    by the field object, never by its description: ``reciprocal_1d()`` and
+    ``parse_field("-1/z")`` print alike but need not compute alike.  Only
+    the legs queued with ``record`` keep their nodes.  A group reads its
+    legs back by the handle its queue call returned.  When a call raises,
+    each of its parts runs again alone, and a part whose call raises fails
+    each group with legs in it; the rest run (V 18%, A 16% in process, and
+    V 10%, A 8% for the merge across parts, README).
     """
 
     def __init__(self) -> None:
-        self._queued = {}  # key -> (field, head starts, legs as (t0, t1, next leg))
-        self._runs = {}  # key -> the recorded _advance result, or what it raised
+        # (id(field), domain) -> [field, domain, head starts, legs as
+        # (t0, t1, next leg within the part, tol, record)]
+        self._parts = {}
+        # part key -> (the _advance result, the part's first leg in it), or
+        # what the part's call raised
+        self._runs = {}
 
     # Built by the first group that asks, so a factory that raises fails
     # that group, and each later one that asks, not the suite.
@@ -388,47 +396,74 @@ class _Pools:
     def reciprocal(self) -> fields.VectorField:
         return fields.reciprocal_1d()
 
-    def _queue(self, field, domain: Domain, tol: float, starts: np.ndarray, chains):
+    def chains(self, field, domain: Domain, starts: np.ndarray, chains,
+               tol: float = flows.DEFAULT_TOL, record: bool = False):
         """Queue one chain of (t0, t1) legs per row of the (r, n) ``starts``."""
-        key = (id(field), domain, tol)
-        _, heads, legs = self._queued.setdefault(key, (field, [], []))
+        key = (id(field), domain)
+        _, _, heads, legs = self._parts.setdefault(key, [field, domain, [], []])
         first = len(legs)
         heads.append(starts)
         for chain in chains:
             last = len(legs) + len(chain) - 1
-            legs.extend((t0, t1, i + 1 if i < last else -1)
+            legs.extend((t0, t1, i + 1 if i < last else -1, tol, record)
                         for i, (t0, t1) in enumerate(chain, len(legs)))
         return key, slice(first, len(legs))
 
-    def add(self, field, domain: Domain, starts: np.ndarray, t: float):
-        """Queue the flows of ``field`` from the (r, n) ``starts`` to time t."""
-        return self._queue(field, domain, flows.DEFAULT_TOL, starts, [((0.0, t),)] * len(starts))
+    def add(self, field, domain: Domain, starts: np.ndarray, t):
+        """Queue the flows of ``field`` from the (r, n) ``starts`` to time t (or t[i])."""
+        return self.chains(field, domain, starts,
+                           [((0.0, end),) for end in np.broadcast_to(t, len(starts))])
 
-    def chain(self, field, z0: domains.DomainPoint, legs, tol: float = flows.DEFAULT_TOL):
+    def chain(self, field, z0: domains.DomainPoint, legs, tol: float = flows.DEFAULT_TOL,
+              record: bool = False):
         """Queue flows of ``field`` over the (t0, t1) ``legs``, each from the last one's end."""
-        return self._queue(field, z0.domain, tol, z0.as_array()[None], [legs])
+        return self.chains(field, z0.domain, z0.as_array()[None], [legs], tol, record)
 
-    def flow(self, field, z0: domains.DomainPoint, t: float):
+    def flow(self, field, z0: domains.DomainPoint, t: float, record: bool = False):
         """Queue the flow of ``field`` from z0 to time t."""
-        return self.chain(field, z0, ((0.0, t),))
+        return self.chain(field, z0, ((0.0, t),), record=record)
 
     def run(self) -> None:
-        for key, (field, heads, legs) in self._queued.items():
-            t0, t1, then = zip(*legs)
+        """One ``_advance`` call per dimension; a call that raises runs again part by part."""
+        dimensions = {}
+        for key, (_, _, heads, _) in self._parts.items():
+            dimensions.setdefault(heads[0].shape[1], []).append(key)
+        for keys in dimensions.values():
             try:
-                self._runs[key] = flows._advance(
-                    field, key[1], np.concatenate(heads), np.array(t0), np.array(t1),
-                    key[2], record=True, then=np.array(then),
-                )
-            except Exception as exc:  # it fails each group with legs here, at its judge
-                self._runs[key] = exc
+                seg = self._call(keys)
+            except Exception:
+                for key in keys:
+                    try:
+                        self._runs[key] = self._call([key]), 0
+                    except Exception as exc:  # it fails each group with legs here, at its judge
+                        self._runs[key] = exc
+                continue
+            first = 0
+            for key in keys:
+                self._runs[key] = seg, first
+                first += len(self._parts[key][3])
+
+    def _call(self, keys):
+        """The recorded ``_advance`` call of the parts ``keys``, laid out part-major."""
+        parts, heads, legs = [], [], []
+        for key in keys:
+            field, domain, part_heads, part_legs = self._parts[key]
+            parts.append((field, domain, len(part_legs)))
+            heads.extend(part_heads)
+            shift = len(legs)  # a part's next legs shift by the legs before it
+            legs.extend((t0, t1, then + shift if then >= 0 else -1, tol, record)
+                        for t0, t1, then, tol, record in part_legs)
+        t0, t1, then, tol, record = (np.array(column) for column in zip(*legs))
+        return flows._advance(None, None, np.concatenate(heads), t0, t1, tol,
+                              record=record, then=then, parts=parts)
 
     def _rows(self, handle):
         key, rows = handle
-        seg = self._runs[key]
-        if isinstance(seg, Exception):
-            raise seg
-        return seg, rows
+        run = self._runs[key]
+        if isinstance(run, Exception):
+            raise run
+        seg, first = run
+        return seg, slice(first + rows.start, first + rows.stop)
 
     def y(self, handle) -> np.ndarray:
         """The handle's legs' endpoints, (r, n)."""
@@ -436,7 +471,10 @@ class _Pools:
         return seg.y[rows]
 
     def nodes(self, handle) -> tuple[np.ndarray, np.ndarray]:
-        """The handle's first leg's start and accepted nodes, times (N,) and states (N, n)."""
+        """The handle's first leg's start and accepted nodes, times (N,) and states (N, n).
+
+        Only a leg queued with ``record`` has them.
+        """
         seg, rows = self._rows(handle)
         return seg.trajectory(rows.start)
 
@@ -490,10 +528,10 @@ def _g_semigroup_law(rng, pools):
 
 def _g_julia_monotonicity(rng, pools):
     runs = (
-        pools.flow(pools.example1, domains.siegel_point(1j, 0.5), 2.0),
-        pools.flow(pools.example2, domains.siegel_point(2j, 0.0), 2.0),
-        pools.flow(pools.example2, domains.siegel_point(1j, 0.5), 1.0),
-        pools.flow(fields.zero_field(2), domains.siegel_point(1j, 0.5), 1.0),
+        pools.flow(pools.example1, domains.siegel_point(1j, 0.5), 2.0, record=True),
+        pools.flow(pools.example2, domains.siegel_point(2j, 0.0), 2.0, record=True),
+        pools.flow(pools.example2, domains.siegel_point(1j, 0.5), 1.0, record=True),
+        pools.flow(fields.zero_field(2), domains.siegel_point(1j, 0.5), 1.0, record=True),
     )
 
     def judge():
@@ -600,28 +638,34 @@ def _known_at(points, images):
 
 
 def _g_flow_capacity(rng, pools):
+    # extract_capacity maps the window of heights below, as slice_capacities
+    # builds it; the flows of every window point ride in the pools, and
+    # extract_capacity reads their images back through _known_at.
+    defaults = analysis.CAPACITY_DEFAULTS
+    ys = np.geomspace(defaults["y_min"], flows._SELF_MAP_Y_MAX, defaults["count"])
+    window = geodesics.geodesic_coords(np.zeros((1, 1, 0)), 1j * ys)
+    starts = window.reshape(-1, 1)
     measure = fields.DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
-    field = fields.cauchy_transform(measure)
-    errors = []
-    for t in (0.5, 1.0, 2.0):
-        estimate = flows.extract_capacity(flows.flow_map(field, t))
-        errors.append(abs(estimate.value - t * measure.total_mass))
-    step = flows.flow_map(pools.reciprocal, 1.0)
-    window = []  # the points extract_capacity maps, and step's images of them
+    times = (0.5, 1.0, 2.0)
+    # The three time-t maps of the Cauchy field, one part with per-row ends.
+    maps = pools.add(fields.cauchy_transform(measure), Domain.HALF_PLANE,
+                     np.concatenate([starts] * len(times)), np.repeat(times, len(starts)))
+    # step and step o step of -1/z: one two-leg chain per window point.
+    steps = pools.chains(pools.reciprocal, Domain.HALF_PLANE, starts,
+                         [((0.0, 1.0), (0.0, 1.0))] * len(starts))
 
-    def recorded(pts):
-        images = step(pts)
-        window.append((pts, images))
-        return images
+    def capacity(images):
+        return flows.extract_capacity(_known_at(window, images.reshape(window.shape))).value
 
-    cap_one = flows.extract_capacity(recorded).value
-    # step o step maps the same window: its inner step is known there (2% of
-    # the flows suite, README), and the outer one resumes from its FSAL stages.
-    inner = _known_at(*window[0])
-    cap_two = flows.extract_capacity(lambda pts: step(inner(pts))).value
-    errors.append(abs(2.0 * cap_one - cap_two))
-    detail = f"composite capacity {cap_two:.6f} vs parts {cap_one:.6f} + {cap_one:.6f}"
-    return _ok(len(errors), max(errors), 1e-3, detail)
+    def judge():
+        errors = [abs(capacity(images) - t * measure.total_mass)
+                  for t, images in zip(times, np.split(pools.y(maps), len(times)))]
+        images = pools.y(steps)
+        cap_one, cap_two = capacity(images[0::2]), capacity(images[1::2])
+        errors.append(abs(2.0 * cap_one - cap_two))
+        detail = f"composite capacity {cap_two:.6f} vs parts {cap_one:.6f} + {cap_one:.6f}"
+        return _ok(len(errors), max(errors), 1e-3, detail)
+    return judge
 
 
 def _g_iteration_diagnostic(rng, pools):
@@ -685,7 +729,7 @@ _SUITE_TABLES = {
         ("displacement-bound", _g_displacement_bound),
         ("horosphere-checks", _g_horosphere_checks),
         ("loewner-restart", _g_loewner_restart),
-        ("flow-capacity", _unpooled(_g_flow_capacity)),
+        ("flow-capacity", _g_flow_capacity),
         ("iteration-diagnostic", _g_iteration_diagnostic),
     ),
 }
@@ -727,8 +771,8 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
     """Run one named suite with per-group seeded generators.
 
     The flows suite runs in two passes: every group draws, queueing its
-    flows in the suite's pools; then each pool runs as one kernel call, and
-    each group's judge reads its rows.
+    flows in the suite's pools; then the pools of each dimension run as one
+    kernel call, and each group's judge reads its rows.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"verify seed must be a non-negative integer, got {seed}")

@@ -82,6 +82,7 @@ def test_the_private_names_read_across_modules_are_pinned():
         "flows: domains._is_interior",
         "sampling: domains._is_interior",
         "verify: analysis._horosphere_inequality_report",
+        "verify: flows._SELF_MAP_Y_MAX",
         "verify: flows._advance",
         "verify: flows._displacement_report",
         "verify: flows._displacement_start",

@@ -1,6 +1,7 @@
 """Command-line contract: flag parsing, JSON output, and exit codes."""
 
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siegelflow import cli, grids
+from siegelflow import cli, flows, grids
 from siegelflow.cli import main, parse_point, resolve_field, resolve_map
 from siegelflow.domains import Domain, parse_complex
 
@@ -764,6 +765,13 @@ def test_iterate_bad_threshold_exits_2(capsys, threshold):
     assert code == 2
     assert out == ""
     assert "threshold" in err
+
+
+def test_iterate_threshold_defaults_to_iterate_maps_default():
+    # One default: a change to iterate_map's threshold moves the CLI's too.
+    default = inspect.signature(flows.iterate_map).parameters["divergence_threshold"].default
+    args = cli.build_parser().parse_args(["iterate", "--map", "-z", "--z0", "0.3", "--n", "1"])
+    assert args.threshold == default == 1e6
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -558,6 +558,111 @@ def test_every_chained_leg_is_a_fresh_solo_run(run):
     assert pooled.y.shape == (len(legs), starts.shape[1])
 
 
+# Parts for the merged-call property, by dimension: fields of one dimension
+# in their domains, with the -z contraction on the disc beside the
+# half-plane fields.
+_PARTS = {
+    2: {**{name: _POOLABLE[name] for name in ("example1", "example2")},
+        "zero": (lambda: zero_field(2), Domain.SIEGEL)},
+    1: {**{name: _POOLABLE[name] for name in ("parsed", "cauchy")},
+        "contraction": (lambda: parse_field("-z", 1), Domain.DISC)},
+}
+_STARTS[Domain.DISC] = np.array([[0.3 + 0.2j], [-0.5j], [0.1], [0.6 - 0.1j], [-0.2 + 0.4j]])
+
+
+@st.composite
+def _merged_runs(draw):
+    """2-3 parts of one dimension, each (field, domain, starts, chains of
+    (t0, t1, tol) legs, record mask), and k0."""
+    table = _PARTS[draw(st.sampled_from(sorted(_PARTS)))]
+    leg = st.tuples(st.sampled_from([0.0, 0.7, 3.0]),
+                    st.sampled_from([0.0, 4e-16, 0.05, 0.3, 0.8]),
+                    st.sampled_from([1e-6, 1e-8, DEFAULT_TOL]))
+    parts = []
+    for name in draw(st.lists(st.sampled_from(sorted(table)), min_size=2, max_size=3)):
+        make, domain = table[name]
+        index = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        chains = [[(t0, t0 + span, tol) for t0, span, tol in
+                   draw(st.lists(leg, min_size=1, max_size=3))] for _ in index]
+        noted = draw(st.lists(st.booleans(), min_size=sum(map(len, chains)),
+                              max_size=sum(map(len, chains))))
+        parts.append((make(), domain, _STARTS[domain][index], chains, np.array(noted)))
+    return parts, draw(st.sampled_from([False, True, "mask"])), draw(st.booleans())
+
+
+def _leg_arrays(chains):
+    """t0, t1, tol and then of chains of (t0, t1, tol) legs, laid out in order."""
+    legs = [leg for chain in chains for leg in chain]
+    then = np.arange(1, len(legs) + 1)
+    then[np.cumsum([len(chain) for chain in chains]) - 1] = -1
+    return (*np.array(legs).T, then)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_merged_runs())
+def test_every_leg_of_a_merged_call_is_its_one_part_run(run):
+    # Parts of different fields, domains and tolerances share one call's
+    # steps, yet each leg must end as the call of its part alone ends it.
+    parts, record, carry = run
+    alone = []
+    for field, domain, starts, chains, noted in parts:
+        k0 = None
+        if carry:
+            first = _advance(field, domain, starts, 0.0, 0.1, DEFAULT_TOL)
+            starts, k0 = first.y, first.k
+        t0, t1, tol, then = _leg_arrays(chains)
+        mask = noted if record == "mask" else record
+        alone.append((starts, k0, t0, t1, tol, then, mask,
+                      _advance(field, domain, starts, t0, t1, tol, record=mask, k0=k0,
+                               then=then)))
+    columns = list(zip(*alone))
+    shifts = np.cumsum([0] + [len(then) for then in columns[5]])[:-1]
+    merged = _advance(
+        None, None, np.concatenate(columns[0]),
+        *(np.concatenate(column) for column in columns[2:5]),
+        record=np.concatenate(columns[6]) if record == "mask" else record,
+        k0=None if not carry else np.concatenate(columns[1]),
+        then=np.concatenate([np.where(then >= 0, then + shift, -1)
+                             for then, shift in zip(columns[5], shifts)]),
+        parts=[(field, domain, len(then))
+               for (field, domain, *_), then in zip(parts, columns[5])])
+    for (starts, _, t0, t1, tol, then, _, seg), part in zip(alone, parts):
+        # Each leg with its own tolerance is a fresh solo call from its start.
+        y = iter(starts)
+        for i in range(len(then)):
+            start = seg.y[i - 1] if i and then[i - 1] == i else next(y)
+            solo = _advance(*part[:2], start[None], t0[i], t1[i], tol[i])
+            assert seg.y[i].tobytes() == solo.y[0].tobytes(), i
+    for (*_, then, mask, seg), shift in zip(alone, shifts):
+        for i in range(len(then)):
+            assert merged.y[shift + i].tobytes() == seg.y[i].tobytes(), (shift, i)
+            assert merged.k[shift + i].tobytes() == seg.k[i].tobytes(), (shift, i)
+            if record is True or (record == "mask" and mask[i]):
+                nodes, own = merged.trajectory(shift + i), seg.trajectory(i)
+                assert [a.tobytes() for a in nodes] == [a.tobytes() for a in own], (shift, i)
+    if record == "mask":  # the legs a mask leaves out keep no node
+        kept = {int(i) for rows, _, _ in merged.nodes for i in rows}
+        assert kept == set(np.flatnonzero(np.concatenate(columns[6])).tolist())
+
+
+@pytest.mark.parametrize("calls", [0, 1], ids=["at its start", "in a stage"])
+def test_a_part_that_raises_fails_the_merged_call(calls):
+    # The broken part's field answers its first ``calls`` calls, then raises.
+    def broken(points):
+        answered.append(1)
+        if len(answered) > calls:
+            raise RuntimeError("broken part")
+        return builtin("example2")(points)
+
+    good = (builtin("example2"), Domain.SIEGEL, 1)
+    bad = (VectorField(2, broken, "broken"), Domain.SIEGEL, 1)
+    for parts in ([good, bad], [bad, good]):
+        answered = []
+        with pytest.raises(RuntimeError, match="broken part"):
+            _advance(None, None, np.array([[1j, 0.5], [2j, 0.0]]), 0.0, 1.0, DEFAULT_TOL,
+                     parts=parts)
+
+
 def test_advance_on_an_empty_batch_calls_no_field():
     calls = []
 

@@ -116,14 +116,17 @@ def test_a_violated_bound_is_measured_not_lost(monkeypatch):
 
 def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
                                                              field_evaluations):
-    # Flows of one field, domain and tolerance share one kernel call across
-    # groups (the example1, example2 and -1/z pools, the -1/z pool at tol
-    # 1e-13, and two one-group pools), chains restart their legs inside
-    # those calls, and the composite capacity reuses its inner map's images:
-    # 6226 field calls in 1034 steps and 14 kernel calls.  With every chain
-    # leg a call of its own, the suite made 8271 field calls in 1374 steps
-    # and 68 kernel calls; pooled within groups only, 9948 calls in 1651
-    # steps; and with every flow on its own 11218 calls in 1862 steps.
+    # The flows of every field, domain and tolerance of one dimension share
+    # one kernel call across groups (n = 2: example1, example2 and the zero
+    # field; n = 1: -z on the disc, -1/z at tol 1e-10 and 1e-13, and
+    # flow-capacity's Cauchy field), and chains restart their legs inside
+    # those calls: 5460 field calls in 720 steps and 5 kernel calls, the
+    # other three from loewner-restart's public runs.  With one kernel call per
+    # field, domain and tolerance and flow-capacity's maps on their own, the
+    # suite made 6226 field calls in 1034 steps and 14 kernel calls; with
+    # every chain leg a call of its own, 8271 calls in 1374 steps and 68
+    # kernel calls; pooled within groups only, 9948 calls in 1651 steps; and
+    # with every flow on its own 11218 calls in 1862 steps.
     steps, calls = [], []
     stages, advance = flows._stages, flows._advance
 
@@ -138,7 +141,7 @@ def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
     monkeypatch.setattr(flows, "_stages", counted_stages)
     monkeypatch.setattr(flows, "_advance", counted_advance)
     assert run_suite("flows", 7).passed
-    assert (len(field_evaluations), len(steps), len(calls)) == (6226, 1034, 14)
+    assert (len(field_evaluations), len(steps), len(calls)) == (5460, 720, 5)
 
 
 def test_horosphere_checks_report_what_the_public_checks_report():
@@ -161,12 +164,12 @@ def test_horosphere_checks_report_what_the_public_checks_report():
 
 
 @pytest.mark.parametrize("factory, failing", [
-    # example1's pool carries fixture-endpoints, semigroup-law and
+    # example1's part carries fixture-endpoints, semigroup-law and
     # julia-monotonicity; integrator-order steps example1 on its own.
     ("example1", ("fixture-endpoints", "semigroup-law", "julia-monotonicity",
                   "integrator-order")),
-    # -1/z's pool carries fixture-endpoints, semigroup-law and
-    # loewner-restart; flow-capacity maps -1/z on its own.
+    # -1/z's part carries fixture-endpoints, semigroup-law, loewner-restart
+    # and flow-capacity.
     ("reciprocal_1d", ("fixture-endpoints", "semigroup-law", "loewner-restart",
                        "flow-capacity")),
 ], ids=["example1", "reciprocal_1d"])
