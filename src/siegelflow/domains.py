@@ -102,6 +102,12 @@ def _interior_and_poisson(domain: Domain, coords: np.ndarray):
     return _is_interior(domain, coords, margin), u
 
 
+def _check_arity(domain: Domain, n: int) -> None:
+    """Raise ArityMismatchError if the disc or the half-plane gets n != 1 coordinates."""
+    if domain in _ONE_DIM and n != 1:
+        raise ArityMismatchError(f"{domain.value} points are one-dimensional, got n={n}")
+
+
 @record
 class DomainPoint:
     """An interior point of one of the four model domains."""
@@ -115,10 +121,7 @@ class DomainPoint:
         n = len(coords)
         if n == 0:
             raise ArityMismatchError("a point needs at least one coordinate")
-        if self.domain in _ONE_DIM and n != 1:
-            raise ArityMismatchError(
-                f"{self.domain.value} points are one-dimensional, got n={n}"
-            )
+        _check_arity(self.domain, n)
         arr = np.array(coords, dtype=complex)
         with np.errstate(all="ignore"):
             if _is_interior(self.domain, arr):

@@ -7,42 +7,39 @@ Dormand-Prince 4(5) pair with FSAL and PI step-size control.  The tolerance
 is interpreted as local error per unit time, so endpoint errors scale
 roughly linearly in ``tol`` for smooth fields.
 
-A batch of points runs through one stage kernel with per-point step control:
-every point keeps its own time, step size and controller state, and stages
-are evaluated only on the points still in flight.  A point's result is
-therefore bit-identical whether it is integrated alone or in any batch.
-Points may also have their own end times: integrations that start at one
-time but stop at different ones share the kernel's steps, and each point
-still ends bit-identical to its own run.  A recorded integration keeps every point's accepted nodes, so
-trajectories pool the same way endpoints do.  Integrations that run one
-after another pool as chains of legs: a leg is a row with its own start and
-end time, and it may name the leg that continues from it.  When a leg
-finishes, that next leg restarts its row in place, at its own start time,
-from the endpoint and the FSAL stage of the last step, with a fresh initial
-step and controller state, so every leg ends bit-identical to a fresh
-integration from that endpoint.  Each leg also has its own tolerance, and
-one call may carry several parts, each a field in a domain with its own
-legs: the stage arithmetic is elementwise per row, so rows of different
-fields share the steps while each part's rows are filled by its own field
-and tested against its own domain.  The flows verify suite runs all its
-integrations of one dimension as one call, across fields, domains and
-tolerances, with the iterates of a flow map, the outer flows of the
-semigroup law and a Loewner schedule's second piece as chains in it.
+One integration call is a sequence of parts, each a field in its domain
+with its own rows.  Every row keeps its own time, step size and controller
+state, and stages are evaluated only on the rows still in flight, so a row's
+result is bit-identical whether it runs alone or beside any others: the
+stage arithmetic is elementwise per row, each part's rows are filled by its
+own field and tested against its own domain, and each row has its own start
+and end time and tolerance.  A recorded integration keeps every row's
+accepted nodes, so trajectories pool the same way endpoints do.
+Integrations that run one after another pool as chains of legs: a leg is a
+row with its own start and end time, and it may name the leg that continues
+from it.  When a leg finishes, that next leg restarts its row in place, at
+its own start time, from the endpoint and the FSAL stage of the last step,
+with a fresh initial step and controller state, so every leg ends
+bit-identical to a fresh integration from that endpoint.  A flow map is one
+part; the flows verify suite runs all its integrations of one dimension as
+one call, across fields, domains and tolerances, with the iterates of a flow
+map, the outer flows of the semigroup law and a Loewner schedule's second
+piece as chains in it.
 
 The kernel stores a batch of m points in n dimensions component-major,
 contiguous: the state as an (n, m) array and the stages as one (7, n, m)
 buffer in the order k1, k0, k2, ..., k6, where every tableau row's nonzero
 weights fill one slice.  Per-point reductions run along a leading axis.
-The kernel evaluates every stage with one call, ``field._fill(points,
-out)``: the points are an (m, n) array, the transposed view of the (n, m)
-stage point, which is not contiguous, and out is the transposed (m, n) view
-of the stage's slot.  Every field the ``fields`` module builds, parsed or
-built-in, writes its formula straight into the slot.  An integration starts
-with one checked call instead, ``field._copy_call(points, out)``: the field
-is called on the start rows, which checks their dimension, must return an
-(m, n) result (a list or a real array is converted to complex), and has it
-copied in.  A field built from a bare evaluator is evaluated that way at
-every stage.
+Each live part fills every stage of its rows with one call,
+``field._fill(points, out)``: the points are an (m, n) array, the
+transposed view of the (n, m) stage point, which is not contiguous, and out
+is the transposed (m, n) view of the stage's slot.  Every field the
+``fields`` module builds, parsed or built-in, writes its formula straight
+into the slot.  An integration starts with one checked call instead,
+``field._copy_call(points, out)``: the field is called on the start rows,
+which checks their dimension, must return an (m, n) result (a list or a
+real array is converted to complex), and has it copied in.  A field built
+from a bare evaluator is evaluated that way at every stage.
 
 Trajectories must stay inside their domain (``domains._is_interior``): a step
 that leaves it is rejected and retried at half the step size.  Sixty
@@ -58,6 +55,7 @@ trajectories.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,6 +66,7 @@ from .domains import (
     Domain,
     DomainPoint,
     TangentVector,
+    _check_arity,
     _interior_and_poisson,
     _is_interior,
     format_complex,
@@ -226,39 +225,42 @@ def _initial_step(y: np.ndarray, k: np.ndarray, span: np.ndarray) -> np.ndarray:
     return np.minimum(span, 0.01 * d0 / d1)
 
 
-def _blocks(parts, row_part: np.ndarray):
-    """The fill, field, domain and row blocks of rows whose parts are ``row_part``.
+def _blocks(parts, leg_part: np.ndarray | None, rows: np.ndarray | None):
+    """The live rows' stage fill, checked start fill, interior test and row-to-domain map.
 
-    ``row_part`` holds each live row's part, nondecreasing.  Rows of one part
-    get that part's own ``_fill``, field and domain, and no blocks (None);
-    rows of several parts get a fill that runs each part's ``_fill`` on its
-    rows, no field or domain, and each live part's (field, domain, lo, hi)
-    row block.
+    ``leg_part`` holds each leg's part, nondecreasing, or is None for one
+    part, and ``rows`` holds each live row's leg, or is None for all legs in
+    order.  Rows of one part get its ``_fill``, ``_copy_call`` and domain
+    before any numpy call (I 14%, O 13%, README); rows of several parts get
+    the same per part, each on its own block of rows.
     """
-    if row_part[0] == row_part[-1]:
-        field, domain, _ = parts[row_part[0]]
-        return field._fill, field, domain, None
-    blocks, lo = [], 0
-    for (field, domain, _), hi in zip(parts, np.bincount(row_part).cumsum().tolist()):
-        if hi > lo:
-            blocks.append((field, domain, lo, hi))
-        lo = hi
+    part = 0
+    if leg_part is not None:
+        row_part = leg_part if rows is None else leg_part.take(rows)
+        part = row_part[0] if row_part[0] == row_part[-1] else None
+    if part is not None:
+        field, domain, _ = parts[part]
+        return (field._fill, field._copy_call, functools.partial(_is_interior, domain),
+                lambda k: domain)
+    ends = np.bincount(row_part).cumsum().tolist()
+    blocks = [(field, domain, lo, hi) for (field, domain, _), lo, hi
+              in zip(parts, [0, *ends], ends) if hi > lo]
 
-    def fill(points, out):
+    def fill(points, out, method="_fill"):
         for field, _, lo, hi in blocks:
-            field._fill(points[lo:hi], out[lo:hi])
-    return fill, None, None, blocks
+            getattr(field, method)(points[lo:hi], out[lo:hi])
 
+    def interior(points):
+        return np.concatenate([_is_interior(domain, points[lo:hi])
+                               for _, domain, lo, hi in blocks])
 
-def _interior(blocks, points: np.ndarray) -> np.ndarray:
-    """Each row's interior test in its own part's domain, over the row blocks."""
-    return np.concatenate([_is_interior(domain, points[lo:hi])
-                           for _, domain, lo, hi in blocks])
+    def domain_of(k):
+        return next(domain for _, domain, lo, hi in blocks if lo <= k < hi)
+    return fill, functools.partial(fill, method="_copy_call"), interior, domain_of
 
 
 def _advance(
-    field: VectorField | None,
-    domain: Domain | None,
+    parts,
     y0: np.ndarray,
     t0: float | np.ndarray,
     t1: float | np.ndarray,
@@ -266,9 +268,15 @@ def _advance(
     record: bool | np.ndarray = False,
     k0: np.ndarray | None = None,
     then: np.ndarray | None = None,
-    parts=None,
 ) -> _Segment:
-    """Integrate dy/dt = field(y) from t0 to t1 with EPUS error control.
+    """Integrate dy/dt = field(y), each row in its part, with EPUS error control.
+
+    ``parts`` is the problem: a sequence of (field, domain, L_p) triples of
+    one dimension.  Part p owns the next L_p legs, laid out part-major, and
+    a chain stays inside its part, so each part's live rows stay one
+    contiguous block, filled by its field's ``_fill`` and tested against
+    its domain.  The sizes must add up to the call's legs (else ValueError,
+    before any field call); one flow of m rows is ``((field, domain, m),)``.
 
     Each row of y0, shape (m, n), has its own time, step size, PI state and
     rejection count, and leaves the stage arrays once it reaches its end, so
@@ -294,7 +302,7 @@ def _advance(
     (m, n) again, and ``seg.k`` holds the field at each row of ``seg.y``:
     the FSAL stage of the row's last step.
     ``k0`` carries such stages in: rows and stages an earlier call returned
-    in ``seg.y`` and ``seg.k`` (same field and domain) are interior and
+    in ``seg.y`` and ``seg.k`` (same parts) are interior and
     finite, so with ``k0`` the start row test and the checked start call
     are skipped, and every row takes the steps a fresh start would take.
 
@@ -308,15 +316,6 @@ def _advance(
     would.  ``seg.y`` and ``seg.k`` are (L, n), a ``record`` mask is over
     the legs, and a recorded leg's start node is its own.
 
-    ``parts`` runs several problems of one dimension in the call: a
-    sequence of (field, domain, L_p) triples, in place of ``field`` and
-    ``domain`` (pass None for both).  Part p owns the next L_p legs, laid
-    out part-major, and a chain stays inside its part, so each part's live
-    rows stay one contiguous block.  Each stage fills each live part's
-    block with its own ``_fill``, and each part's rows are tested against
-    its own domain; once the live rows all belong to one part, the call
-    runs on as that part alone.  Any failing part fails the call.
-
     Each step tests finiteness once on the whole live stage buffer
     (``np.isfinite``, then the entry at its argmin); only when some entry is
     not finite does it reduce per row, to reject just those rows' steps.
@@ -326,11 +325,25 @@ def _advance(
     seg = _Segment()
     y = np.array(np.asarray(y0, dtype=complex).T, order="C")
     n, m = y.shape
-    if parts is not None and len(parts) == 1:
-        (field, domain, _), parts = parts[0], None
+    # Without ``then`` the legs are the rows.  ``rows`` holds each live
+    # row's leg once rows finish apart, legs chain or a mask records.
+    legs, rows = m, None
+    if then is not None:
+        legs = len(then)
+        heads = np.ones(legs, dtype=bool)
+        heads[then[then >= 0]] = False  # np.setdiff1d would import numpy.ma: 1 MB
+        rows = np.flatnonzero(heads)
+    # ``leg_part`` holds each leg's part, and is None for one part (_blocks).
+    if len(parts) == 1:
+        leg_part, sizes = None, parts[0][2]
+    else:
+        leg_part = np.arange(len(parts)).repeat([part[2] for part in parts])
+        sizes = leg_part.size
+    if sizes != legs:
+        raise ValueError(f"the parts hold {sizes} legs, but the call runs {legs}")
     if not y.size:
-        for part in (field,) if parts is None else [part for part, _, _ in parts]:
-            part._check_points(y.T)  # no step to take and no field call
+        for part in parts:
+            part[0]._check_points(y.T)  # no step to take and no field call
         seg.y = seg.k = y.T
         return seg
     buffer = np.empty(7 * n * m, dtype=complex)
@@ -340,32 +353,13 @@ def _advance(
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
-        # Without ``then`` the legs are the rows.  ``rows`` holds each live
-        # row's leg once rows finish apart, legs chain or a mask records.
-        if then is None:
-            legs, rows = m, None
-        else:
-            legs = len(then)
-            heads = np.ones(legs, dtype=bool)
-            heads[then[then >= 0]] = False  # np.setdiff1d would import numpy.ma: 1 MB
-            rows = np.flatnonzero(heads)
-        # ``blocks`` is None while the live rows belong to one part, whose
-        # ``_fill`` and domain the steps then use directly (I 12%, O 11%,
-        # README).
-        if parts is None:
-            fill, blocks = field._fill, None
-        else:
-            leg_part = np.arange(len(parts)).repeat([size for _, _, size in parts])
-            fill, field, domain, blocks = _blocks(
-                parts, leg_part if rows is None else leg_part[rows])
+        fill, start, interior, domain_of = _blocks(parts, leg_part, rows)
         if k0 is not None:
             ks[1] = k0.T
         else:
-            inside = _is_interior(domain, y.T) if blocks is None else _interior(blocks, y.T)
-            if not _all(inside):
+            if not _all(interior(y.T)):
                 raise DomainViolation("flow started at a non-interior point")
-            for part, _, lo, hi in blocks or ((field, domain, 0, m),):
-                part._copy_call(y.T[lo:hi], outs[1][lo:hi])
+            start(y.T, outs[1])
             if not _all(np.isfinite(ks[1]), axis=None):
                 raise FieldEvaluationError("field is not finite at the initial point")
         leg_t0, leg_t1, leg_tol = np.empty((3, legs))  # each leg's start, end and tol
@@ -449,8 +443,8 @@ def _advance(
                 live = rows.size
                 if noted is not None:
                     noted = noted[keep]
-                if blocks is not None:
-                    fill, field, domain, blocks = _blocks(parts, leg_part[rows])
+                if leg_part is not None:
+                    fill, start, interior, domain_of = _blocks(parts, leg_part, rows)
                 y = y.compress(keep, axis=1)
                 # Only slot 1 carries over; shrink the stage buffer in place,
                 # keeping it contiguous over the first 7 * n * live numbers.
@@ -481,8 +475,7 @@ def _advance(
             # Slot 1 is finite (checked above, carried in, or from an accepted
             # step), so a non-finite entry is one of this step's stages.
             finite = np.isfinite(stages)
-            inside = (_is_interior(domain, y_new.T) if blocks is None
-                      else _interior(blocks, y_new.T))
+            inside = interior(y_new.T)
             if not finite[finite.argmin()]:  # whole buffer first: 1-4% (README)
                 inside &= _all(finite.reshape(7, n, live), axis=(0, 1))
             err = _max(np.abs(e), axis=0)
@@ -526,11 +519,10 @@ def _advance(
                         seg.nodes.append((index, t[kept], y[:, kept]))
                 if _any(exits >= _MAX_DOMAIN_EXITS):
                     k = int(np.argmax(exits))
-                    if blocks is not None:
-                        domain = next(d for _, d, lo, hi in blocks if lo <= k < hi)
                     raise StepSizeUnderflow(
                         f"step size underflow: creeping along the boundary of the "
-                        f"{domain.value} near t = {t[k]}; {exits[k]} rejected steps left it"
+                        f"{domain_of(k).value} near t = {t[k]}; "
+                        f"{exits[k]} rejected steps left it"
                     )
                 if _any(consecutive >= _MAX_CONSECUTIVE_REJECTS):
                     k = int(np.argmax(consecutive))
@@ -590,7 +582,7 @@ def _flow_line(pieces, z0: DomainPoint, t_final: float, tol: float) -> Trajector
         start, stop = max(t_start, 0.0), min(t_end, t_final)
         if segments and stop <= start:
             continue
-        seg = _advance(field, z0.domain, y, start, stop, tol, record=True)
+        seg = _advance(((field, z0.domain, 1),), y, start, stop, tol, record=True)
         seg_times, seg_states = seg.trajectory()
         skip = 1 if segments else 0
         times.append(seg_times[skip:])
@@ -718,10 +710,12 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     at those rows, instead of evaluating the field there again.  The rows
     are matched bit for bit against a private copy, since a caller may write
     into the returned array; the images are the same (I 7-9%, O 8%, README).
+    A one-dimensional domain for an n > 1 field raises ArityMismatchError.
     """
     _check_time_and_tol(t, tol)
     if domain is None:
         domain = Domain.SIEGEL if field.dimension > 1 else Domain.HALF_PLANE
+    _check_arity(domain, field.dimension)
     last = (None, None)  # the last result's rows as bytes, and their final stages
 
     def apply(points):
@@ -730,7 +724,7 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
         flat = points.reshape(-1, points.shape[-1])
         rows, stages = last  # one read: concurrent calls never mix two results
         k0 = stages if rows == flat.tobytes() and stages.shape == flat.shape else None
-        seg = _advance(field, domain, flat, 0.0, t, tol, k0=k0)
+        seg = _advance(((field, domain, len(flat)),), flat, 0.0, t, tol, k0=k0)
         last = (seg.y.tobytes(), seg.k)
         return seg.y.reshape(points.shape)
 

@@ -454,8 +454,8 @@ class _Pools:
             legs.extend((t0, t1, then + shift if then >= 0 else -1, tol, record)
                         for t0, t1, then, tol, record in part_legs)
         t0, t1, then, tol, record = (np.array(column) for column in zip(*legs))
-        return flows._advance(None, None, np.concatenate(heads), t0, t1, tol,
-                              record=record, then=then, parts=parts)
+        return flows._advance(parts, np.concatenate(heads), t0, t1, tol,
+                              record=record, then=then)
 
     def _rows(self, handle):
         key, rows = handle

@@ -78,6 +78,7 @@ def test_the_private_names_read_across_modules_are_pinned():
                          if name.startswith("_") and not name.endswith("__"))
     assert reads == {
         "flows: analysis._class_constant",
+        "flows: domains._check_arity",
         "flows: domains._interior_and_poisson",
         "flows: domains._is_interior",
         "sampling: domains._is_interior",
@@ -91,6 +92,21 @@ def test_the_private_names_read_across_modules_are_pinned():
         "verify: flows._orbit_report",
         "verify: flows._semigroup_report",
     }
+
+
+def test_the_flow_kernel_meets_its_problem_only_through_its_parts():
+    # The kernel's one problem shape is a sequence of (field, domain, L_p)
+    # parts, which flows._blocks turns into the step loop's fill and
+    # interior test: _advance's body neither reads nor binds a name `field`
+    # or `domain`, nor takes a parameter of either name.
+    src = pathlib.Path(siegelflow.__file__).parent / "flows.py"
+    tree = ast.parse(src.read_text(encoding="utf-8"))
+    advance, = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_advance"]
+    names = {node.id for node in ast.walk(advance) if isinstance(node, ast.Name)}
+    names |= {node.arg for node in ast.walk(advance) if isinstance(node, ast.arg)}
+    assert "parts" in names and "fill" in names and "interior" in names
+    assert names & {"field", "domain"} == set()
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

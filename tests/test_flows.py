@@ -60,6 +60,13 @@ from siegelflow.flows import (
 from siegelflow.grids import halfplane_grid, siegel_grid_small
 
 
+def _one_part(field, domain, y0, *args, **kwargs):
+    """``_advance`` of one part, ``field`` in ``domain``, over every leg of the call."""
+    then = kwargs.get("then")
+    return _advance(((field, domain, len(y0) if then is None else len(then)),), y0,
+                    *args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Endpoint oracles
 # ---------------------------------------------------------------------------
@@ -416,9 +423,9 @@ def test_a_pooled_advance_gives_each_row_its_solo_run(uniform):
     t0 = 0.5
     starts = np.array([[0.5 + 0.2j], [1 + 1j], [2j], [0.3 + 0.4j], [-1 + 3j]])
     ends = np.full(5, 1.7) if uniform else np.array([3.5, 1.7, 2.9, t0 + 4e-16, 1.2])
-    solo = [_advance(field, Domain.HALF_PLANE, starts[i:i + 1], t0, float(ends[i]),
+    solo = [_one_part(field, Domain.HALF_PLANE, starts[i:i + 1], t0, float(ends[i]),
                      DEFAULT_TOL) for i in range(len(starts))]
-    pooled = _advance(field, Domain.HALF_PLANE, starts, t0, ends, DEFAULT_TOL)
+    pooled = _one_part(field, Domain.HALF_PLANE, starts, t0, ends, DEFAULT_TOL)
     for i, seg in enumerate(solo):
         assert pooled.y[i].tobytes() == seg.y[0].tobytes(), i
         assert pooled.k[i].tobytes() == seg.k[0].tobytes(), i
@@ -427,7 +434,7 @@ def test_a_pooled_advance_gives_each_row_its_solo_run(uniform):
     assert pooled.max_error == max(seg.max_error for seg in solo)
     if uniform:
         # A float end runs the same per-row code as m equal ends.
-        scalar = _advance(field, Domain.HALF_PLANE, starts, t0, 1.7, DEFAULT_TOL)
+        scalar = _one_part(field, Domain.HALF_PLANE, starts, t0, 1.7, DEFAULT_TOL)
         assert (scalar.y.tobytes(), scalar.accepted, scalar.rejected) == (
             pooled.y.tobytes(), pooled.accepted, pooled.rejected)
     else:
@@ -444,9 +451,9 @@ def test_a_recorded_pooled_advance_keeps_each_rows_solo_nodes():
     t0 = 0.5
     starts = np.array([[0.5 + 0.2j], [1 + 1j], [2j], [0.3 + 0.4j], [-1 + 3j]])
     ends = np.array([3.5, 1.7, 2.9, t0 + 4e-16, 1.2])
-    solo = [_advance(field, Domain.HALF_PLANE, starts[i:i + 1], t0, float(ends[i]),
+    solo = [_one_part(field, Domain.HALF_PLANE, starts[i:i + 1], t0, float(ends[i]),
                      DEFAULT_TOL, record=True) for i in range(len(starts))]
-    pooled = _advance(field, Domain.HALF_PLANE, starts, t0, ends, DEFAULT_TOL, record=True)
+    pooled = _one_part(field, Domain.HALF_PLANE, starts, t0, ends, DEFAULT_TOL, record=True)
     assert pooled.nodes[1][0].tolist() == [1, 2, 4]  # the partly accepted first step
     assert solo[0].rejected == 1 and len({seg.accepted for seg in solo}) == len(solo)
     for i, seg in enumerate(solo):
@@ -498,11 +505,11 @@ def test_every_pooled_advance_row_is_its_solo_run(run):
     field, domain, starts, t0, ends, tol, record, carry = run
     k0 = None
     if carry:  # rows and FSAL stages an earlier call returned
-        first = _advance(field, domain, starts, t0, t0 + 0.1, tol)
+        first = _one_part(field, domain, starts, t0, t0 + 0.1, tol)
         starts, k0 = first.y, first.k
-    pooled = _advance(field, domain, starts, t0, ends, tol, record=record, k0=k0)
+    pooled = _one_part(field, domain, starts, t0, ends, tol, record=record, k0=k0)
     for i in range(len(starts)):
-        solo = _advance(field, domain, starts[i:i + 1], t0, float(ends[i]), tol,
+        solo = _one_part(field, domain, starts[i:i + 1], t0, float(ends[i]), tol,
                         record=record, k0=None if k0 is None else k0[i:i + 1])
         assert pooled.y[i].tobytes() == solo.y[0].tobytes(), i
         assert pooled.k[i].tobytes() == solo.k[0].tobytes(), i
@@ -537,18 +544,18 @@ def test_every_chained_leg_is_a_fresh_solo_run(run):
     field, domain, starts, chains, tol, record, carry = run
     k0 = None
     if carry:
-        first = _advance(field, domain, starts, 0.0, 0.1, tol)
+        first = _one_part(field, domain, starts, 0.0, 0.1, tol)
         starts, k0 = first.y, first.k
     legs = [leg for chain in chains for leg in chain]
     then = np.arange(1, len(legs) + 1)
     then[np.cumsum([len(chain) for chain in chains]) - 1] = -1
     t0, t1 = np.array(legs).T
-    pooled = _advance(field, domain, starts, t0, t1, tol, record=record, k0=k0, then=then)
+    pooled = _one_part(field, domain, starts, t0, t1, tol, record=record, k0=k0, then=then)
     i = 0
     for start, chain in zip(starts, chains):
         y = start[None]
         for t0, t1 in chain:
-            solo = _advance(field, domain, y, t0, t1, tol, record=record)
+            solo = _one_part(field, domain, y, t0, t1, tol, record=record)
             assert pooled.y[i].tobytes() == solo.y[0].tobytes(), i
             assert pooled.k[i].tobytes() == solo.k[0].tobytes(), i
             if record:
@@ -608,30 +615,28 @@ def test_every_leg_of_a_merged_call_is_its_one_part_run(run):
     for field, domain, starts, chains, noted in parts:
         k0 = None
         if carry:
-            first = _advance(field, domain, starts, 0.0, 0.1, DEFAULT_TOL)
+            first = _one_part(field, domain, starts, 0.0, 0.1, DEFAULT_TOL)
             starts, k0 = first.y, first.k
         t0, t1, tol, then = _leg_arrays(chains)
         mask = noted if record == "mask" else record
         alone.append((starts, k0, t0, t1, tol, then, mask,
-                      _advance(field, domain, starts, t0, t1, tol, record=mask, k0=k0,
+                      _one_part(field, domain, starts, t0, t1, tol, record=mask, k0=k0,
                                then=then)))
     columns = list(zip(*alone))
     shifts = np.cumsum([0] + [len(then) for then in columns[5]])[:-1]
     merged = _advance(
-        None, None, np.concatenate(columns[0]),
-        *(np.concatenate(column) for column in columns[2:5]),
+        [(field, domain, len(then)) for (field, domain, *_), then in zip(parts, columns[5])],
+        np.concatenate(columns[0]), *(np.concatenate(column) for column in columns[2:5]),
         record=np.concatenate(columns[6]) if record == "mask" else record,
         k0=None if not carry else np.concatenate(columns[1]),
         then=np.concatenate([np.where(then >= 0, then + shift, -1)
-                             for then, shift in zip(columns[5], shifts)]),
-        parts=[(field, domain, len(then))
-               for (field, domain, *_), then in zip(parts, columns[5])])
+                             for then, shift in zip(columns[5], shifts)]))
     for (starts, _, t0, t1, tol, then, _, seg), part in zip(alone, parts):
         # Each leg with its own tolerance is a fresh solo call from its start.
         y = iter(starts)
         for i in range(len(then)):
             start = seg.y[i - 1] if i and then[i - 1] == i else next(y)
-            solo = _advance(*part[:2], start[None], t0[i], t1[i], tol[i])
+            solo = _one_part(*part[:2], start[None], t0[i], t1[i], tol[i])
             assert seg.y[i].tobytes() == solo.y[0].tobytes(), i
     for (*_, then, mask, seg), shift in zip(alone, shifts):
         for i in range(len(then)):
@@ -659,8 +664,39 @@ def test_a_part_that_raises_fails_the_merged_call(calls):
     for parts in ([good, bad], [bad, good]):
         answered = []
         with pytest.raises(RuntimeError, match="broken part"):
-            _advance(None, None, np.array([[1j, 0.5], [2j, 0.0]]), 0.0, 1.0, DEFAULT_TOL,
-                     parts=parts)
+            _advance(parts, np.array([[1j, 0.5], [2j, 0.0]]), 0.0, 1.0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("disc_first", [True, False], ids=["disc first", "disc second"])
+def test_a_merged_call_names_the_creeping_rows_own_domain(disc_first):
+    # CLI's creeping case, z^2 - 1 on the disc from -0.5i to t = 15, fails
+    # at its 448th step.  The -1/z half-plane part from 0.001i takes 1180
+    # steps to t = 15, so both parts are live when it fails.
+    disc = (parse_field("z^2 - 1", 1), Domain.DISC, 1, -0.5j)
+    half_plane = (parse_field("-1/z", 1), Domain.HALF_PLANE, 1, 1e-3j)
+    parts = [disc, half_plane] if disc_first else [half_plane, disc]
+    with pytest.raises(StepSizeUnderflow, match="creeping along the boundary of the disc "):
+        _advance([part[:3] for part in parts], np.array([[part[3]] for part in parts]),
+                 0.0, 15.0, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2, 1), (1, 0), (1, 5)],
+                         ids=["1", "2+1", "1+0", "1+5"])
+def test_parts_that_miss_the_calls_legs_raise_before_any_field_call(sizes):
+    # Two start rows, so two legs, under parts of example1 and example2
+    # whose sizes add up to some other count.
+    calls = []
+
+    def counted(name):
+        field = builtin(name)
+        return VectorField(2, lambda pts: calls.append(name) or field(pts), name)
+
+    parts = [(counted(name), Domain.SIEGEL, size)
+             for name, size in zip(("example1", "example2"), sizes)]
+    with pytest.raises(ValueError, match=f"^the parts hold {sum(sizes)} legs, but the call "
+                                         "runs 2$"):
+        _advance(parts, np.array([[1j, 0.5], [2j, 0.0]]), 0.0, 1.0, DEFAULT_TOL)
+    assert calls == []
 
 
 def test_advance_on_an_empty_batch_calls_no_field():
@@ -671,11 +707,11 @@ def test_advance_on_an_empty_batch_calls_no_field():
         return builtin("example2")(pts)
 
     field = VectorField(2, evaluator, "counted example2")
-    seg = _advance(field, Domain.SIEGEL, np.empty((0, 2)), 0.0, 1.0, DEFAULT_TOL, record=True)
+    seg = _one_part(field, Domain.SIEGEL, np.empty((0, 2)), 0.0, 1.0, DEFAULT_TOL, record=True)
     assert seg.y.shape == seg.k.shape == (0, 2) and seg.y.dtype == complex
     assert (seg.accepted, seg.rejected, calls) == (0, 0, [])
     with pytest.raises(ArityMismatchError, match="points have dimension 3, field expects 2"):
-        _advance(field, Domain.SIEGEL, np.empty((0, 3)), 0.0, 1.0, DEFAULT_TOL)
+        _one_part(field, Domain.SIEGEL, np.empty((0, 3)), 0.0, 1.0, DEFAULT_TOL)
     assert calls == []
 
 
@@ -716,8 +752,8 @@ def test_a_non_finite_stage_rejects_only_that_rows_step(stage):
         return values
 
     poisoned = VectorField(2, evaluator, "example2 with one non-finite stage")
-    clean = _advance(field, Domain.SIEGEL, points, 0.0, t, DEFAULT_TOL)
-    seg = _advance(poisoned, Domain.SIEGEL, points, 0.0, t, DEFAULT_TOL)
+    clean = _one_part(field, Domain.SIEGEL, points, 0.0, t, DEFAULT_TOL)
+    seg = _one_part(poisoned, Domain.SIEGEL, points, 0.0, t, DEFAULT_TOL)
     assert calls[stage] == len(points)
     assert seg.rejected == clean.rejected + 1
     np.testing.assert_allclose(seg.y[poisoned_row], clean.y[poisoned_row], rtol=1e-8)
@@ -772,6 +808,19 @@ def test_flow_map_of_an_empty_batch_calls_no_field():
     assert step(np.empty((3, 0, 2))).shape == (3, 0, 2)
     assert flow_map(builtin("example2"), 1.0)(empty).dtype == complex
     assert calls == []
+
+
+@pytest.mark.parametrize("domain", [Domain.HALF_PLANE, Domain.DISC])
+@pytest.mark.parametrize("build", [flow_map, displacement_field])
+def test_a_one_dimensional_domain_for_a_two_dimensional_field_is_rejected(build, domain):
+    # Raised when the map is built, with the error a point of that domain
+    # with two coordinates raises.
+    with pytest.raises(ArityMismatchError) as point:
+        DomainPoint(domain, (0.5j, 0.5))
+    with pytest.raises(ArityMismatchError) as raised:
+        build(builtin("example2"), 0.5, domain=domain)
+    assert str(raised.value) == str(point.value) == (
+        f"{domain.value} points are one-dimensional, got n=2")
 
 
 def test_flow_map_batch_fails_when_one_point_leaves_the_domain():
@@ -963,8 +1012,7 @@ def test_bad_tolerances_are_rejected(tol):
                  id="integrate_loewner"),
     pytest.param(lambda f, z: integrate_fixed_steps(f, z, 1.0, 4), 1,
                  id="integrate_fixed_steps"),
-    pytest.param(lambda f, z: flow_map(f, 1.0, domain=z.domain)(z.as_array()[None]), 1,
-                 id="flow_map"),
+    pytest.param(lambda f, z: flow_map(f, 1.0)(z.as_array()[None]), 1, id="flow_map"),
     pytest.param(lambda f, z: flow_map(f, 1.0)(np.empty((0, 1), complex)), 1,
                  id="flow_map on (0, 1)"),
     pytest.param(lambda f, z: flow_map(f, 1.0)(np.empty((0, 3), complex)), 3,
@@ -1095,7 +1143,7 @@ def test_an_orbit_judged_from_a_chain_is_its_iterate_map_report(field, z0, count
     step = flow_map(field, 1.0, domain=z0.domain)
     report = iterate_map(step, z0, count, divergence_threshold=threshold)
     then = np.append(np.arange(1, count), -1)
-    chain = _advance(field, z0.domain, z0.as_array()[None], 0.0, 1.0, DEFAULT_TOL,
+    chain = _one_part(field, z0.domain, z0.as_array()[None], 0.0, 1.0, DEFAULT_TOL,
                      then=then)
     judged = flows._orbit_report(z0, chain.y[:, None], threshold)
     assert report.tag == judged.tag == tag
