@@ -125,18 +125,25 @@ def slice_capacities(
     if not params:
         return []
     directions = np.array([p.gamma for p in params], dtype=complex)[:, None, :]
-    ys = np.geomspace(y_min, y_max, count)
+    zetas = 1j * np.geomspace(y_min, y_max, count)
     what = field.description if field.dimension == 1 else f"slice[{field.description}]"
-    values = _finite_values(
-        lambda ys: slice_parts(field(geodesic_coords(directions, 1j * ys)), directions)[1],
-        ys, what,
-    )
-    # y |h(iy)| may overflow where h does not: that is a field failure too.
-    scaled_rows = _finite_values(lambda values: ys * np.abs(values), values,
-                                 f"y |h(iy)| of {what}")
+    with np.errstate(all="ignore"):
+        values = slice_parts(field(geodesic_coords(directions, zetas)), directions)[1]
+    return _tail_estimates(zetas, values, what)
+
+
+def _tail_estimates(zetas: np.ndarray, values: np.ndarray, what: str) -> list[CapacityEstimate]:
+    """slice_capacities' judge: values (G, count) of G maps h at the points iy ``zetas``."""
+    ys = zetas.imag
+    with np.errstate(all="ignore"):
+        scaled_rows = ys * np.abs(values)
+    if not np.all(np.isfinite(scaled_rows)):
+        # y |h(iy)| may overflow where h does not: that is a field failure too.
+        culprit = f"y |h(iy)| of {what}" if np.all(np.isfinite(values)) else what
+        raise FieldEvaluationError(f"{culprit} produced non-finite values")
     estimates = []
     for scaled in scaled_rows:
-        tail = scaled[-(count // 4):]
+        tail = scaled[-(len(ys) // 4):]
         top = np.max(tail)
         if top == 0.0 or (top - np.min(tail)) / top < 1e-4:
             trend = "converged"

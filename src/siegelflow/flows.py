@@ -61,7 +61,7 @@ import math
 import numpy as np
 
 from ._records import record
-from .analysis import CapacityEstimate, _class_constant, slice_capacities
+from .analysis import CAPACITY_DEFAULTS, CapacityEstimate, _class_constant, _tail_estimates
 from .domains import (
     Domain,
     DomainPoint,
@@ -226,13 +226,13 @@ def _initial_step(y: np.ndarray, k: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 
 def _blocks(parts, leg_part: np.ndarray | None, rows: np.ndarray | None):
-    """The live rows' stage fill, checked start fill, interior test and row-to-domain map.
+    """The live rows' stage fill, checked start fill and interior test.
 
     ``leg_part`` holds each leg's part, nondecreasing, or is None for one
     part, and ``rows`` holds each live row's leg, or is None for all legs in
-    order.  Rows of one part get its ``_fill``, ``_copy_call`` and domain
-    before any numpy call (I 14%, O 13%, README); rows of several parts get
-    the same per part, each on its own block of rows.
+    order.  Rows of one part get its ``_fill``, ``_copy_call`` and interior
+    test before any numpy call (I 14%, O 13%, README); rows of several parts
+    get the same per part, each on its own block of rows.
     """
     part = 0
     if leg_part is not None:
@@ -240,8 +240,7 @@ def _blocks(parts, leg_part: np.ndarray | None, rows: np.ndarray | None):
         part = row_part[0] if row_part[0] == row_part[-1] else None
     if part is not None:
         field, domain, _ = parts[part]
-        return (field._fill, field._copy_call, functools.partial(_is_interior, domain),
-                lambda k: domain)
+        return field._fill, field._copy_call, functools.partial(_is_interior, domain)
     ends = np.bincount(row_part).cumsum().tolist()
     blocks = [(field, domain, lo, hi) for (field, domain, _), lo, hi
               in zip(parts, [0, *ends], ends) if hi > lo]
@@ -253,10 +252,7 @@ def _blocks(parts, leg_part: np.ndarray | None, rows: np.ndarray | None):
     def interior(points):
         return np.concatenate([_is_interior(domain, points[lo:hi])
                                for _, domain, lo, hi in blocks])
-
-    def domain_of(k):
-        return next(domain for _, domain, lo, hi in blocks if lo <= k < hi)
-    return fill, functools.partial(fill, method="_copy_call"), interior, domain_of
+    return fill, functools.partial(fill, method="_copy_call"), interior
 
 
 def _advance(
@@ -353,7 +349,7 @@ def _advance(
     # One floating-point state for the whole integration: field calls do not
     # set their own, and non-finite stages are caught by the checks below.
     with np.errstate(all="ignore"):
-        fill, start, interior, domain_of = _blocks(parts, leg_part, rows)
+        fill, start, interior = _blocks(parts, leg_part, rows)
         if k0 is not None:
             ks[1] = k0.T
         else:
@@ -444,7 +440,7 @@ def _advance(
                 if noted is not None:
                     noted = noted[keep]
                 if leg_part is not None:
-                    fill, start, interior, domain_of = _blocks(parts, leg_part, rows)
+                    fill, start, interior = _blocks(parts, leg_part, rows)
                 y = y.compress(keep, axis=1)
                 # Only slot 1 carries over; shrink the stage buffer in place,
                 # keeping it contiguous over the first 7 * n * live numbers.
@@ -519,9 +515,11 @@ def _advance(
                         seg.nodes.append((index, t[kept], y[:, kept]))
                 if _any(exits >= _MAX_DOMAIN_EXITS):
                     k = int(np.argmax(exits))
+                    leg = k if rows is None else rows[k]
+                    part = parts[0 if leg_part is None else leg_part[leg]]
                     raise StepSizeUnderflow(
                         f"step size underflow: creeping along the boundary of the "
-                        f"{domain_of(k).value} near t = {t[k]}; "
+                        f"{part[1].value} near t = {t[k]}; "
                         f"{exits[k]} rejected steps left it"
                     )
                 if _any(consecutive >= _MAX_CONSECUTIVE_REJECTS):
@@ -731,20 +729,21 @@ def flow_map(field: VectorField, t: float, tol: float = DEFAULT_TOL,
     return apply
 
 
-def _minus_identity(self_map, dimension: int, description: str) -> VectorField:
-    """The map z -> self_map(z) - z as a vector field."""
-    return VectorField(
-        dimension=dimension,
-        evaluator=lambda points: np.asarray(self_map(points), dtype=complex) - points,
-        description=description,
-    )
-
-
 def displacement_field(field: VectorField, t: float, tol: float = DEFAULT_TOL,
                        domain: Domain | None = None) -> VectorField:
     """The displacement map z -> Phi_t(z) - z of the field's flow."""
-    return _minus_identity(flow_map(field, t, tol, domain), field.dimension,
-                           f"flow[t={t:g}] - id ({field.description})")
+    phi = flow_map(field, t, tol, domain)
+    return VectorField(field.dimension, lambda points: phi(points) - points,
+                       f"flow[t={t:g}] - id ({field.description})")
+
+
+def _self_map_images(self_map, points: np.ndarray) -> np.ndarray:
+    """The checked call of a user's self-map: self_map(points) as complex, of their shape."""
+    images = np.asarray(self_map(points), dtype=complex)
+    if images.shape != points.shape:
+        raise FieldEvaluationError(
+            f"self-map returned shape {images.shape}, expected {points.shape}")
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -897,14 +896,15 @@ def horosphere_image_check(self_map, c: float) -> HorosphereImageReport:
     """Largest |u(f(z))| over the versioned samples of the unit horosphere.
 
     `self_map` is any batch evaluator of shape (..., 2) -> (..., 2), e.g. a
-    flow map or a parsed expression pair.  ``passed`` means the largest
-    value is at most 1 + c + HOROSPHERE_IMAGE_SLACK.  A c that is negative
-    or not finite raises ValueError.
+    flow map or a parsed expression pair; another shape raises
+    FieldEvaluationError.  ``passed`` means the largest value is at most 1 +
+    c + HOROSPHERE_IMAGE_SLACK.  A c that is negative or not finite raises
+    ValueError.
     """
     c = _class_constant(c)
     points = horosphere_samples(2)
     with np.errstate(all="ignore"):
-        images = np.asarray(self_map(points), dtype=complex)
+        images = _self_map_images(self_map, points)
     return _horosphere_image_report(points, images, c)
 
 
@@ -954,9 +954,9 @@ def iterate_map(
     inconclusive: anything else (the orbit neither settles nor clearly runs
     off to the boundary point at infinity within the budget).
 
-    Every iterate must be finite (else FieldEvaluationError) and interior to
-    z0's domain by ``domains._is_interior`` (else DomainViolation naming the
-    iteration).
+    Every iterate must be a finite (1, n) row (else FieldEvaluationError)
+    interior to z0's domain by ``domains._is_interior`` (else
+    DomainViolation naming the iteration).
     """
     if count < 0:
         raise ValueError(f"iteration count must be >= 0, got {count}")
@@ -969,7 +969,7 @@ def iterate_map(
     def orbit():  # lazy: the judge stops asking once the orbit is classified
         image = z0.as_array()[None, :]
         for _ in range(count):
-            image = np.asarray(self_map(image), dtype=complex)
+            image = _self_map_images(self_map, image)
             yield image
 
     with np.errstate(all="ignore"):
@@ -1022,18 +1022,21 @@ def _orbit_report(z0: DomainPoint, images, divergence_threshold: float = _DIVERG
     )
 
 
-# The top of extract_capacity's window of heights (its docstring).
-_SELF_MAP_Y_MAX = 1e5
+# extract_capacity's window: the points iy, 1 <= y <= 1e5 (its docstring).
+_SELF_MAP_WINDOW = 1j * np.geomspace(CAPACITY_DEFAULTS["y_min"], 1e5, CAPACITY_DEFAULTS["count"])
 
 
 def extract_capacity(self_map) -> CapacityEstimate:
     """Capacity of a 1-d self-map via the tail of y |f(iy) - iy|, 1 <= y <= 1e5.
 
-    This is the n = 1 case of :func:`slice_capacities`, at gamma = (), applied
-    to the displacement f - id in the self-map window.  The window stops below
-    the field estimator's y_max because computing f(iy) - iy at height y loses
-    about y * ulp(y) to cancellation; beyond y ~ 1e5 the roundoff noise would
-    dominate the tail for double precision.
+    The self-map is called once, on the (m, 1) points iy of the self-map
+    window, and must return that shape (else FieldEvaluationError); the
+    displacement f - id there is judged as :func:`slice_capacities` judges a
+    half-plane field.  The window stops below the field estimator's y_max
+    because computing f(iy) - iy at height y loses about y * ulp(y) to
+    cancellation; beyond y ~ 1e5 the roundoff noise would dominate the tail
+    for double precision.
     """
-    displacement = _minus_identity(self_map, 1, "self-map displacement")
-    return slice_capacities(displacement, [()], y_max=_SELF_MAP_Y_MAX)[0]
+    with np.errstate(all="ignore"):
+        displacement = _self_map_images(self_map, _SELF_MAP_WINDOW[:, None]).T - _SELF_MAP_WINDOW
+    return _tail_estimates(_SELF_MAP_WINDOW, displacement, "self-map displacement")[0]

@@ -628,23 +628,11 @@ def _g_loewner_restart(rng, pools):
     return judge
 
 
-def _known_at(points, images):
-    """The self-map known only at ``points``, which it sends to ``images``."""
-    def self_map(pts):
-        if not np.array_equal(pts, points):
-            raise ValueError("self-map called off the points it is known at")
-        return images
-    return self_map
-
-
 def _g_flow_capacity(rng, pools):
-    # extract_capacity maps the window of heights below, as slice_capacities
-    # builds it; the flows of every window point ride in the pools, and
-    # extract_capacity reads their images back through _known_at.
-    defaults = analysis.CAPACITY_DEFAULTS
-    ys = np.geomspace(defaults["y_min"], flows._SELF_MAP_Y_MAX, defaults["count"])
-    window = geodesics.geodesic_coords(np.zeros((1, 1, 0)), 1j * ys)
-    starts = window.reshape(-1, 1)
+    # The flows of every point of extract_capacity's window ride in the
+    # pools, and extract_capacity's own judge reads their images.
+    window = flows._SELF_MAP_WINDOW
+    starts = window[:, None]
     measure = fields.DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5)))
     times = (0.5, 1.0, 2.0)
     # The three time-t maps of the Cauchy field, one part with per-row ends.
@@ -655,7 +643,8 @@ def _g_flow_capacity(rng, pools):
                          [((0.0, 1.0), (0.0, 1.0))] * len(starts))
 
     def capacity(images):
-        return flows.extract_capacity(_known_at(window, images.reshape(window.shape))).value
+        return analysis._tail_estimates(window, images.T - window,
+                                        "self-map displacement")[0].value
 
     def judge():
         errors = [abs(capacity(images) - t * measure.total_mass)

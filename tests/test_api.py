@@ -78,12 +78,14 @@ def test_the_private_names_read_across_modules_are_pinned():
                          if name.startswith("_") and not name.endswith("__"))
     assert reads == {
         "flows: analysis._class_constant",
+        "flows: analysis._tail_estimates",
         "flows: domains._check_arity",
         "flows: domains._interior_and_poisson",
         "flows: domains._is_interior",
         "sampling: domains._is_interior",
         "verify: analysis._horosphere_inequality_report",
-        "verify: flows._SELF_MAP_Y_MAX",
+        "verify: analysis._tail_estimates",
+        "verify: flows._SELF_MAP_WINDOW",
         "verify: flows._advance",
         "verify: flows._displacement_report",
         "verify: flows._displacement_start",

@@ -1,5 +1,6 @@
 """Flow integration: endpoints, adaptivity, semigroup laws, and diagnostics."""
 
+import fractions
 import functools
 import hashlib
 import math
@@ -145,6 +146,78 @@ def test_step_size_underflow_at_boundary_exit():
     # constant downward drift leaves the half-plane at t = 1
     with pytest.raises(StepSizeUnderflow):
         integrate_autonomous(parse_field("-i", 1), half_plane_point(1j), 2.0)
+
+
+# ---------------------------------------------------------------------------
+# The Dormand-Prince tableau
+# ---------------------------------------------------------------------------
+
+# The Dormand-Prince 4(5) pair in exact rationals (Hairer-Norsett-Wanner,
+# Solving ODEs I, II.5): the nodes c, the rows of A, the last of which is
+# the 5th-order weights b (the 7th stage is FSAL, with b_7 = 0), and E, the
+# 5th-order weights minus the embedded 4th-order ones.
+_F = fractions.Fraction
+_DP_C = (_F(0), _F(1, 5), _F(3, 10), _F(4, 5), _F(8, 9), _F(1), _F(1))
+_DP_A = (
+    (),
+    (_F(1, 5),),
+    (_F(3, 40), _F(9, 40)),
+    (_F(44, 45), _F(-56, 15), _F(32, 9)),
+    (_F(19372, 6561), _F(-25360, 2187), _F(64448, 6561), _F(-212, 729)),
+    (_F(9017, 3168), _F(-355, 33), _F(46732, 5247), _F(49, 176), _F(-5103, 18656)),
+    (_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84)),
+)
+_DP_E = (_F(71, 57600), _F(0), _F(-71, 16695), _F(71, 1920), _F(-17253, 339200),
+         _F(22, 525), _F(-1, 40))
+
+
+def _grown(tree):
+    """Every rooted tree one new leaf makes of ``tree``; a tree is its sorted subtrees."""
+    yield tuple(sorted(tree + ((),)))
+    for i, child in enumerate(tree):
+        for grown in _grown(child):
+            yield tuple(sorted(tree[:i] + (grown,) + tree[i + 1:]))
+
+
+def _order(tree) -> int:
+    return 1 + sum(map(_order, tree))
+
+
+def _density(tree) -> int:
+    """gamma(tree): the order condition of ``tree`` is b . Phi(tree) = 1 / gamma(tree)."""
+    return _order(tree) * math.prod(map(_density, tree))
+
+
+def _elementary_weights(tree) -> list:
+    """Phi(tree), one entry per stage: the product over subtrees of A Phi(subtree)."""
+    phi = [_F(1)] * len(_DP_A)
+    for child in tree:
+        inner = _elementary_weights(child)
+        phi = [p * sum(a * w for a, w in zip(row, inner)) for p, row in zip(phi, _DP_A)]
+    return phi
+
+
+def test_the_dormand_prince_tableau_is_its_rationals_rounded():
+    assert flows._A == tuple(tuple(float(a) for a in row) for row in _DP_A)
+    assert flows._E == tuple(float(e) for e in _DP_E)
+
+
+def test_the_dormand_prince_rationals_meet_the_order_conditions():
+    assert [sum(row) for row in _DP_A] == list(_DP_C)
+    fifth = _DP_A[-1] + (_F(0),)
+    fourth = tuple(b - e for b, e in zip(fifth, _DP_E))
+    by_order = [[()]]  # the rooted trees of orders 1 to 5
+    for _ in range(4):
+        by_order.append(sorted({grown for tree in by_order[-1] for grown in _grown(tree)}))
+    assert [len(trees) for trees in by_order] == [1, 1, 2, 4, 9]
+    for order, trees in enumerate(by_order, 1):
+        for tree in trees:
+            assert _order(tree) == order
+            phi = _elementary_weights(tree)
+            assert sum(b * w for b, w in zip(fifth, phi)) == _F(1, _density(tree))
+            if order <= 4:
+                assert sum(b * w for b, w in zip(fourth, phi)) == _F(1, _density(tree))
+    assert sum(_DP_E) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1114,6 +1187,24 @@ def test_displacement_and_horosphere_checks_reject_bad_constants(c):
         displacement_bound_check(builtin("example2"), c, siegel_point(2j, 0.0), 1.0)
     with pytest.raises(ValueError, match=message):
         horosphere_image_check(flow_map(builtin("example2"), 1.0), c)
+
+
+# Unchecked, the first would be judged on the wrong coordinates (worst_value
+# 5.0), the next two raise a bare IndexError, the fourth reads capacity 0.0,
+# and the last raises numpy's broadcast error on shapes the caller never made.
+@pytest.mark.parametrize("check, got, expected", [
+    (lambda: horosphere_image_check(lambda p: p[..., :1], 1.0), (64, 1), (64, 2)),
+    (lambda: iterate_map(lambda p: p[..., 0], siegel_point(1j, 0.5), 3), (1,), (1, 2)),
+    (lambda: horosphere_image_check(lambda p: p[..., 0], 1.0), (64,), (64, 2)),
+    (lambda: extract_capacity(lambda p: np.concatenate([p, p], -1)), (64, 2), (64, 1)),
+    (lambda: extract_capacity(lambda p: (p - 1 / p)[..., 0]), (64,), (64, 1)),
+], ids=["horosphere (m, 1)", "iterate (1,)", "horosphere (m,)", "capacity (m, 2)",
+        "capacity (m,)"])
+def test_a_self_map_result_of_the_wrong_shape_raises_naming_both_shapes(check, got,
+                                                                        expected):
+    with pytest.raises(FieldEvaluationError,
+                       match=re.escape(f"self-map returned shape {got}, expected {expected}")):
+        check()
 
 
 # ---------------------------------------------------------------------------

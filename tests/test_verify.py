@@ -120,13 +120,15 @@ def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
     # one kernel call across groups (n = 2: example1, example2 and the zero
     # field; n = 1: -z on the disc, -1/z at tol 1e-10 and 1e-13, and
     # flow-capacity's Cauchy field), and chains restart their legs inside
-    # those calls: 5460 field calls in 720 steps and 5 kernel calls, the
-    # other three from loewner-restart's public runs.  With one kernel call per
-    # field, domain and tolerance and flow-capacity's maps on their own, the
-    # suite made 6226 field calls in 1034 steps and 14 kernel calls; with
-    # every chain leg a call of its own, 8271 calls in 1374 steps and 68
-    # kernel calls; pooled within groups only, 9948 calls in 1651 steps; and
-    # with every flow on its own 11218 calls in 1862 steps.
+    # those calls: 5455 field calls in 720 steps and 5 kernel calls, the
+    # other three from loewner-restart's public runs.  While flow-capacity's
+    # judge wrapped its images in a displacement field, that field's five
+    # calls made 5460.  With one kernel call per field, domain and tolerance
+    # and flow-capacity's maps on their own, the suite made 6226 field calls
+    # in 1034 steps and 14 kernel calls; with every chain leg a call of its
+    # own, 8271 calls in 1374 steps and 68 kernel calls; pooled within groups
+    # only, 9948 calls in 1651 steps; and with every flow on its own 11218
+    # calls in 1862 steps.
     steps, calls = [], []
     stages, advance = flows._stages, flows._advance
 
@@ -141,7 +143,7 @@ def test_the_flows_suite_makes_a_pinned_number_of_field_calls(monkeypatch,
     monkeypatch.setattr(flows, "_stages", counted_stages)
     monkeypatch.setattr(flows, "_advance", counted_advance)
     assert run_suite("flows", 7).passed
-    assert (len(field_evaluations), len(steps), len(calls)) == (5460, 720, 5)
+    assert (len(field_evaluations), len(steps), len(calls)) == (5455, 720, 5)
 
 
 def test_horosphere_checks_report_what_the_public_checks_report():
@@ -161,6 +163,30 @@ def test_horosphere_checks_report_what_the_public_checks_report():
         detail=(f"orthogonality margin {inequality.worst_margin:.3e}, "
                 f"image |u| max {image.worst_value:.6f} of {image.limit:g}"),
     )
+
+
+def test_flow_capacity_judges_what_extract_capacity_reports(monkeypatch):
+    # The group judges its pooled images with extract_capacity's own judge,
+    # so each of its estimates, value, trend and samples, is the one
+    # extract_capacity reports on a public flow map: the Cauchy field's
+    # maps at t = 0.5, 1 and 2, then -1/z's time-1 map and its composite.
+    judged, judge = [], analysis._tail_estimates
+
+    def recorded(*args):
+        estimates = judge(*args)
+        judged.extend(estimates)
+        return estimates
+
+    monkeypatch.setattr(analysis, "_tail_estimates", recorded)
+    group = next(g for g in run_suite("flows", 7).groups if g.name == "flow-capacity")
+    monkeypatch.undo()
+    cauchy = fields.cauchy_transform(fields.DiscreteMeasure(((-1.0, 0.5), (1.0, 0.5))))
+    step = flows.flow_map(fields.reciprocal_1d(), 1.0)
+    expected = [flows.extract_capacity(flows.flow_map(cauchy, t)) for t in (0.5, 1.0, 2.0)]
+    expected += [flows.extract_capacity(step),
+                 flows.extract_capacity(lambda p: step(step(p)))]
+    assert judged == expected
+    assert group.passed and group.count == 4
 
 
 @pytest.mark.parametrize("factory, failing", [
